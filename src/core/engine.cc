@@ -227,6 +227,27 @@ dewey::DeweyId WithDocComponent(const dewey::DeweyId& id, uint32_t doc) {
   return dewey::DeweyId(std::move(components));
 }
 
+// A result's snippet is the first kSnippetBytes bytes of its subtree text
+// followed by "...", or the whole text when it fits in kSnippetMaxBytes.
+constexpr size_t kSnippetBytes = 117;
+constexpr size_t kSnippetMaxBytes = 120;
+
+std::string Snippet(const graph::XmlGraph& graph, graph::NodeId node) {
+  // One byte past the longest uncut snippet tells whether to cut.
+  std::string text = graph.DeepTextPrefix(node, kSnippetMaxBytes + 1);
+  if (text.size() <= kSnippetMaxBytes) return text;
+  // Cut before a multi-byte UTF-8 sequence, not inside it: step back over
+  // at most three continuation bytes (10xxxxxx) to the sequence's lead byte.
+  size_t cut = kSnippetBytes;
+  while (cut > kSnippetBytes - 3 &&
+         (static_cast<uint8_t>(text[cut]) & 0xC0) == 0x80) {
+    --cut;
+  }
+  text.resize(cut);
+  text += "...";
+  return text;
+}
+
 bool SeqCovered(uint64_t seq,
                 const std::vector<std::pair<uint64_t, uint64_t>>& covered) {
   for (const auto& [first, last] : covered) {
@@ -1501,19 +1522,16 @@ Result<double> XRankEngine::ElemRankOf(const dewey::DeweyId& id) const {
   return elem_ranks_[node];
 }
 
-Result<dewey::DeweyId> XRankEngine::MapToAnswerNode(
-    const graph::XmlGraph& graph, const dewey::DeweyId& id) const {
-  if (options_.answer_node_tags.empty()) return id;
-  dewey::DeweyId current = id;
-  while (!current.empty()) {
-    XRANK_ASSIGN_OR_RETURN(graph::NodeId node, graph.FindByDewey(current));
+graph::NodeId XRankEngine::MapToAnswerNode(const graph::XmlGraph& graph,
+                                           graph::NodeId node) const {
+  if (options_.answer_node_tags.empty()) return node;
+  for (; node != graph::kInvalidNode; node = graph.node(node).parent) {
     std::string_view tag = graph.name(node);
     for (const std::string& answer_tag : options_.answer_node_tags) {
-      if (tag == answer_tag) return current;
+      if (tag == answer_tag) return node;
     }
-    current = current.Parent();
   }
-  return Status::NotFound("no answer node above " + id.ToString());
+  return graph::kInvalidNode;
 }
 
 Result<EngineResponse> XRankEngine::Decorate(const LiveState& state,
@@ -1538,9 +1556,13 @@ Result<EngineResponse> XRankEngine::Decorate(const LiveState& state,
         raw.segment != nullptr ? raw.segment->graph : graph_;
     const uint32_t doc_base =
         raw.segment != nullptr ? raw.segment->doc_base : 0;
-    Result<dewey::DeweyId> mapped = MapToAnswerNode(graph, raw.local_id);
-    if (!mapped.ok()) continue;  // no answer node covers this result
-    dewey::DeweyId local = std::move(mapped).value();
+    // Resolved once; everything below reads the node and its ancestors.
+    XRANK_ASSIGN_OR_RETURN(graph::NodeId hit_node,
+                           graph.FindByDewey(raw.local_id));
+    const graph::NodeId node = MapToAnswerNode(graph, hit_node);
+    if (node == graph::kInvalidNode) continue;  // no answer node covers it
+    const graph::XmlGraph::NodeData& data = graph.node(node);
+    const dewey::DeweyId& local = data.dewey_id;
     dewey::DeweyId global = RebaseUp(local, doc_base);
     // Base-hit local ids are graph-facing (identity order); emitted ids are
     // physical, matching the reordered indexes.
@@ -1549,18 +1571,12 @@ Result<EngineResponse> XRankEngine::Decorate(const LiveState& state,
     }
     if (!emitted.insert(global).second) continue;  // ancestor already emitted
 
-    XRANK_ASSIGN_OR_RETURN(graph::NodeId node, graph.FindByDewey(local));
     EngineResult result;
     result.id = std::move(global);
     result.rank = raw.rank;
     result.element_tag = std::string(graph.name(node));
-    result.document_uri = graph.documents()[graph.node(node).document].uri;
-    std::string text = graph.DeepText(node);
-    if (text.size() > 120) {
-      text.resize(117);
-      text += "...";
-    }
-    result.snippet = std::move(text);
+    result.document_uri = graph.documents()[data.document].uri;
+    result.snippet = Snippet(graph, node);
     out.results.push_back(std::move(result));
   }
   return out;
@@ -1907,20 +1923,17 @@ Result<EngineResponse> XRankEngine::QueryWithPath(
       current = WithDocComponent(current,
                                  doc_perm_.ToIdentity(current.component(0)));
     }
-    bool matches = true;
-    for (size_t i = path.size(); i-- > 0;) {
-      if (current.empty()) {
-        matches = false;
-        break;
-      }
-      Result<graph::NodeId> node = graph->FindByDewey(current);
-      if (!node.ok() || graph->name(node.value()) != path[i]) {
-        matches = false;
-        break;
-      }
-      current = current.Parent();
+    Result<graph::NodeId> node = graph->FindByDewey(current);
+    if (!node.ok()) continue;
+    // Walk up from the result, matching `path` from its last step.
+    graph::NodeId at = node.value();
+    size_t matched = 0;
+    while (matched < path.size() && at != graph::kInvalidNode &&
+           graph->name(at) == path[path.size() - 1 - matched]) {
+      at = graph->node(at).parent;
+      ++matched;
     }
-    if (matches) out.results.push_back(std::move(result));
+    if (matched == path.size()) out.results.push_back(std::move(result));
   }
   return out;
 }

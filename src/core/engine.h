@@ -403,10 +403,11 @@ class XRankEngine {
   Result<EngineResponse> Decorate(const LiveState& state,
                                   std::vector<RawHit> hits,
                                   query::QueryStats stats, size_t m);
-  // Maps a raw result onto the answer-node set (nearest qualifying
-  // ancestor-or-self), if configured. Ids are local to `graph`.
-  Result<dewey::DeweyId> MapToAnswerNode(const graph::XmlGraph& graph,
-                                         const dewey::DeweyId& id) const;
+  // Maps a raw result's element onto the answer-node set (nearest
+  // qualifying ancestor-or-self), if configured; kInvalidNode when no
+  // ancestor qualifies.
+  graph::NodeId MapToAnswerNode(const graph::XmlGraph& graph,
+                                graph::NodeId node) const;
 
   // Builds one physical index of the given kind over extracted postings.
   Result<IndexInstance> BuildInstance(index::IndexKind kind,

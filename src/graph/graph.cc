@@ -8,6 +8,11 @@ namespace xrank::graph {
 
 namespace {
 const std::vector<NodeId> kNoLinks;
+
+// Appends as much of `piece` as fits in `limit` bytes of `out`.
+void AppendBounded(std::string_view piece, size_t limit, std::string* out) {
+  out->append(piece.substr(0, limit - out->size()));
+}
 }  // namespace
 
 const std::vector<NodeId>& XmlGraph::hyperlinks(NodeId u) const {
@@ -42,20 +47,38 @@ std::string XmlGraph::DirectText(NodeId id) const {
   return out;
 }
 
-std::string XmlGraph::DeepText(NodeId id) const {
+std::string XmlGraph::DeepTextPrefix(NodeId id, size_t limit) const {
   const NodeData& data = nodes_[id];
-  if (data.kind == Kind::kValue) return data.text;
+  if (data.kind == Kind::kValue) return data.text.substr(0, limit);
+  std::string out;
+  AppendDeepText(id, /*separate=*/false, limit, &out);
+  return out;
+}
+
+bool XmlGraph::AppendDeepText(NodeId id, bool separate, size_t limit,
+                              std::string* out) const {
   // Interleave is lost in the graph form (values and elements are kept in
   // separate child vectors); emit values first, then element subtrees. The
-  // indexer does not rely on this function for positions.
-  std::string out = DirectText(id);
-  for (NodeId child : data.element_children) {
-    std::string piece = DeepText(child);
-    if (piece.empty()) continue;
-    if (!out.empty()) out.push_back(' ');
-    out += piece;
+  // indexer does not rely on this text for positions. Values join as in
+  // DirectText, which puts a space before an empty value too once there is
+  // text. The space owed to the parent is paid before the first byte, so a
+  // child without text adds none; until this element has text of its own,
+  // its children inherit that debt.
+  const NodeData& data = nodes_[id];
+  bool appended = false;
+  for (NodeId value : data.value_children) {
+    if (out->size() >= limit) return appended;
+    const std::string& text = nodes_[value].text;
+    if (!appended && text.empty()) continue;
+    if (appended || separate) AppendBounded(" ", limit, out);
+    AppendBounded(text, limit, out);
+    appended = true;
   }
-  return out;
+  for (NodeId child : data.element_children) {
+    if (out->size() >= limit) break;
+    appended |= AppendDeepText(child, separate || appended, limit, out);
+  }
+  return appended;
 }
 
 uint32_t XmlGraph::InternName(std::string_view tag) {

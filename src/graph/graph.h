@@ -82,8 +82,12 @@ class XmlGraph {
   // Concatenated text of all value children of `id` (its direct text).
   std::string DirectText(NodeId id) const;
 
-  // Concatenated text of the whole subtree under `id`, document order.
-  std::string DeepText(NodeId id) const;
+  // The first `limit` bytes of the text of the subtree under `id`: an
+  // element's direct text, then each element child's subtree text in sibling
+  // order, joined by single spaces (a child without text adds no space). The
+  // walk stops once it holds `limit` bytes, so its cost follows the prefix,
+  // not the size of the subtree.
+  std::string DeepTextPrefix(NodeId id, size_t limit) const;
 
   // --- mutation interface used by GraphBuilder ---
   uint32_t InternName(std::string_view tag);
@@ -98,6 +102,11 @@ class XmlGraph {
 
  private:
   void AssignDeweyIds(NodeId element, const dewey::DeweyId& id);
+  // Appends element `id`'s subtree text to `out` up to `limit` bytes,
+  // preceded by a space when `separate` and the text is non-empty. Returns
+  // whether it appended any text.
+  bool AppendDeepText(NodeId id, bool separate, size_t limit,
+                      std::string* out) const;
 
   std::vector<NodeData> nodes_;
   std::vector<DocumentInfo> documents_;

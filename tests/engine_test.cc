@@ -189,6 +189,84 @@ TEST(EngineTest, AnswerNodeMapping) {
                 result.element_tag == "section")
         << result.element_tag;
   }
+
+  // Exact ids, tags and snippets for every index kind, recorded from an
+  // engine that mapped answer nodes by Dewey id lookups; the parent-link
+  // walk must reproduce them.
+  struct Expected {
+    const char* id;
+    const char* tag;
+    const char* snippet;
+  };
+  const Expected kWorkshop = {
+      "0", "workshop",
+      "28 July 2000 XML and IR: A SIGIR 2000 Workshop David Carmel, Yoelle "
+      "Maarek, Aya Soffer 1 XQL and Proximal Nodes Ricar..."};
+  const Expected kPaper = {
+      "0.3.0", "paper",
+      "1 XQL and Proximal Nodes Ricardo Baeza-Yates Gonzalo Navarro We "
+      "consider the recently proposed language Searching on ..."};
+  const Expected kSection = {
+      "0.3.0.5.1", "section",
+      "Implementing XML Operations At first sight, the XQL query language "
+      "looks Path Expressions"};
+  const std::vector<Expected> kNaive = {kWorkshop, kPaper, kSection};
+  const std::vector<Expected> kDewey = {kSection, kPaper};
+  for (IndexKind kind :
+       {IndexKind::kNaiveId, IndexKind::kNaiveRank, IndexKind::kDil,
+        IndexKind::kRdil, IndexKind::kHdil}) {
+    SCOPED_TRACE(index::IndexKindName(kind));
+    auto answers = (*engine)->Query("XQL language", 10, kind);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    const bool naive =
+        kind == IndexKind::kNaiveId || kind == IndexKind::kNaiveRank;
+    const std::vector<Expected>& expected = naive ? kNaive : kDewey;
+    ASSERT_EQ(answers->results.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(answers->results[i].id.ToString(), expected[i].id);
+      EXPECT_EQ(answers->results[i].element_tag, expected[i].tag);
+      EXPECT_EQ(answers->results[i].snippet, expected[i].snippet);
+    }
+  }
+}
+
+// The snippet keeps 117 bytes, but never ends inside a multi-byte
+// character: the cut moves back to the character's first byte.
+TEST(EngineTest, SnippetCutKeepsUtf8Characters) {
+  const std::string kE = "\xC3\xA9";       // é, 2 bytes
+  const std::string kZhong = "\xE4\xB8\xAD";  // 中, 3 bytes
+  struct Case {
+    size_t offset;  // byte offset of the character in the element's text
+    std::string character;
+    size_t kept;  // bytes kept before "..."
+  };
+  const Case kCases[] = {
+      {116, kE, 116},      // cut would split é after its lead byte
+      {115, kE, 117},      // é ends exactly at the cut
+      {115, kZhong, 115},  // cut would keep two of 中's three bytes
+      {116, kZhong, 116},  // cut would keep one of 中's three bytes
+      {114, kZhong, 117},  // 中 ends exactly at the cut
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE("offset " + std::to_string(c.offset));
+    std::string text = "needle ";
+    text.append(c.offset - text.size(), 'x');
+    text += c.character;
+    while (text.size() < 160) text += " more" + c.character;
+    auto doc = xml::ParseDocument("<doc><p>" + text + "</p><q>other</q></doc>",
+                                  "utf8.xml");
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    std::vector<xml::Document> docs;
+    docs.push_back(std::move(doc).value());
+    EngineOptions options;
+    options.indexes = {IndexKind::kDil};
+    auto engine = XRankEngine::Build(std::move(docs), options);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto response = (*engine)->Query("needle", 10, IndexKind::kDil);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->results.size(), 1u);
+    EXPECT_EQ(response->results[0].snippet, text.substr(0, c.kept) + "...");
+  }
 }
 
 TEST(EngineTest, MissingKeywordYieldsEmpty) {
