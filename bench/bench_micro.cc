@@ -6,12 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/bitpack.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "dewey/codec.h"
@@ -20,7 +17,6 @@
 #include "index/codec.h"
 #include "index/lexicon.h"
 #include "index/posting.h"
-#include "index/reorder.h"
 #include "query/dewey_stack.h"
 #include "query/dil_query.h"
 #include "query/proximity.h"
@@ -208,97 +204,7 @@ CodecFixture* GetCodecFixture(const std::string& codec_name) {
   return fixture;
 }
 
-// Raw group-varint stream decode: a doc-gap-shaped u32 stream decoded
-// through the dispatched kernel vs. the portable scalar reference — the
-// primitive underneath vgb page decoding, isolated from Dewey
-// reconstruction so the SIMD speedup is visible. check_perf.sh gates
-// vgb_simd against vgb_scalar whenever a SIMD kernel is active (the
-// simd_active counter; 0 means the host or XRANK_NO_SIMD forces scalar
-// and the two rows measure the same code).
-struct VgbStreamFixture {
-  std::vector<uint8_t> encoded;  // 16-byte slack after the encoded extent
-  size_t value_count = 0;
-  size_t encoded_bytes = 0;
-};
-
-VgbStreamFixture* GetVgbStreamFixture() {
-  static VgbStreamFixture* fixture = [] {
-    auto* out = new VgbStreamFixture();
-    Random rng(11);
-    constexpr size_t kValues = 64 * 1024;
-    std::vector<uint32_t> values(kValues);
-    for (uint32_t& value : values) {
-      // Byte-length mix of a delta stream: mostly 1-byte gaps, some 2-byte,
-      // occasional wide jumps.
-      uint64_t bucket = rng.Uniform(100);
-      if (bucket < 70) {
-        value = static_cast<uint32_t>(rng.Uniform(1u << 7));
-      } else if (bucket < 95) {
-        value = static_cast<uint32_t>(rng.Uniform(1u << 14));
-      } else {
-        value = static_cast<uint32_t>(rng.Uniform(1u << 28));
-      }
-    }
-    for (size_t group = 0; group < values.size(); group += 4) {
-      size_t in_group = std::min<size_t>(4, values.size() - group);
-      uint8_t control = 0;
-      size_t control_at = out->encoded.size();
-      out->encoded.push_back(0);
-      for (size_t j = 0; j < in_group; ++j) {
-        uint32_t value = values[group + j];
-        uint8_t length = value < (1u << 8)    ? 1
-                         : value < (1u << 16) ? 2
-                         : value < (1u << 24) ? 3
-                                              : 4;
-        control |= static_cast<uint8_t>((length - 1) << (2 * j));
-        for (uint8_t b = 0; b < length; ++b) {
-          out->encoded.push_back(static_cast<uint8_t>(value >> (8 * b)));
-        }
-      }
-      out->encoded[control_at] = control;
-    }
-    out->value_count = kValues;
-    out->encoded_bytes = out->encoded.size();
-    out->encoded.resize(out->encoded.size() + 16);
-    return out;
-  }();
-  return fixture;
-}
-
-void RunGroupVarintStreamDecode(benchmark::State& state, bool dispatched) {
-  VgbStreamFixture* fixture = GetVgbStreamFixture();
-  std::vector<uint32_t> out(fixture->value_count);
-  const uint8_t* in = fixture->encoded.data();
-  const uint8_t* in_end = fixture->encoded.data() + fixture->encoded.size();
-  for (auto _ : state) {
-    size_t consumed = 0;
-    bool ok = dispatched
-                  ? bitpack::UnpackGroupVarint(in, in_end,
-                                               fixture->value_count,
-                                               out.data(), &consumed)
-                  : bitpack::UnpackGroupVarintPortable(in, in_end,
-                                                       fixture->value_count,
-                                                       out.data(), &consumed);
-    if (!ok || consumed != fixture->encoded_bytes) {
-      state.SkipWithError("group-varint stream decode failed");
-      return;
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(fixture->value_count));
-  state.counters["simd_active"] =
-      std::strcmp(bitpack::GroupVarintKernelName(), "scalar") != 0 ? 1.0
-                                                                   : 0.0;
-}
-
 void BM_PostingDecode(benchmark::State& state, const char* codec_name) {
-  if (std::strcmp(codec_name, "vgb_simd") == 0) {
-    return RunGroupVarintStreamDecode(state, /*dispatched=*/true);
-  }
-  if (std::strcmp(codec_name, "vgb_scalar") == 0) {
-    return RunGroupVarintStreamDecode(state, /*dispatched=*/false);
-  }
   CodecFixture* fixture = GetCodecFixture(codec_name);
   if (fixture == nullptr) {
     state.SkipWithError("codec not registered");
@@ -324,9 +230,6 @@ void BM_PostingDecode(benchmark::State& state, const char* codec_name) {
 }
 BENCHMARK_CAPTURE(BM_PostingDecode, varint, "varint");
 BENCHMARK_CAPTURE(BM_PostingDecode, bp128, "bp128");
-BENCHMARK_CAPTURE(BM_PostingDecode, vgb, "vgb");
-BENCHMARK_CAPTURE(BM_PostingDecode, vgb_simd, "vgb_simd");
-BENCHMARK_CAPTURE(BM_PostingDecode, vgb_scalar, "vgb_scalar");
 
 void BM_Tokenize(benchmark::State& state) {
   index::Analyzer analyzer;
@@ -505,177 +408,11 @@ void BM_TopkDisjunctiveMaxScore(benchmark::State& state) {
 }
 BENCHMARK(BM_TopkDisjunctiveMaxScore);
 
-void BM_TopkDisjunctiveWand(benchmark::State& state) {
-  RunDisjunctiveTopk(state, query::MergeAlgorithm::kWand,
-                     /*use_skip_blocks=*/true);
-}
-BENCHMARK(BM_TopkDisjunctiveWand);
-
 void BM_TopkDisjunctiveBmw(benchmark::State& state) {
   RunDisjunctiveTopk(state, query::MergeAlgorithm::kBlockMaxWand,
                      /*use_skip_blocks=*/true);
 }
 BENCHMARK(BM_TopkDisjunctiveBmw);
-
-// Clustered corpus in two physical doc-id layouts sharing one page file:
-// "@id" assigns doc ids by an LCG shuffle (clusters scattered — the
-// ingest-order worst case) and "@bp" applies the BP permutation computed
-// from the shuffled postings. Every document carries the dense "hot" /
-// "cold" pair the disjunctive query runs over plus its cluster's marker
-// term (the structure BP exploits), and all the large ElemRanks live in
-// cluster 0 — shuffled, every block-max is poisoned by a nearby hot
-// document; reordered, the maxima collapse outside one contiguous id range
-// and block-max WAND skips nearly everything. The fixture also re-encodes
-// every list (markers included) under bp128 per layout, so the benchmark
-// rows carry the space side of the reorder win as a counter.
-// check_perf.sh gates reordered BMW time and reordered bp128
-// bytes-per-posting against the shuffled rows.
-struct ClusteredLayouts {
-  std::unique_ptr<storage::PageFile> file;
-  std::unique_ptr<storage::BufferPool> pool;
-  index::Lexicon lexicon;  // "hot@id", "cold@id", "hot@bp", "cold@bp"
-  double bp128_bytes_per_posting_id = 0.0;
-  double bp128_bytes_per_posting_bp = 0.0;
-};
-
-ClusteredLayouts* GetClusteredLayouts() {
-  static ClusteredLayouts* layouts = [] {
-    auto* out = new ClusteredLayouts();
-    out->file = storage::PageFile::CreateInMemory();
-    constexpr uint32_t kClusters = 64;
-    constexpr uint32_t kDocsPerCluster = 780;
-    constexpr uint32_t kDocs = kClusters * kDocsPerCluster;
-    // Random bijection identity -> shuffled physical id.
-    std::vector<uint32_t> to_shuffled(kDocs);
-    for (uint32_t d = 0; d < kDocs; ++d) to_shuffled[d] = d;
-    Random rng(12);
-    for (uint32_t i = kDocs; i > 1; --i) {
-      std::swap(to_shuffled[i - 1],
-                to_shuffled[static_cast<uint32_t>(rng.Uniform(i))]);
-    }
-    auto rank_of = [](uint32_t identity_doc) {
-      return identity_doc < kDocsPerCluster
-                 ? 1000.0f - 0.5f * static_cast<float>(identity_doc)
-                 : 1.0f / static_cast<float>(identity_doc + 2);
-    };
-    std::map<std::string, std::vector<index::Posting>> shuffled;
-    for (uint32_t identity_doc = 0; identity_doc < kDocs; ++identity_doc) {
-      index::Posting posting;
-      posting.id = dewey::DeweyId{to_shuffled[identity_doc], 1};
-      posting.elem_rank = rank_of(identity_doc);
-      posting.positions = {1};
-      shuffled["hot"].push_back(posting);
-      posting.positions = {2};
-      shuffled["cold"].push_back(posting);
-      posting.positions = {3};
-      shuffled["m" + std::to_string(identity_doc / kDocsPerCluster)]
-          .push_back(posting);
-    }
-    for (auto& [term, list] : shuffled) {
-      std::sort(list.begin(), list.end(),
-                [](const index::Posting& a, const index::Posting& b) {
-                  return a.id < b.id;
-                });
-    }
-    index::ReorderOptions reorder;
-    reorder.algorithm = index::ReorderAlgorithm::kBp;
-    index::DocPermutation perm =
-        index::ComputeReorderPermutation(shuffled, kDocs, reorder);
-    std::map<std::string, std::vector<index::Posting>> reordered = shuffled;
-    for (auto& [term, list] : reordered) {
-      for (index::Posting& posting : list) {
-        std::vector<uint32_t> components = posting.id.components();
-        components[0] = perm.ToPhysical(components[0]);
-        posting.id.AssignComponents(components.data(), components.size());
-      }
-      std::sort(list.begin(), list.end(),
-                [](const index::Posting& a, const index::Posting& b) {
-                  return a.id < b.id;
-                });
-    }
-    const index::PostingCodec* bp128 = index::FindPostingCodecByName("bp128");
-    const std::pair<const char*,
-                    const std::map<std::string, std::vector<index::Posting>>*>
-        layouts_by_suffix[] = {{"@id", &shuffled}, {"@bp", &reordered}};
-    for (const auto& [suffix, postings] : layouts_by_suffix) {
-      // Queried lists: default (varint) format with skip/block-max data.
-      for (const char* term : {"hot", "cold"}) {
-        index::PostingListWriter writer(out->file.get(),
-                                        /*delta_encode_ids=*/true);
-        for (const index::Posting& posting : postings->at(term)) {
-          writer.Add(posting).status();
-        }
-        auto extent = writer.Finish();
-        index::TermInfo info;
-        info.list = *extent;
-        info.skips = writer.TakeSkips();
-        info.max_doc_rank = writer.max_doc_rank();
-        out->lexicon.Add(std::string(term) + suffix, std::move(info));
-      }
-      // Space side: every list (markers included) re-encoded under bp128.
-      uint64_t used_bytes = 0, posting_count = 0;
-      for (const auto& [term, list] : *postings) {
-        index::PostingFormat format = index::MakeWriterFormat(
-            bp128,
-            index::PostingFormatSpec{bp128->id(),
-                                     index::RankEncoding::kFloat32},
-            list, /*delta_encode_ids=*/true);
-        index::PostingListWriter writer(out->file.get(), format);
-        for (const index::Posting& posting : list) {
-          writer.Add(posting).status();
-        }
-        auto extent = writer.Finish();
-        used_bytes += extent->byte_count;
-        posting_count += list.size();
-      }
-      double bytes_per_posting = static_cast<double>(used_bytes) /
-                                 static_cast<double>(posting_count);
-      (std::strcmp(suffix, "@id") == 0 ? out->bp128_bytes_per_posting_id
-                                       : out->bp128_bytes_per_posting_bp) =
-          bytes_per_posting;
-    }
-    out->pool = std::make_unique<storage::BufferPool>(out->file.get(), 4096,
-                                                      nullptr);
-    return out;
-  }();
-  return layouts;
-}
-
-void RunClusteredBmw(benchmark::State& state, const char* suffix) {
-  ClusteredLayouts* idx = GetClusteredLayouts();
-  query::ScoringOptions scoring;
-  scoring.semantics = query::QuerySemantics::kDisjunctive;
-  query::DilQueryProcessor processor(idx->pool.get(), &idx->lexicon, scoring,
-                                     /*use_skip_blocks=*/true);
-  std::vector<std::string> keywords = {std::string("hot") + suffix,
-                                       std::string("cold") + suffix};
-  query::QueryOptions options;
-  options.algorithm = query::MergeAlgorithm::kBlockMaxWand;
-  uint64_t postings = 0;
-  for (auto _ : state) {
-    auto response = processor.Execute(keywords, 10, options);
-    if (!response.ok()) {
-      state.SkipWithError(response.status().ToString().c_str());
-      return;
-    }
-    postings += response->stats.postings_scanned;
-    benchmark::DoNotOptimize(response->results);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(postings));
-  state.counters["bp128_bytes_per_posting"] =
-      std::strcmp(suffix, "@id") == 0 ? idx->bp128_bytes_per_posting_id
-                                      : idx->bp128_bytes_per_posting_bp;
-}
-
-void BM_TopkDisjunctiveBmwShuffled(benchmark::State& state) {
-  RunClusteredBmw(state, "@id");
-}
-BENCHMARK(BM_TopkDisjunctiveBmwShuffled);
-
-void BM_TopkDisjunctiveBmwReordered(benchmark::State& state) {
-  RunClusteredBmw(state, "@bp");
-}
-BENCHMARK(BM_TopkDisjunctiveBmwReordered);
 
 }  // namespace
 }  // namespace xrank

@@ -1,7 +1,7 @@
 // Reproduces Table 1: "Space Requirements for the Different Approaches" —
 // inverted-list and auxiliary-index sizes of Naive-ID, Naive-Rank, DIL,
 // RDIL and HDIL on the DBLP-shaped and XMark-shaped corpora — and sweeps
-// the posting codecs (varint / bp128 / vgb) over the same corpora to
+// the posting codecs (varint / bp128) over the same corpora to
 // report bytes-per-posting and used vs. on-disk list bytes per codec.
 //
 // Paper's numbers (143 MB DBLP / 113 MB XMark):
@@ -17,9 +17,7 @@
 // its list, HDIL index tiny, HDIL list slightly larger than DIL's.
 //
 // Flags: `--json <path>` writes the codec-sweep metrics; `--codec <name>`
-// restricts the sweep to one registered codec; `--reorder` adds a second
-// sweep per corpus with BP document reordering enabled (slug suffix
-// `-bp`), so the report carries both layouts side by side.
+// restricts the sweep to one registered codec.
 
 #include "bench_util.h"
 #include "common/string_util.h"
@@ -75,10 +73,8 @@ size_t TotalBytes(const std::vector<xml::Document>& docs) {
 void CodecSweep(const char* dataset, const std::string& slug,
                 datagen::Corpus* corpus,
                 const std::vector<index::IndexKind>& kinds,
-                const std::string& only_codec, bool reorder,
-                JsonReport* json) {
-  std::printf("\n%s — posting-codec space sweep (%s document order)\n",
-              dataset, reorder ? "BP-reordered" : "identity");
+                const std::string& only_codec, JsonReport* json) {
+  std::printf("\n%s — posting-codec space sweep\n", dataset);
   PrintRule(100);
   std::printf("%-8s %-12s %14s %14s %14s %16s\n", "Codec", "Approach",
               "List (used)", "List (disk)", "Entries", "Bytes/posting");
@@ -88,9 +84,6 @@ void CodecSweep(const char* dataset, const std::string& slug,
     core::EngineOptions options;
     options.build.format = index::PostingFormatSpec{
         codec->id(), index::RankEncoding::kFloat32};
-    if (reorder) {
-      options.build.reorder.algorithm = index::ReorderAlgorithm::kBp;
-    }
     auto engine = BuildEngine(Reparse(corpus), kinds, options);
     for (index::IndexKind kind : kinds) {
       const index::IndexStats& stats = engine->index_stats(kind);
@@ -130,7 +123,6 @@ int main(int argc, char** argv) {
   JsonReport json("table1_space");
   argc = json.ParseFlag(argc, argv);
   std::string only_codec;
-  bool reorder = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--codec" && i + 1 < argc) {
       only_codec = argv[i + 1];
@@ -140,8 +132,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       ++i;
-    } else if (std::string(argv[i]) == "--reorder") {
-      reorder = true;
     }
   }
 
@@ -158,12 +148,7 @@ int main(int argc, char** argv) {
     size_t input_bytes = TotalBytes(docs);
     auto engine = BuildEngine(std::move(docs), all_kinds);
     Report("DBLP-like", engine.get(), input_bytes);
-    CodecSweep("DBLP-like", "dblp", &corpus, all_kinds, only_codec, false,
-               &json);
-    if (reorder) {
-      CodecSweep("DBLP-like", "dblp-bp", &corpus, all_kinds, only_codec, true,
-                 &json);
-    }
+    CodecSweep("DBLP-like", "dblp", &corpus, all_kinds, only_codec, &json);
   }
   {
     datagen::Corpus corpus = datagen::GenerateXMark(BenchXMarkOptions());
@@ -171,12 +156,7 @@ int main(int argc, char** argv) {
     size_t input_bytes = TotalBytes(docs);
     auto engine = BuildEngine(std::move(docs), all_kinds);
     Report("XMark-like", engine.get(), input_bytes);
-    CodecSweep("XMark-like", "xmark", &corpus, all_kinds, only_codec, false,
-               &json);
-    if (reorder) {
-      CodecSweep("XMark-like", "xmark-bp", &corpus, all_kinds, only_codec,
-                 true, &json);
-    }
+    CodecSweep("XMark-like", "xmark", &corpus, all_kinds, only_codec, &json);
   }
 
   std::printf(

@@ -5,7 +5,7 @@
 // before it can stop.
 //
 // A second sweep covers the disjunctive dynamic-pruning strategies
-// (MaxScore / WAND / block-max WAND) against the exhaustive merge across
+// (MaxScore / block-max WAND) against the exhaustive merge across
 // k x term-count, verifying on every query that the pruned top-k is
 // bitwise identical to the oracle — any mismatch fails the binary, so the
 // perf gate doubles as a correctness gate.
@@ -18,21 +18,6 @@ namespace {
 
 using namespace xrank;
 using namespace xrank::bench;
-
-const char* AlgorithmFlagName(query::MergeAlgorithm algorithm) {
-  switch (algorithm) {
-    case query::MergeAlgorithm::kExhaustive:
-      return "exhaustive";
-    case query::MergeAlgorithm::kMaxScore:
-      return "maxscore";
-    case query::MergeAlgorithm::kWand:
-      return "wand";
-    case query::MergeAlgorithm::kBlockMaxWand:
-      return "bmw";
-    default:
-      return "auto";
-  }
-}
 
 // Fails the whole run when a pruned response differs from the oracle in
 // any result id or rank: pruning must be invisible except in the counters.
@@ -109,7 +94,7 @@ int main(int argc, char** argv) {
 
   const query::MergeAlgorithm algorithms[] = {
       query::MergeAlgorithm::kExhaustive, query::MergeAlgorithm::kMaxScore,
-      query::MergeAlgorithm::kWand, query::MergeAlgorithm::kBlockMaxWand};
+      query::MergeAlgorithm::kBlockMaxWand};
   const size_t ks[] = {10, 100};
   const size_t term_counts[] = {2, 4};
 
@@ -122,7 +107,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
   PrintRule(70);
   for (query::MergeAlgorithm algorithm : algorithms) {
-    const char* name = AlgorithmFlagName(algorithm);
+    const char* name = query::MergeAlgorithmName(algorithm);
     std::printf("%-22s", name);
     for (size_t terms : term_counts) {
       datagen::WorkloadOptions dw;
@@ -175,7 +160,7 @@ int main(int argc, char** argv) {
   PrintRule(70);
   std::printf("\nEvery pruned row was verified bitwise against the "
               "exhaustive oracle.\nExpected shape: exhaustive flat in k; "
-              "MaxScore/WAND/BMW consume fewer\npostings, with the gap "
+              "MaxScore/BMW consume fewer\npostings, with the gap "
               "narrowing as k grows (the threshold is weaker).\n");
 
   if (!report.Write()) return 1;

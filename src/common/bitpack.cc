@@ -5,7 +5,6 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <emmintrin.h>
-#include <tmmintrin.h>
 #define XRANK_BITPACK_SSE2 1
 #elif defined(__aarch64__)
 #include <arm_neon.h>
@@ -190,119 +189,6 @@ bool UnpackNeon(const uint8_t* in, const uint8_t* in_end, size_t n,
 
 #endif
 
-// --- group varint ----------------------------------------------------------
-
-// Per-control-byte decode tables: a 16-byte shuffle mask scattering the
-// group's 1-4 byte values into four little-endian 32-bit lanes (0xFF lanes
-// zero-fill under PSHUFB/TBL), plus the group's total payload length.
-struct GvTables {
-  alignas(16) uint8_t shuffle[256][16];
-  uint8_t len[256];
-};
-
-const GvTables& GetGvTables() {
-  static const GvTables tables = [] {
-    GvTables t{};
-    for (unsigned ctrl = 0; ctrl < 256; ++ctrl) {
-      uint8_t src = 0;
-      for (unsigned j = 0; j < 4; ++j) {
-        const unsigned len = ((ctrl >> (2 * j)) & 3) + 1;
-        for (unsigned b = 0; b < 4; ++b) {
-          t.shuffle[ctrl][j * 4 + b] =
-              b < len ? static_cast<uint8_t>(src + b) : 0xFF;
-        }
-        src = static_cast<uint8_t>(src + len);
-      }
-      t.len[ctrl] = src;
-    }
-    return t;
-  }();
-  return tables;
-}
-
-// Scalar core; also the tail path of the SIMD kernels. Decodes n values
-// starting at `in`, bounds-checked against in_end byte by byte.
-bool GvScalarCore(const uint8_t* in, const uint8_t* in_end, size_t n,
-                  uint32_t* out, size_t* consumed) {
-  const uint8_t* p = in;
-  size_t i = 0;
-  while (i < n) {
-    if (p >= in_end) return false;
-    const uint8_t ctrl = *p++;
-    const size_t k = n - i < 4 ? n - i : 4;
-    for (size_t j = 0; j < k; ++j) {
-      const unsigned len = ((ctrl >> (2 * j)) & 3) + 1;
-      if (static_cast<size_t>(in_end - p) < len) return false;
-      uint32_t v = 0;
-      for (unsigned b = 0; b < len; ++b) {
-        v |= static_cast<uint32_t>(p[b]) << (8 * b);
-      }
-      p += len;
-      out[i + j] = v;
-    }
-    i += k;
-  }
-  if (consumed != nullptr) *consumed = static_cast<size_t>(p - in);
-  return true;
-}
-
-#if defined(XRANK_BITPACK_SSE2)
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((target("ssse3")))
-#endif
-bool GvSsse3(const uint8_t* in, const uint8_t* in_end, size_t n,
-             uint32_t* out, size_t* consumed) {
-  const GvTables& t = GetGvTables();
-  const uint8_t* p = in;
-  size_t i = 0;
-  // Full groups whose 16-byte payload load stays strictly inside the
-  // readable buffer: one table lookup + PSHUFB each. Partial groups and the
-  // last few bytes fall through to the scalar tail.
-  while (i + 4 <= n && static_cast<size_t>(in_end - p) > 1 + 16) {
-    const uint8_t ctrl = *p;
-    const __m128i data =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 1));
-    const __m128i shuf =
-        _mm_load_si128(reinterpret_cast<const __m128i*>(t.shuffle[ctrl]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_shuffle_epi8(data, shuf));
-    p += 1 + t.len[ctrl];
-    i += 4;
-  }
-  size_t tail_consumed = 0;
-  if (!GvScalarCore(p, in_end, n - i, out + i, &tail_consumed)) return false;
-  if (consumed != nullptr) {
-    *consumed = static_cast<size_t>(p - in) + tail_consumed;
-  }
-  return true;
-}
-
-#elif defined(XRANK_BITPACK_NEON)
-
-bool GvNeon(const uint8_t* in, const uint8_t* in_end, size_t n,
-            uint32_t* out, size_t* consumed) {
-  const GvTables& t = GetGvTables();
-  const uint8_t* p = in;
-  size_t i = 0;
-  while (i + 4 <= n && static_cast<size_t>(in_end - p) > 1 + 16) {
-    const uint8_t ctrl = *p;
-    const uint8x16_t data = vld1q_u8(p + 1);
-    const uint8x16_t shuf = vld1q_u8(t.shuffle[ctrl]);
-    vst1q_u8(reinterpret_cast<uint8_t*>(out + i), vqtbl1q_u8(data, shuf));
-    p += 1 + t.len[ctrl];
-    i += 4;
-  }
-  size_t tail_consumed = 0;
-  if (!GvScalarCore(p, in_end, n - i, out + i, &tail_consumed)) return false;
-  if (consumed != nullptr) {
-    *consumed = static_cast<size_t>(p - in) + tail_consumed;
-  }
-  return true;
-}
-
-#endif
-
 using UnpackFn = bool (*)(const uint8_t*, const uint8_t*, size_t, unsigned,
                           uint32_t*);
 
@@ -330,34 +216,6 @@ Kernel PickKernel() {
 
 const Kernel& ActiveKernel() {
   static const Kernel kernel = PickKernel();
-  return kernel;
-}
-
-using GvFn = bool (*)(const uint8_t*, const uint8_t*, size_t, uint32_t*,
-                      size_t*);
-
-struct GvKernel {
-  const char* name;
-  GvFn fn;
-};
-
-GvKernel PickGvKernel() {
-  const char* no_simd = std::getenv("XRANK_NO_SIMD");
-  if (no_simd != nullptr && no_simd[0] == '1') {
-    return {"scalar", &GvScalarCore};
-  }
-#if defined(XRANK_BITPACK_SSE2)
-#if defined(__GNUC__) || defined(__clang__)
-  if (__builtin_cpu_supports("ssse3")) return {"ssse3", &GvSsse3};
-#endif
-#elif defined(XRANK_BITPACK_NEON)
-  return {"neon", &GvNeon};  // NEON (with TBL) is baseline on aarch64
-#endif
-  return {"scalar", &GvScalarCore};
-}
-
-const GvKernel& ActiveGvKernel() {
-  static const GvKernel kernel = PickGvKernel();
   return kernel;
 }
 
@@ -400,19 +258,5 @@ bool UnpackBitsPortable(const uint8_t* in, const uint8_t* in_end, size_t n,
 }
 
 const char* UnpackKernelName() { return ActiveKernel().name; }
-
-bool UnpackGroupVarint(const uint8_t* in, const uint8_t* in_end, size_t n,
-                       uint32_t* out, size_t* consumed) {
-  if (in > in_end) return false;
-  return ActiveGvKernel().fn(in, in_end, n, out, consumed);
-}
-
-bool UnpackGroupVarintPortable(const uint8_t* in, const uint8_t* in_end,
-                               size_t n, uint32_t* out, size_t* consumed) {
-  if (in > in_end) return false;
-  return GvScalarCore(in, in_end, n, out, consumed);
-}
-
-const char* GroupVarintKernelName() { return ActiveGvKernel().name; }
 
 }  // namespace xrank::bitpack

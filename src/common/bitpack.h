@@ -50,32 +50,6 @@ bool UnpackBitsPortable(const uint8_t* in, const uint8_t* in_end, size_t n,
 // force the scalar kernel.
 const char* UnpackKernelName();
 
-// --- group varint (the "vgb" posting codec's stream layout) -----------------
-//
-// `n` values laid out in groups of 4: one control byte holding four 2-bit
-// (byte length - 1) codes, then 1-4 little-endian bytes per value; a tail
-// group (n % 4 != 0) stores control codes and bytes only for the values
-// present. This is the streamvbyte/varint-GB layout, decoded with one
-// per-group PSHUFB/TBL through a 256-entry shuffle table on SSSE3/NEON and
-// byte-at-a-time otherwise.
-
-// Decodes n values from [in, in_end). Returns false if the stream would
-// extend past in_end (out may hold partially decoded values); on success
-// *consumed (if non-null) receives the exact encoded byte count. The SIMD
-// kernels may READ up to 16 bytes past the last encoded byte but never at
-// or beyond in_end, so callers hand the full readable buffer (e.g. the
-// whole page), not just the encoded extent.
-bool UnpackGroupVarint(const uint8_t* in, const uint8_t* in_end, size_t n,
-                       uint32_t* out, size_t* consumed);
-
-// Always-scalar reference implementation (same contract); tests and benches
-// cross-check the dispatched kernel against it.
-bool UnpackGroupVarintPortable(const uint8_t* in, const uint8_t* in_end,
-                               size_t n, uint32_t* out, size_t* consumed);
-
-// "scalar", "ssse3" or "neon"; honors XRANK_NO_SIMD like UnpackKernelName.
-const char* GroupVarintKernelName();
-
 }  // namespace xrank::bitpack
 
 #endif  // XRANK_COMMON_BITPACK_H_

@@ -74,7 +74,7 @@ struct EngineMetrics {
   // Per-strategy query counts (query.algorithm.<name>), pre-resolved for
   // every label QueryStats::algorithm can carry so the per-query path does
   // no string concatenation or registry lookup.
-  std::array<std::pair<std::string_view, metrics::Counter*>, 5> algorithm{};
+  std::array<std::pair<std::string_view, metrics::Counter*>, 4> algorithm{};
 
   static const EngineMetrics& Get() {
     static const EngineMetrics* m = [] {
@@ -99,7 +99,7 @@ struct EngineMetrics {
       em->random_reads = registry.GetCounter("query.random_reads");
       size_t slot = 0;
       for (std::string_view name :
-           {"daat", "exhaustive", "maxscore", "wand", "bmw"}) {
+           {"daat", "exhaustive", "maxscore", "bmw"}) {
         em->algorithm[slot++] = {
             name, registry.GetCounter("query.algorithm." + std::string(name))};
       }
@@ -218,15 +218,6 @@ dewey::DeweyId RebaseDown(const dewey::DeweyId& global, uint32_t doc_base) {
   return dewey::DeweyId(std::move(components));
 }
 
-// Replaces the document (first) component — the identity<->physical remap
-// for base-corpus Dewey ids under a build-time document reordering.
-dewey::DeweyId WithDocComponent(const dewey::DeweyId& id, uint32_t doc) {
-  if (id.empty() || id.component(0) == doc) return id;
-  std::vector<uint32_t> components = id.components();
-  components[0] = doc;
-  return dewey::DeweyId(std::move(components));
-}
-
 // A result's snippet is the first kSnippetBytes bytes of its subtree text
 // followed by "...", or the whole text when it fits in kSnippetMaxBytes.
 constexpr size_t kSnippetBytes = 117;
@@ -323,11 +314,6 @@ index::LiveSegmentOptions XRankEngine::SegmentOptions() const {
   options.elem_rank = options_.elem_rank;
   options.extraction = options_.extraction;
   options.build = options_.build;
-  // Live delta/segment builds are always identity-ordered: their documents
-  // arrive incrementally, so no BP pass runs and their format spec must not
-  // claim one (segment lexicons are validated against the manifest entry).
-  options.build.reorder = index::ReorderOptions{};
-  options.build.format.reorder_id = 0;
   options.cost = options_.cost;
   options.buffer_pool_pages = options_.segment_pool_pages;
   options.buffer_pool_shards = options_.buffer_pool_shards;
@@ -407,18 +393,6 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Build(
   XRANK_ASSIGN_OR_RETURN(
       index::ExtractionResult extracted,
       index::ExtractPostings(engine->graph_, engine->elem_ranks_, extraction));
-
-  // 3b. Optional document reordering (index/reorder.h): permute the global
-  // doc ids before any physical index is built. The graph and ElemRank stay
-  // in ingest order; queries return physical ids.
-  if (engine->options_.build.reorder.enabled()) {
-    engine->doc_perm_ = index::ComputeReorderPermutation(
-        extracted.dewey_postings, engine->base_doc_count_,
-        engine->options_.build.reorder);
-  }
-  engine->options_.build.format.reorder_id =
-      engine->doc_perm_.empty() ? 0 : engine->options_.build.reorder.id();
-  index::ApplyDocPermutation(engine->doc_perm_, &extracted);
 
   // 4. Physical index construction (Section 4), into temp files when
   // disk-backed.
@@ -557,48 +531,16 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
     base->indexes.emplace(entry.kind, std::move(instance));
   }
 
-  // Reorder pass recorded on disk: every base entry must agree (the
-  // permutation is a property of the whole build, not one index kind).
-  uint32_t reorder_id = manifest.entries.front().format.reorder_id;
-  for (const index::ManifestEntry& entry : manifest.entries) {
-    if (entry.format.reorder_id != reorder_id) {
-      return Status::Corruption(
-          "MANIFEST entries disagree on the document-reorder pass: '" +
-          manifest.entries.front().file + "' has id " +
-          std::to_string(reorder_id) + ", '" + entry.file + "' has id " +
-          std::to_string(entry.format.reorder_id));
-    }
-  }
-  if (reorder_id != index::kReorderIdentity) {
-    // Re-derive the identical permutation (the pass is deterministic; the
-    // caller must open with the same reorder knobs the index was built
-    // with — the defaults unless overridden).
-    engine->options_.build.reorder.algorithm =
-        static_cast<index::ReorderAlgorithm>(reorder_id);
-  } else {
-    engine->options_.build.reorder = index::ReorderOptions{};
-  }
-  engine->options_.build.format.reorder_id = reorder_id;
-
   // Naive result IDs are element ordinals; re-derive the ordinal map from
-  // the graph (it is not persisted). A reordered engine additionally
-  // recomputes its document permutation from the identity-order extraction.
-  if (need_naive || reorder_id != index::kReorderIdentity) {
+  // the graph (it is not persisted).
+  if (need_naive) {
     index::ExtractionOptions extraction = engine->options_.extraction;
-    extraction.build_naive = need_naive;
+    extraction.build_naive = true;
     XRANK_ASSIGN_OR_RETURN(
         index::ExtractionResult extracted,
         index::ExtractPostings(engine->graph_, engine->elem_ranks_,
                                extraction));
-    if (reorder_id != index::kReorderIdentity) {
-      engine->doc_perm_ = index::ComputeReorderPermutation(
-          extracted.dewey_postings, engine->base_doc_count_,
-          engine->options_.build.reorder);
-      index::ApplyDocPermutation(engine->doc_perm_, &extracted);
-    }
-    if (need_naive) {
-      base->ordinal_to_dewey = std::move(extracted.ordinal_to_dewey);
-    }
+    base->ordinal_to_dewey = std::move(extracted.ordinal_to_dewey);
   }
 
   auto state = std::make_shared<LiveState>();
@@ -683,11 +625,8 @@ Status XRankEngine::ReplayWalLocked(LiveState* state) {
                                 ") carries an unparseable handle");
     }
     if (is_base) {
-      // Base delete handles carry the stable IDENTITY doc id; the tombstone
-      // set filters on PHYSICAL ids (the first Dewey component of results).
       if (value < base_doc_count_) {
-        tombstones->insert(
-            doc_perm_.ToPhysical(static_cast<uint32_t>(value)));
+        tombstones->insert(static_cast<uint32_t>(value));
       }
       continue;
     }
@@ -922,13 +861,9 @@ std::optional<std::pair<uint32_t, std::string>> XRankEngine::ResolveLiveUri(
       }
     }
   }
-  // Base documents: the graph is in identity order; tombstones and the
-  // returned global id are in the physical (reordered) space, while the
-  // durable delete handle keeps the stable identity id.
   for (uint32_t doc = 0; doc < base_doc_count_; ++doc) {
-    uint32_t physical = doc_perm_.ToPhysical(doc);
-    if (graph_.documents()[doc].uri == uri && live(physical)) {
-      return std::make_pair(physical, BaseDeleteHandle(doc));
+    if (graph_.documents()[doc].uri == uri && live(doc)) {
+      return std::make_pair(doc, BaseDeleteHandle(doc));
     }
   }
   return std::nullopt;
@@ -1267,11 +1202,9 @@ Status XRankEngine::CompactDeletions() {
 
 Status XRankEngine::CompactDeletionsLocked() {
   auto state = Snapshot();
-  // Tombstones are physical ids; extraction walks the identity-ordered
-  // graph, so its exclusion list maps back through the permutation.
   std::vector<uint32_t> excluded;
   for (uint32_t t : *state->tombstones) {
-    if (t < base_doc_count_) excluded.push_back(doc_perm_.ToIdentity(t));
+    if (t < base_doc_count_) excluded.push_back(t);
   }
   if (excluded.empty()) return Status::OK();
   auto& failpoints = fail::FailPoints::Instance();
@@ -1287,10 +1220,6 @@ Status XRankEngine::CompactDeletionsLocked() {
   XRANK_ASSIGN_OR_RETURN(
       index::ExtractionResult extracted,
       index::ExtractPostings(graph_, elem_ranks_, extraction));
-  // Reapply the ORIGINAL build-time permutation (computed over the full
-  // corpus, so a later Open re-derives it identically): surviving documents
-  // keep their physical ids, excluded ones simply contribute no postings.
-  index::ApplyDocPermutation(doc_perm_, &extracted);
 
   // Rebuild off to the side; the serving snapshot is untouched until the
   // publish below, so a crash or failure here loses nothing.
@@ -1512,13 +1441,7 @@ Result<double> XRankEngine::ElemRankOf(const dewey::DeweyId& id) const {
         segment->graph.FindByDewey(RebaseDown(id, segment->doc_base)));
     return segment->elem_ranks[node];
   }
-  // Base ids arrive in the physical (query-result) space; the graph is in
-  // identity order.
-  dewey::DeweyId identity = id;
-  if (!doc_perm_.empty() && !id.empty()) {
-    identity = WithDocComponent(id, doc_perm_.ToIdentity(id.component(0)));
-  }
-  XRANK_ASSIGN_OR_RETURN(graph::NodeId node, graph_.FindByDewey(identity));
+  XRANK_ASSIGN_OR_RETURN(graph::NodeId node, graph_.FindByDewey(id));
   return elem_ranks_[node];
 }
 
@@ -1564,11 +1487,6 @@ Result<EngineResponse> XRankEngine::Decorate(const LiveState& state,
     const graph::XmlGraph::NodeData& data = graph.node(node);
     const dewey::DeweyId& local = data.dewey_id;
     dewey::DeweyId global = RebaseUp(local, doc_base);
-    // Base-hit local ids are graph-facing (identity order); emitted ids are
-    // physical, matching the reordered indexes.
-    if (raw.segment == nullptr && !doc_perm_.empty() && !local.empty()) {
-      global = WithDocComponent(local, doc_perm_.ToPhysical(local.component(0)));
-    }
     if (!emitted.insert(global).second) continue;  // ancestor already emitted
 
     EngineResult result;
@@ -1755,13 +1673,7 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
     } else {
       hit.local_id = std::move(raw.id);
     }
-    // Base indexes store PHYSICAL doc ids; the graph stays in identity
-    // order, so graph-facing local_id remaps the document component back.
     hit.global_id = hit.local_id;
-    if (!doc_perm_.empty() && !hit.local_id.empty()) {
-      hit.local_id = WithDocComponent(
-          hit.local_id, doc_perm_.ToIdentity(hit.local_id.component(0)));
-    }
     hits.push_back(std::move(hit));
   }
   if (state->HasLiveDocs()) {
@@ -1917,12 +1829,6 @@ Result<EngineResponse> XRankEngine::QueryWithPath(
       doc_base = segment->doc_base;
     }
     dewey::DeweyId current = RebaseDown(result.id, doc_base);
-    // Base results carry physical doc ids; the tag-chain walk reads the
-    // identity-ordered graph.
-    if (doc_base == 0 && !doc_perm_.empty() && !current.empty()) {
-      current = WithDocComponent(current,
-                                 doc_perm_.ToIdentity(current.component(0)));
-    }
     Result<graph::NodeId> node = graph->FindByDewey(current);
     if (!node.ok()) continue;
     // Walk up from the result, matching `path` from its last step.

@@ -226,10 +226,6 @@ class XRankEngine {
 
   const graph::XmlGraph& graph() const { return graph_; }
   const std::vector<double>& elem_ranks() const { return elem_ranks_; }
-  // Build-time document permutation of the base corpus (empty = identity).
-  // Query results carry PHYSICAL doc ids (the first Dewey component after
-  // reordering); the graph and ElemRank stay in identity/ingest order.
-  const index::DocPermutation& doc_permutation() const { return doc_perm_; }
   const rank::ElemRankResult& elem_rank_result() const {
     return elem_rank_result_;
   }
@@ -451,11 +447,6 @@ class XRankEngine {
   rank::ElemRankResult elem_rank_result_;
   index::Analyzer analyzer_{index::AnalyzerOptions{}};
   uint32_t base_doc_count_ = 0;
-  // Base-corpus document reordering (BuildOptions::reorder). Maps between
-  // identity doc ids (graph/ElemRank/WAL handles) and physical doc ids
-  // (postings, query results, tombstones). Empty when identity-ordered.
-  // Live docs (ids >= base_doc_count_) always map to themselves.
-  index::DocPermutation doc_perm_;
 
   // Current serving snapshot. live_mutex_ guards only the pointer — the
   // pointee is immutable. Queries copy it; mutators (which additionally

@@ -140,11 +140,6 @@ std::string SerializeShardingManifest(const ShardingManifest& manifest) {
                   shard.dir.c_str(), shard.doc_base, shard.doc_count);
     out += line;
   }
-  if (manifest.reorder_id != 0) {
-    char line[64];
-    std::snprintf(line, sizeof(line), "reorder %u\n", manifest.reorder_id);
-    out += line;
-  }
   char commit[64];
   std::snprintf(commit, sizeof(commit), "commit %u\n", Crc32c(out));
   out += commit;
@@ -185,14 +180,10 @@ Result<ShardingManifest> ParseShardingManifest(std::string_view text) {
     }
     std::vector<std::string_view> tokens = SplitString(line, " ");
     if (tokens.size() == 2 && tokens[0] == "reorder") {
+      // A root built with the retired document reordering (index/codec.h).
       XRANK_ASSIGN_OR_RETURN(uint64_t reorder_id,
                              ParseU64(tokens[1], "reorder id"));
-      if (reorder_id > index::kMaxReorderId) {
-        return Status::Corruption(
-            "SHARDING records unknown document-reorder pass id " +
-            std::to_string(reorder_id));
-      }
-      manifest.reorder_id = static_cast<uint32_t>(reorder_id);
+      XRANK_RETURN_NOT_OK(index::CheckIdentityOrder(reorder_id));
       continue;
     }
     if (tokens.size() != 8 || tokens[0] != "shard" || tokens[2] != "dir" ||
@@ -301,9 +292,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Build(
     shard.doc_count = static_cast<uint32_t>(end - begin);
     manifest.shards.push_back(std::move(shard));
   }
-  manifest.reorder_id = options.engine.build.reorder.enabled()
-                            ? options.engine.build.reorder.id()
-                            : index::kReorderIdentity;
   return Assemble(std::move(documents), options, std::move(manifest),
                   /*open_existing=*/false);
 }
@@ -366,51 +354,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Assemble(
     doc_node_start[next_doc++] = global_graph.node_count();
   }
 
-  // Optional global document reordering: the BP permutation is computed
-  // over the IDENTITY-order corpus (the graph and ElemRank above are
-  // float-summation-order sensitive, so they never see permuted input),
-  // then documents and the per-document rank slices are gathered into
-  // physical order BEFORE the contiguous split — so shard-local builds run
-  // identity-ordered on pre-permuted docs and the scatter-gather top-k
-  // stays bitwise-identical to the reordered monolithic engine.
-  if (manifest.reorder_id != index::kReorderIdentity) {
-    index::ReorderOptions reorder = options.engine.build.reorder;
-    reorder.algorithm =
-        static_cast<index::ReorderAlgorithm>(manifest.reorder_id);
-    index::ExtractionOptions extraction = options.engine.extraction;
-    extraction.build_naive = false;
-    extraction.exclude_documents.clear();
-    XRANK_ASSIGN_OR_RETURN(
-        index::ExtractionResult extracted,
-        index::ExtractPostings(global_graph, global_ranks.ranks, extraction));
-    index::DocPermutation perm = index::ComputeReorderPermutation(
-        extracted.dewey_postings, static_cast<uint32_t>(total_docs), reorder);
-    if (!perm.empty()) {
-      std::vector<xml::Document> permuted_docs;
-      permuted_docs.reserve(total_docs);
-      std::vector<double> permuted_ranks;
-      permuted_ranks.reserve(global_ranks.ranks.size());
-      std::vector<size_t> permuted_starts(total_docs + 1, 0);
-      for (size_t p = 0; p < total_docs; ++p) {
-        const uint32_t old_doc = perm.new_to_old[p];
-        permuted_docs.push_back(std::move(documents[old_doc]));
-        permuted_ranks.insert(
-            permuted_ranks.end(),
-            global_ranks.ranks.begin() +
-                static_cast<ptrdiff_t>(doc_node_start[old_doc]),
-            global_ranks.ranks.begin() +
-                static_cast<ptrdiff_t>(doc_node_start[old_doc + 1]));
-        permuted_starts[p + 1] = permuted_ranks.size();
-      }
-      documents = std::move(permuted_docs);
-      global_ranks.ranks = std::move(permuted_ranks);
-      doc_node_start = std::move(permuted_starts);
-    } else if (!open_existing) {
-      // Nothing to reorder (tiny corpus); commit the truth.
-      manifest.reorder_id = index::kReorderIdentity;
-    }
-  }
-
   const bool disk_backed = !options.root_dir.empty();
   if (disk_backed && !open_existing) {
     XRANK_RETURN_NOT_OK(MakeDirectory(options.root_dir));
@@ -421,11 +364,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Assemble(
     // A hyperlink across a shard boundary dangles inside the shard's local
     // graph; its rank contribution is already in the global slice.
     shard_options.graph.ignore_dangling_links = true;
-    // The global permutation (if any) already happened above; each shard
-    // builds identity-ordered over its pre-permuted slice, and its headers
-    // record no reorder pass (the SHARDING file carries it for the root).
-    shard_options.build.reorder = index::ReorderOptions{};
-    shard_options.build.format.reorder_id = 0;
     const size_t node_begin = doc_node_start[shard.doc_base];
     const size_t node_end = doc_node_start[shard.doc_base + shard.doc_count];
     shard_options.precomputed_elem_ranks.assign(
@@ -483,7 +421,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Assemble(
 
 Result<EngineResponse> ShardRouter::Query(std::string_view query_text,
                                           size_t m, index::IndexKind kind) {
-  return Query(query_text, m, kind, query::QueryOptions{});
+  return Query(query_text, m, kind, options_.engine.query);
 }
 
 Result<EngineResponse> ShardRouter::Query(
@@ -502,7 +440,7 @@ Result<EngineResponse> ShardRouter::Query(
 Result<EngineResponse> ShardRouter::QueryKeywords(
     const std::vector<std::string>& keywords, size_t m,
     index::IndexKind kind) {
-  return QueryKeywords(keywords, m, kind, query::QueryOptions{});
+  return QueryKeywords(keywords, m, kind, options_.engine.query);
 }
 
 Result<EngineResponse> ShardRouter::QueryKeywords(

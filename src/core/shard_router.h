@@ -44,12 +44,6 @@ struct ShardDescriptor {
 
 struct ShardingManifest {
   std::vector<ShardDescriptor> shards;  // doc_base order, contiguous cover
-  // Build-time document-reorder pass applied to the GLOBAL doc-id space
-  // before the corpus was split into contiguous shard ranges
-  // (index/reorder.h ids; 0 = identity). Serialized as a standalone
-  // "reorder <id>" line only when nonzero, so legacy SHARDING files stay
-  // byte-identical; Open re-derives the identical permutation.
-  uint32_t reorder_id = 0;
 };
 
 // "shard-0000", "shard-0001", ...
@@ -100,7 +94,7 @@ struct ShardRouterOptions {
   size_t scatter_threads = 0;
 
   // Forward the running k-th-rank θ between shards through a shared
-  // threshold (query/result_heap.h), so MaxScore/WAND/BMW pruning in
+  // threshold (query/result_heap.h), so MaxScore/BMW pruning in
   // later/slower shards starts from the bound earlier shards established.
   // Results are bitwise-identical either way; this is purely work saved.
   bool forward_theta = true;
@@ -145,7 +139,8 @@ class ShardRouter {
   static Result<std::unique_ptr<ShardRouter>> Open(
       std::vector<xml::Document> documents, const ShardRouterOptions& options);
 
-  // Scatter-gather top-m. Semantics match XRankEngine::Query, plus:
+  // Scatter-gather top-m. Semantics match XRankEngine::Query (the forms
+  // without `query_options` use options.engine.query), plus:
   //   - deadline: the remaining budget is re-computed as each shard
   //     starts; with allow_partial_results a shard that misses (or never
   //     starts within) the budget contributes what it scanned and the

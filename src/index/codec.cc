@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/varint.h"
 #include "dewey/codec.h"
-#include "index/reorder.h"
 
 namespace xrank::index {
 
@@ -209,11 +208,10 @@ class VarintPostingCodec final : public PostingCodec {
   }
 };
 
-// ----------------------------------------------------------- block codecs --
+// ------------------------------------------------------------ bp128 codec --
 //
-// bp128 and varint-GB share one page shape: the per-posting fields are
-// transposed into six u32 streams, each compressed independently, followed
-// by a flat rank array. Page layout:
+// The per-posting fields are transposed into six u32 streams, each
+// compressed independently, followed by a flat rank array. Page layout:
 //
 //   offset 0   u16  entry count
 //   offset 2   u16  reserved (0)
@@ -233,12 +231,9 @@ class VarintPostingCodec final : public PostingCodec {
 //   pos-count  number of positions (capped at kMaxPositionsPerPosting)
 //   pos-delta  per posting: positions[0], then successive differences
 //
-// bp128 compresses each stream in blocks of 128 values: a 1-byte bit width
+// Each stream is compressed in blocks of 128 values: a 1-byte bit width
 // (0..32, derived from the block maximum; width 0 has no payload bytes)
 // followed by ceil(k * width / 8) bytes of LSB-first packed values.
-// varint-GB compresses each stream in groups of 4 values: a control byte
-// holding four 2-bit (byte length - 1) codes, then 1-4 little-endian bytes
-// per value; a tail group stores bytes only for the values present.
 
 enum StreamIx {
   kSDepth = 0,
@@ -250,10 +245,6 @@ enum StreamIx {
   kNumStreams,
 };
 
-inline unsigned VgbByteLen(uint32_t v) {
-  return 1 + (v > 0xFF) + (v > 0xFFFF) + (v > 0xFFFFFF);
-}
-
 size_t PackBp128Stream(const std::vector<uint32_t>& values, uint8_t* out) {
   size_t off = 0;
   for (size_t i = 0; i < values.size(); i += kPackBlock) {
@@ -264,25 +255,6 @@ size_t PackBp128Stream(const std::vector<uint32_t>& values, uint8_t* out) {
     out[off++] = static_cast<uint8_t>(width);
     bitpack::PackBits(values.data() + i, k, width, out + off);
     off += bitpack::PackedBytes(k, width);
-  }
-  return off;
-}
-
-size_t PackVgbStream(const std::vector<uint32_t>& values, uint8_t* out) {
-  size_t off = 0;
-  for (size_t i = 0; i < values.size(); i += 4) {
-    size_t k = std::min<size_t>(4, values.size() - i);
-    size_t ctrl_pos = off++;
-    uint8_t ctrl = 0;
-    for (size_t j = 0; j < k; ++j) {
-      uint32_t v = values[i + j];
-      unsigned len = VgbByteLen(v);
-      ctrl |= static_cast<uint8_t>((len - 1) << (2 * j));
-      for (unsigned b = 0; b < len; ++b) {
-        out[off++] = static_cast<uint8_t>(v >> (8 * b));
-      }
-    }
-    out[ctrl_pos] = ctrl;
   }
   return off;
 }
@@ -308,74 +280,44 @@ bool ReadBp128Stream(const uint8_t* base, size_t* off, size_t n,
   return true;
 }
 
-bool ReadVgbStream(const uint8_t* base, size_t* off, size_t n,
-                   std::vector<uint32_t>* out) {
-  // Dispatched shuffle-table decode (common/bitpack.h): SSSE3/NEON when the
-  // host has them, scalar otherwise. The whole page is readable, so the
-  // SIMD kernels' bounded overread past the encoded extent is safe.
-  if (*off > storage::kPageSize) return false;
-  out->resize(n);
-  size_t consumed = 0;
-  if (!bitpack::UnpackGroupVarint(base + *off, base + storage::kPageSize, n,
-                                  out->data(), &consumed)) {
-    return false;
-  }
-  *off += consumed;
-  return true;
-}
-
 // Per-stream incremental size accounting so the encoder can decide page fit
 // in O(1) per posting (the writer's page-at-a-time protocol forbids
-// repacking across pages). Tracks both codecs' shapes; only the fields of
-// the active codec are meaningful.
+// repacking across pages): bytes of completed 128-value blocks plus the
+// open block's state. The OR of a block's values has the same bit width as
+// its maximum.
 struct StreamSizer {
-  // bp128: bytes of completed 128-value blocks + open-block state. The OR
-  // of a block's values has the same bit width as its maximum.
   size_t full_bytes = 0;
   uint32_t tail_count = 0;
   uint32_t tail_or = 0;
-  // varint-GB: payload bytes + value count (control bytes derived).
-  size_t payload_bytes = 0;
-  size_t value_count = 0;
 };
 
 class BlockPageEncoder final : public PostingPageEncoder {
  public:
-  BlockPageEncoder(const PostingFormat& format, bool bitpacked)
-      : format_(format), bitpacked_(bitpacked) {}
+  explicit BlockPageEncoder(const PostingFormat& format) : format_(format) {}
 
   Result<bool> Add(const Posting& posting) override;
   Result<size_t> Flush(storage::Page* page) override;
   uint32_t count() const override { return count_; }
 
  private:
-  void SizerAppend(StreamSizer* sizer, uint32_t v) const {
-    if (bitpacked_) {
-      if (sizer->tail_count == 0) sizer->tail_or = 0;
-      sizer->tail_or |= v;
-      if (++sizer->tail_count == kPackBlock) {
-        sizer->full_bytes +=
-            1 + bitpack::PackedBytes(kPackBlock,
-                                     bitpack::BitWidth(sizer->tail_or));
-        sizer->tail_count = 0;
-        sizer->tail_or = 0;
-      }
-    } else {
-      sizer->payload_bytes += VgbByteLen(v);
-      ++sizer->value_count;
+  static void SizerAppend(StreamSizer* sizer, uint32_t v) {
+    if (sizer->tail_count == 0) sizer->tail_or = 0;
+    sizer->tail_or |= v;
+    if (++sizer->tail_count == kPackBlock) {
+      unsigned width = bitpack::BitWidth(sizer->tail_or);
+      sizer->full_bytes += 1 + bitpack::PackedBytes(kPackBlock, width);
+      sizer->tail_count = 0;
+      sizer->tail_or = 0;
     }
   }
 
-  size_t SizerBytes(const StreamSizer& sizer) const {
-    if (bitpacked_) {
-      size_t bytes = sizer.full_bytes;
-      if (sizer.tail_count > 0) {
-        bytes += 1 + bitpack::PackedBytes(sizer.tail_count,
-                                          bitpack::BitWidth(sizer.tail_or));
-      }
-      return bytes;
+  static size_t SizerBytes(const StreamSizer& sizer) {
+    size_t bytes = sizer.full_bytes;
+    if (sizer.tail_count > 0) {
+      unsigned width = bitpack::BitWidth(sizer.tail_or);
+      bytes += 1 + bitpack::PackedBytes(sizer.tail_count, width);
     }
-    return sizer.payload_bytes + (sizer.value_count + 3) / 4;
+    return bytes;
   }
 
   void Append(StreamIx stream, uint32_t v) {
@@ -384,7 +326,6 @@ class BlockPageEncoder final : public PostingPageEncoder {
   }
 
   PostingFormat format_;
-  bool bitpacked_;
   std::vector<uint32_t> streams_[kNumStreams];
   StreamSizer sizers_[kNumStreams];
   std::vector<float> ranks_;
@@ -462,8 +403,7 @@ Result<size_t> BlockPageEncoder::Flush(storage::Page* page) {
   uint8_t* base = reinterpret_cast<uint8_t*>(page->data.data());
   size_t off = kBlockPageHeaderSize;
   for (int s = 0; s < kNumStreams; ++s) {
-    size_t packed = bitpacked_ ? PackBp128Stream(streams_[s], base + off)
-                               : PackVgbStream(streams_[s], base + off);
+    size_t packed = PackBp128Stream(streams_[s], base + off);
     XRANK_CHECK(packed == SizerBytes(sizers_[s]),
                 "block stream size accounting mismatch");
     off += packed;
@@ -501,7 +441,7 @@ Result<size_t> BlockPageEncoder::Flush(storage::Page* page) {
 }
 
 Status DecodeBlockPage(const storage::Page& page, const PostingFormat& format,
-                       bool bitpacked, std::vector<Posting>* out) {
+                       std::vector<Posting>* out) {
   const uint8_t* base = reinterpret_cast<const uint8_t*>(page.data.data());
   uint32_t count = page.ReadU16(0);
   if (count == 0) {
@@ -524,10 +464,9 @@ Status DecodeBlockPage(const storage::Page& page, const PostingFormat& format,
                                       suffix_total, count, pos_total};
   size_t off = kBlockPageHeaderSize;
   for (int s = 0; s < kNumStreams; ++s) {
-    bool ok = bitpacked
-                  ? ReadBp128Stream(base, &off, counts[s], &scratch[s])
-                  : ReadVgbStream(base, &off, counts[s], &scratch[s]);
-    if (!ok) return Status::Corruption("truncated posting block stream");
+    if (!ReadBp128Stream(base, &off, counts[s], &scratch[s])) {
+      return Status::Corruption("truncated posting block stream");
+    }
   }
   size_t rank_bytes = RankEncodedBytes(format.ranks);
   if (off + static_cast<size_t>(count) * rank_bytes > storage::kPageSize) {
@@ -630,25 +569,11 @@ class Bp128PostingCodec final : public PostingCodec {
   std::string_view name() const override { return "bp128"; }
   std::unique_ptr<PostingPageEncoder> NewEncoder(
       const PostingFormat& format) const override {
-    return std::make_unique<BlockPageEncoder>(format, /*bitpacked=*/true);
+    return std::make_unique<BlockPageEncoder>(format);
   }
   Status DecodePage(const storage::Page& page, const PostingFormat& format,
                     std::vector<Posting>* out) const override {
-    return DecodeBlockPage(page, format, /*bitpacked=*/true, out);
-  }
-};
-
-class VgbPostingCodec final : public PostingCodec {
- public:
-  uint32_t id() const override { return kPostingCodecVarintGb; }
-  std::string_view name() const override { return "vgb"; }
-  std::unique_ptr<PostingPageEncoder> NewEncoder(
-      const PostingFormat& format) const override {
-    return std::make_unique<BlockPageEncoder>(format, /*bitpacked=*/false);
-  }
-  Status DecodePage(const storage::Page& page, const PostingFormat& format,
-                    std::vector<Posting>* out) const override {
-    return DecodeBlockPage(page, format, /*bitpacked=*/false, out);
+    return DecodeBlockPage(page, format, out);
   }
 };
 
@@ -659,9 +584,7 @@ class VgbPostingCodec final : public PostingCodec {
 const std::vector<const PostingCodec*>& RegisteredPostingCodecs() {
   static const VarintPostingCodec varint;
   static const Bp128PostingCodec bp128;
-  static const VgbPostingCodec vgb;
-  static const std::vector<const PostingCodec*> registry = {&varint, &bp128,
-                                                            &vgb};
+  static const std::vector<const PostingCodec*> registry = {&varint, &bp128};
   return registry;
 }
 
@@ -681,6 +604,11 @@ const PostingCodec* FindPostingCodecByName(std::string_view name) {
 
 Result<const PostingCodec*> ResolvePostingCodec(
     const PostingFormatSpec& spec) {
+  if (spec.codec_id == kRetiredPostingCodecVarintGb) {
+    return Status::Corruption(
+        "index built with the retired vgb (group-varint) posting codec "
+        "(id 2); rebuild it with varint or bp128");
+  }
   const PostingCodec* codec = FindPostingCodec(spec.codec_id);
   if (codec == nullptr) {
     return Status::Corruption(
@@ -692,12 +620,15 @@ Result<const PostingCodec*> ResolvePostingCodec(
         "index built with unknown rank encoding " +
         std::to_string(static_cast<uint32_t>(spec.ranks)));
   }
-  if (spec.reorder_id > kMaxReorderId) {
-    return Status::Corruption(
-        "index built with unknown document-reorder pass id " +
-        std::to_string(spec.reorder_id));
-  }
   return codec;
+}
+
+Status CheckIdentityOrder(uint64_t reorder_id) {
+  if (reorder_id == 0) return Status::OK();
+  return Status::Corruption(
+      "index built with document reordering (reorder id " +
+      std::to_string(reorder_id) +
+      "), which is retired; rebuild it in ingest order");
 }
 
 PostingFormat DefaultPostingFormat(bool delta_encode_ids) {

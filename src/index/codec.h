@@ -68,12 +68,6 @@ struct PostingFormatSpec {
   // bounds for block-max pruning at the cost of shorter pages.
   uint32_t vbmw_lambda_milli = 0;
 
-  // Build-time document-reorder pass the global doc ids went through
-  // before posting extraction (index/reorder.h: 0 = identity/ingest order,
-  // 1 = recursive graph bisection). Recorded so an Open can re-derive the
-  // same permutation; validated like codec ids — legacy zeros = identity.
-  uint32_t reorder_id = 0;
-
   bool operator==(const PostingFormatSpec& other) const = default;
 };
 
@@ -146,7 +140,19 @@ class PostingCodec {
 
 inline constexpr uint32_t kPostingCodecVarint = 0;  // compatibility baseline
 inline constexpr uint32_t kPostingCodecBp128 = 1;   // bit-packed 128-blocks
-inline constexpr uint32_t kPostingCodecVarintGb = 2;  // group-varint bytes
+
+// Retired format ids stay reserved so files that use them are refused with
+// Status::Corruption instead of misread.
+//
+// Codec id 2 was the group-varint "vgb" codec; ResolvePostingCodec refuses
+// it.
+inline constexpr uint32_t kRetiredPostingCodecVarintGb = 2;
+
+// Document reordering (recursive graph bisection) recorded a non-zero pass
+// id in the index header, in each MANIFEST entry's "reorder" token and in a
+// SHARDING "reorder" line. Writers now record ingest order (0, or no
+// SHARDING line); any other id is refused.
+Status CheckIdentityOrder(uint64_t reorder_id);
 
 const PostingCodec* FindPostingCodec(uint32_t id);
 const PostingCodec* FindPostingCodecByName(std::string_view name);

@@ -316,9 +316,8 @@ constexpr size_t kVbmwLambdaOffset = 72;
 // per-term max_doc_rank, so old files deserialize unchanged; versions this
 // binary does not know are refused at open instead of misparsed.
 constexpr size_t kLexFormatVersionOffset = 76;
-// Document-reorder pass id (index/reorder.h). Zero — what every pre-reorder
-// file carries — is identity/ingest order; unknown ids are refused at open
-// exactly like unknown codec ids.
+// Retired document-reorder pass id (index/codec.h). Writers leave it zero,
+// meaning ingest order; a non-zero id is refused at open.
 constexpr size_t kReorderIdOffset = 80;
 
 }  // namespace
@@ -385,7 +384,6 @@ Status WriteIndexTrailer(storage::PageFile* file, IndexKind kind,
                   static_cast<uint32_t>(lexicon.format_spec().ranks));
   header.WriteU32(kVbmwLambdaOffset, lexicon.format_spec().vbmw_lambda_milli);
   header.WriteU32(kLexFormatVersionOffset, kLexiconFormatVersion);
-  header.WriteU32(kReorderIdOffset, lexicon.format_spec().reorder_id);
   XRANK_RETURN_NOT_OK(file->Write(0, header));
   return file->Sync();
 }
@@ -430,10 +428,10 @@ Result<BuiltIndex> OpenIndex(std::unique_ptr<storage::PageFile> file) {
   spec.codec_id = header.ReadU32(kCodecIdOffset);
   spec.ranks = static_cast<RankEncoding>(header.ReadU32(kRankEncodingOffset));
   spec.vbmw_lambda_milli = header.ReadU32(kVbmwLambdaOffset);
-  spec.reorder_id = header.ReadU32(kReorderIdOffset);
   // Refuse cleanly rather than misdecode: an index written by a build with
   // codecs this binary does not register must not be served.
   XRANK_RETURN_NOT_OK(ResolvePostingCodec(spec).status());
+  XRANK_RETURN_NOT_OK(CheckIdentityOrder(header.ReadU32(kReorderIdOffset)));
   uint32_t lex_version = header.ReadU32(kLexFormatVersionOffset);
   if (lex_version > kLexiconFormatVersion) {
     return Status::Corruption(

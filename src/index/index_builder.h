@@ -12,7 +12,6 @@
 #include "index/codec.h"
 #include "index/lexicon.h"
 #include "index/posting.h"
-#include "index/reorder.h"
 #include "storage/page_file.h"
 
 namespace xrank::index {
@@ -72,13 +71,6 @@ struct BuildOptions {
   // the codec registry at open. Default: the varint compatibility baseline
   // with lossless float ranks (byte-identical to pre-codec indexes).
   PostingFormatSpec format;
-  // Build-time document reordering (index/reorder.h). When enabled the
-  // engine computes a BP permutation of the global doc ids from the
-  // extracted postings, applies it before any physical index is built, and
-  // records the pass id in `format.reorder_id` (header + MANIFEST) so Open
-  // re-derives the identical permutation. Live delta/segment builds always
-  // run identity-ordered.
-  ReorderOptions reorder;
 };
 
 // Output of the shared posting-extraction pass over the graph.

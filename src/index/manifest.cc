@@ -42,11 +42,11 @@ std::string SerializeManifest(const Manifest& manifest) {
     char line[256];
     std::snprintf(line, sizeof(line),
                   "file %s kind %u pages %u crc %u codec %u ranks %u vbmw %u "
-                  "reorder %u\n",
+                  "reorder 0\n",
                   entry.file.c_str(), static_cast<unsigned>(entry.kind),
                   entry.page_count, entry.crc, entry.format.codec_id,
                   static_cast<unsigned>(entry.format.ranks),
-                  entry.format.vbmw_lambda_milli, entry.format.reorder_id);
+                  entry.format.vbmw_lambda_milli);
     out += line;
   }
   for (const SegmentManifestEntry& seg : manifest.segments) {
@@ -183,7 +183,7 @@ Result<Manifest> ParseManifest(std::string_view text) {
     // 8 tokens: legacy (pre-codec) line, posting format defaults to
     // (varint, float32). 12 tokens: explicit codec/ranks suffix.
     // 14 tokens: adds the VBMW block-sizing lambda. 16 tokens: adds the
-    // document-reorder pass id (absent = identity order).
+    // retired document-reorder pass id, which must be 0 (index/codec.h).
     if ((tokens.size() != 8 && tokens.size() != 12 && tokens.size() != 14 &&
          tokens.size() != 16) ||
         tokens[0] != "file" || tokens[2] != "kind" || tokens[4] != "pages" ||
@@ -231,7 +231,7 @@ Result<Manifest> ParseManifest(std::string_view text) {
       }
       XRANK_ASSIGN_OR_RETURN(uint64_t reorder,
                              ParseU64(tokens[15], "reorder pass"));
-      entry.format.reorder_id = static_cast<uint32_t>(reorder);
+      XRANK_RETURN_NOT_OK(CheckIdentityOrder(reorder));
     }
     XRANK_RETURN_NOT_OK(ResolvePostingCodec(entry.format).status());
     manifest.entries.push_back(std::move(entry));

@@ -69,7 +69,7 @@ class BlockCache;
 // Sequential cursor over a list's page run (through the buffer pool, so
 // reads are charged to the cost model). Pages are decoded whole via the
 // format's codec into a reused buffer — the uniform contract every codec
-// supports (bp128/vgb pages only decode as a unit).
+// supports (bp128 pages only decode as a unit).
 class PostingListCursor {
  public:
   PostingListCursor(storage::BufferPool* pool, const ListExtent& extent,

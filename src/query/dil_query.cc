@@ -184,11 +184,9 @@ Result<QueryResponse> DilQueryProcessor::Execute(
         case MergeAlgorithm::kMaxScore:
           return MaxScoreMerge(&scored, scoring_, &merger, &accumulator,
                                deadline, &counters);
-        case MergeAlgorithm::kWand:
         case MergeAlgorithm::kBlockMaxWand:
-          return WandMerge(&scored, scoring_,
-                           algorithm == MergeAlgorithm::kBlockMaxWand, &merger,
-                           &accumulator, deadline, &counters);
+          return WandMerge(&scored, scoring_, &merger, &accumulator, deadline,
+                           &counters);
         default:
           return Status::Internal("unresolved merge algorithm");
       }

@@ -146,20 +146,17 @@ MergeAlgorithm ResolveMergeAlgorithm(MergeAlgorithm requested,
     return MergeAlgorithm::kExhaustive;
   }
   if (!SupportsScorePruning(scoring)) return MergeAlgorithm::kExhaustive;
-  MergeAlgorithm algorithm = requested;
-  if (algorithm == MergeAlgorithm::kAuto) {
+  // Page bounds are unsound under sum aggregation; MaxScore needs only the
+  // list bounds.
+  if (!SupportsBlockMaxBounds(scoring)) return MergeAlgorithm::kMaxScore;
+  if (requested == MergeAlgorithm::kAuto) {
     // Few-term queries profit most from per-page refinement (the pivot
     // stays cheap); wide disjunctions favor MaxScore's partition, which
     // does no per-candidate sort.
-    algorithm = (num_terms <= 4 && SupportsBlockMaxBounds(scoring))
-                    ? MergeAlgorithm::kBlockMaxWand
-                    : MergeAlgorithm::kMaxScore;
+    return num_terms <= 4 ? MergeAlgorithm::kBlockMaxWand
+                          : MergeAlgorithm::kMaxScore;
   }
-  if (algorithm == MergeAlgorithm::kBlockMaxWand &&
-      !SupportsBlockMaxBounds(scoring)) {
-    algorithm = MergeAlgorithm::kWand;  // page bounds unsound under sum
-  }
-  return algorithm;
+  return requested;
 }
 
 Status MaxScoreMerge(std::vector<ScoredCursor>* cursors,
@@ -282,11 +279,14 @@ Status MaxScoreMerge(std::vector<ScoredCursor>* cursors,
 }
 
 Status WandMerge(std::vector<ScoredCursor>* cursors,
-                 const ScoringOptions& scoring, bool block_max,
-                 DeweyStackMerger* merger, TopKAccumulator* accumulator,
-                 QueryDeadline* deadline, PruningCounters* counters) {
+                 const ScoringOptions& scoring, DeweyStackMerger* merger,
+                 TopKAccumulator* accumulator, QueryDeadline* deadline,
+                 PruningCounters* counters) {
+  if (!SupportsBlockMaxBounds(scoring)) {
+    return Status::InvalidArgument(
+        "block-max WAND needs sound per-page bounds (max aggregation)");
+  }
   const size_t n = cursors->size();
-  const bool refine = block_max && SupportsBlockMaxBounds(scoring);
   std::vector<RefinedBound> refined;   // reused across iterations
   refined.reserve(n);
   std::vector<ScoredCursor*> on_doc;  // reused across evaluated documents
@@ -355,7 +355,7 @@ Status WandMerge(std::vector<ScoredCursor>* cursors,
       ++last_eq;
     }
 
-    if (refine && std::isfinite(theta)) {
+    if (std::isfinite(theta)) {
       // Block-max check: replace list-level bounds with the page-run
       // maxima of the aligned cursors. When even those cannot reach
       // theta, no document until the first (widened) run boundary — or the

@@ -15,7 +15,7 @@
 namespace xrank::query {
 
 // Safe dynamic pruning for disjunctive (and mixed) top-k over the Dewey
-// cursor layer: document-at-a-time MaxScore, WAND and block-max WAND that
+// cursor layer: document-at-a-time MaxScore and block-max WAND that
 // feed exactly the documents that can still reach the k-th result into the
 // DeweyStackMerger, in global Dewey order, so every surviving element is
 // scored by the identical code path as the exhaustive merge. Pruning is
@@ -33,9 +33,10 @@ struct PruningCounters {
 
 // The algorithm that will actually run for `requested` under these scoring
 // options: kAuto picks block-max WAND for few-term queries when per-page
-// bounds are sound and MaxScore otherwise; BMW degrades to WAND under sum
-// aggregation; everything degrades to kExhaustive when no sound list bound
-// exists (decay > 1). Never returns kAuto.
+// bounds are sound and MaxScore otherwise; BMW degrades to MaxScore under
+// sum aggregation, where only the list bounds are sound; everything
+// degrades to kExhaustive when no sound list bound exists (decay > 1).
+// Never returns kAuto.
 MergeAlgorithm ResolveMergeAlgorithm(MergeAlgorithm requested,
                                      const ScoringOptions& scoring,
                                      size_t num_terms);
@@ -52,17 +53,18 @@ Status MaxScoreMerge(std::vector<ScoredCursor>* cursors,
                      TopKAccumulator* accumulator, QueryDeadline* deadline,
                      PruningCounters* counters);
 
-// WAND pivot selection: cursors sorted by current document; the pivot is
-// the first position where the cumulative list bounds reach the threshold
-// — no earlier document can qualify, so lagging cursors leap straight to
-// the pivot document via SkipToDocument. With `block_max` (and sound
-// per-page bounds), an aligned pivot is re-checked against the page-run
-// maxima and skipped past the run when even those cannot reach the
-// threshold (Ding & Suel's block-max WAND).
+// Block-max WAND (Ding & Suel). WAND pivot selection: cursors sorted by
+// current document; the pivot is the first position where the cumulative
+// list bounds reach the threshold — no earlier document can qualify, so
+// lagging cursors leap straight to the pivot document via SkipToDocument.
+// An aligned pivot is then re-checked against the page-run maxima and
+// skipped past the run when even those cannot reach the threshold.
+// Requires sound per-page bounds (SupportsBlockMaxBounds); returns
+// InvalidArgument otherwise.
 Status WandMerge(std::vector<ScoredCursor>* cursors,
-                 const ScoringOptions& scoring, bool block_max,
-                 DeweyStackMerger* merger, TopKAccumulator* accumulator,
-                 QueryDeadline* deadline, PruningCounters* counters);
+                 const ScoringOptions& scoring, DeweyStackMerger* merger,
+                 TopKAccumulator* accumulator, QueryDeadline* deadline,
+                 PruningCounters* counters);
 
 }  // namespace xrank::query
 

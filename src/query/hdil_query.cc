@@ -134,7 +134,7 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
   if (scoring_.semantics == QuerySemantics::kDisjunctive) {
     // The threshold algorithm here assumes conjunctive semantics (paper
     // Section 4.3). Disjunctive queries run on the same lists through the
-    // DIL processor, which picks a pruned merge (MaxScore / WAND / BMW)
+    // DIL processor, which picks a pruned merge (MaxScore / BMW)
     // or the exhaustive oracle per QueryOptions::algorithm.
     QueryDeadline deadline(options);
     return ExecuteDil(keywords, m, options, &deadline);

@@ -26,7 +26,7 @@ namespace xrank::query {
 // (depth >= 1) and all of its rank contributions lie within a single
 // document, and a document missing any query keyword can contribute
 // nothing. Under disjunctive semantics the proof is score-based: the
-// MaxScore/WAND algorithms (query/disjunctive_merge.h) only skip documents
+// MaxScore/BMW algorithms (query/disjunctive_merge.h) only skip documents
 // whose rank upper bound stays below the current k-th result. Exhaustive
 // disjunctive evaluation constructs with `use_skip_blocks == false`.
 class PostingCursor {

@@ -19,14 +19,13 @@ class SharedTopKThreshold;
 // (block-max WAND for few terms under max aggregation, MaxScore otherwise)
 // for disjunctive semantics. `kExhaustive` is the full n-way merge — the
 // safe oracle every pruned algorithm must match result-for-result. The
-// pruned algorithms degrade themselves to sound variants (BMW -> WAND under
-// sum aggregation, anything -> exhaustive when no sound bound exists); see
-// DESIGN.md section 13.
+// pruned algorithms degrade themselves to sound variants (BMW -> MaxScore
+// under sum aggregation, anything -> exhaustive when no sound bound
+// exists); see DESIGN.md section 13.
 enum class MergeAlgorithm : uint8_t {
   kAuto = 0,
   kExhaustive,
   kMaxScore,
-  kWand,
   kBlockMaxWand,
 };
 
@@ -35,7 +34,6 @@ inline const char* MergeAlgorithmName(MergeAlgorithm algorithm) {
     case MergeAlgorithm::kAuto: return "auto";
     case MergeAlgorithm::kExhaustive: return "exhaustive";
     case MergeAlgorithm::kMaxScore: return "maxscore";
-    case MergeAlgorithm::kWand: return "wand";
     case MergeAlgorithm::kBlockMaxWand: return "bmw";
   }
   return "unknown";
@@ -95,8 +93,8 @@ struct QueryStats {
   uint64_t random_reads = 0;
   double io_cost = 0.0;            // weighted cost-model units
   double wall_ms = 0.0;
-  // Merge strategy actually run ("daat", "exhaustive", "maxscore", "wand",
-  // "bmw"); empty for processors without a strategy choice.
+  // Merge strategy actually run ("daat", "exhaustive", "maxscore", "bmw");
+  // empty for processors without a strategy choice.
   std::string algorithm;
   bool switched_to_dil = false;    // HDIL adaptivity outcome
   bool threshold_terminated = false;  // TA stopped before exhausting lists

@@ -59,7 +59,7 @@ double AggregateRank(RankAggregation aggregation, double existing,
 // (always ≤ 1) only shrink the score. See DESIGN.md section 11.
 bool SupportsBlockMaxPruning(const ScoringOptions& options);
 
-// Soundness of the *disjunctive* pruning bounds (MaxScore / WAND / BMW in
+// Soundness of the *disjunctive* pruning bounds (MaxScore / BMW in
 // query/disjunctive_merge.h), which — unlike the conjunctive run-widening
 // path above — need no conjunctive gate: they bound each document
 // individually, never assuming a missing keyword zeroes the score.
@@ -75,7 +75,7 @@ bool SupportsScorePruning(const ScoringOptions& options);
 // only under max aggregation (under sum, N in-page occurrences can exceed
 // any single block maximum). Gates BMW's block refinement and the
 // block-level tightening inside MaxScore; when false, BMW degrades to
-// plain WAND and MaxScore to list-level bounds.
+// MaxScore, which then uses list-level bounds only.
 bool SupportsBlockMaxBounds(const ScoringOptions& options);
 
 // Overall rank = Σ keyword ranks × proximity (paper Section 2.3.2.2).

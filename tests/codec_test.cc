@@ -92,136 +92,6 @@ TEST(BitpackTest, BitWidthMatchesDefinition) {
   EXPECT_EQ(bitpack::BitWidth(0xFFFFFFFFu), 32u);
 }
 
-// ------------------------------------------------------------ group varint --
-
-// Reference encoder matching the vgb stream layout (index/codec.cc's
-// PackVgbStream): groups of 4 values, control byte of four 2-bit
-// (byte length - 1) codes, then 1-4 LE bytes per value; tail groups carry
-// only the values present.
-std::vector<uint8_t> EncodeGroupVarint(const std::vector<uint32_t>& values) {
-  std::vector<uint8_t> out;
-  for (size_t i = 0; i < values.size(); i += 4) {
-    const size_t group = std::min<size_t>(4, values.size() - i);
-    uint8_t control = 0;
-    size_t lens[4] = {0, 0, 0, 0};
-    for (size_t j = 0; j < group; ++j) {
-      uint32_t v = values[i + j];
-      size_t len = 1;
-      while (v > 0xFF) {
-        v >>= 8;
-        ++len;
-      }
-      lens[j] = len;
-      control |= static_cast<uint8_t>((len - 1) << (2 * j));
-    }
-    out.push_back(control);
-    for (size_t j = 0; j < group; ++j) {
-      uint32_t v = values[i + j];
-      for (size_t b = 0; b < lens[j]; ++b) {
-        out.push_back(static_cast<uint8_t>(v >> (8 * b)));
-      }
-    }
-  }
-  return out;
-}
-
-TEST(BitpackTest, GroupVarintRoundTripsMixedLengthsAndTailGroups) {
-  xrank::Random rng(417);
-  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
-                   size_t{7}, size_t{8}, size_t{63}, size_t{64}, size_t{65},
-                   size_t{1000}}) {
-    std::vector<uint32_t> values(n);
-    for (uint32_t& v : values) {
-      // Bias toward a mix of 1/2/3/4-byte values so every control code and
-      // shuffle-table entry gets exercised.
-      const unsigned bytes = 1 + static_cast<unsigned>(rng.Next64() % 4);
-      v = static_cast<uint32_t>(rng.Next64()) &
-          (bytes == 4 ? 0xFFFFFFFFu : ((uint32_t{1} << (8 * bytes)) - 1));
-    }
-    std::vector<uint8_t> encoded = EncodeGroupVarint(values);
-    // Slack past the encoded extent: the SIMD kernels may read (not use) up
-    // to 16 bytes beyond the last encoded byte as long as it is < in_end.
-    std::vector<uint8_t> buf = encoded;
-    buf.resize(encoded.size() + 16, 0xCD);
-
-    std::vector<uint32_t> out(n, 0xDEADBEEF);
-    size_t consumed = 0;
-    ASSERT_TRUE(bitpack::UnpackGroupVarint(buf.data(), buf.data() + buf.size(),
-                                           n, out.data(), &consumed))
-        << "n=" << n;
-    EXPECT_EQ(out, values) << "n=" << n;
-    EXPECT_EQ(consumed, encoded.size()) << "n=" << n;
-
-    // The dispatched kernel (possibly SIMD) must agree with the portable
-    // scalar reference, including the consumed-byte count.
-    std::vector<uint32_t> portable(n, 0);
-    size_t portable_consumed = 0;
-    ASSERT_TRUE(bitpack::UnpackGroupVarintPortable(
-        buf.data(), buf.data() + buf.size(), n, portable.data(),
-        &portable_consumed))
-        << "n=" << n;
-    EXPECT_EQ(portable, values) << "n=" << n;
-    EXPECT_EQ(portable_consumed, encoded.size()) << "n=" << n;
-  }
-}
-
-TEST(BitpackTest, GroupVarintDecodesExtremesAndNullConsumed) {
-  const std::vector<uint32_t> values = {0,          1,          0xFFu,
-                                        0x100u,     0xFFFFu,    0x10000u,
-                                        0xFFFFFFu,  0x1000000u, 0xFFFFFFFFu};
-  std::vector<uint8_t> encoded = EncodeGroupVarint(values);
-  std::vector<uint8_t> buf = encoded;
-  buf.resize(encoded.size() + 16, 0);
-  std::vector<uint32_t> out(values.size());
-  // consumed may be null.
-  ASSERT_TRUE(bitpack::UnpackGroupVarint(buf.data(), buf.data() + buf.size(),
-                                         values.size(), out.data(), nullptr));
-  EXPECT_EQ(out, values);
-  // n == 0 decodes to nothing and consumes nothing, even from an empty
-  // buffer.
-  size_t consumed = 42;
-  EXPECT_TRUE(bitpack::UnpackGroupVarint(buf.data(), buf.data(), 0, out.data(),
-                                         &consumed));
-  EXPECT_EQ(consumed, 0u);
-}
-
-TEST(BitpackTest, GroupVarintRejectsTruncatedInput) {
-  xrank::Random rng(98);
-  std::vector<uint32_t> values(37);
-  for (uint32_t& v : values) {
-    v = static_cast<uint32_t>(rng.Next64());
-  }
-  std::vector<uint8_t> encoded = EncodeGroupVarint(values);
-  std::vector<uint32_t> out(values.size());
-  size_t consumed = 0;
-  // Any in_end at or before the last encoded byte must be refused: the
-  // stream would extend past in_end. No slack bytes here, so this also
-  // proves the kernels never require readable bytes past the stream when
-  // in_end is tight.
-  for (size_t len = 0; len < encoded.size(); ++len) {
-    EXPECT_FALSE(bitpack::UnpackGroupVarint(encoded.data(),
-                                            encoded.data() + len,
-                                            values.size(), out.data(),
-                                            &consumed))
-        << len;
-    EXPECT_FALSE(bitpack::UnpackGroupVarintPortable(
-        encoded.data(), encoded.data() + len, values.size(), out.data(),
-        &consumed))
-        << len;
-  }
-  // Exactly the encoded extent succeeds (scalar tail path — no slack).
-  ASSERT_TRUE(bitpack::UnpackGroupVarint(encoded.data(),
-                                         encoded.data() + encoded.size(),
-                                         values.size(), out.data(), &consumed));
-  EXPECT_EQ(out, values);
-  EXPECT_EQ(consumed, encoded.size());
-}
-
-TEST(BitpackTest, GroupVarintKernelNameIsKnown) {
-  const std::string name = bitpack::GroupVarintKernelName();
-  EXPECT_TRUE(name == "scalar" || name == "ssse3" || name == "neon") << name;
-}
-
 // ------------------------------------------------------------ quantization --
 
 TEST(RankQuantizationTest, FloorSemanticsAndErrorBound) {
@@ -302,13 +172,12 @@ TEST(RankQuantizationTest, ComputeRankScaleIgnoresNonFinite) {
 // ---------------------------------------------------------------- registry --
 
 TEST(CodecRegistryTest, KnownCodecsResolveUnknownAreRefused) {
-  ASSERT_GE(RegisteredPostingCodecs().size(), 3u);
+  ASSERT_EQ(RegisteredPostingCodecs().size(), 2u);
   struct {
     uint32_t id;
     const char* name;
   } expected[] = {{kPostingCodecVarint, "varint"},
-                  {kPostingCodecBp128, "bp128"},
-                  {kPostingCodecVarintGb, "vgb"}};
+                  {kPostingCodecBp128, "bp128"}};
   for (const auto& e : expected) {
     const PostingCodec* codec = FindPostingCodec(e.id);
     ASSERT_NE(codec, nullptr) << e.name;
@@ -452,9 +321,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair(kPostingCodecVarint, RankEncoding::kFloat32),
         std::make_pair(kPostingCodecBp128, RankEncoding::kFloat32),
         std::make_pair(kPostingCodecBp128, RankEncoding::kQuantU8),
-        std::make_pair(kPostingCodecBp128, RankEncoding::kQuantU16),
-        std::make_pair(kPostingCodecVarintGb, RankEncoding::kFloat32),
-        std::make_pair(kPostingCodecVarintGb, RankEncoding::kQuantU8)),
+        std::make_pair(kPostingCodecBp128, RankEncoding::kQuantU16)),
     [](const ::testing::TestParamInfo<std::pair<uint32_t, RankEncoding>>&
            info) {
       return std::string(FindPostingCodec(info.param.first)->name()) + "_" +

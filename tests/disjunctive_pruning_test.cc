@@ -1,5 +1,5 @@
-// Disjunctive dynamic-pruning property tests: MaxScore, WAND and block-max
-// WAND must be invisible in the results — identical ids AND identical
+// Disjunctive dynamic-pruning property tests: MaxScore and block-max WAND
+// must be invisible in the results — identical ids AND identical
 // (bitwise) ranks versus the exhaustive-merge oracle — across randomized
 // corpora, codecs, quantized ranks, VBMW block sizing, k values and both
 // aggregations; on a rank-skewed corpus they must actually prune; damaged
@@ -44,8 +44,7 @@ using query::ScoringOptions;
 using testutil::BuildIndexedCorpus;
 
 constexpr MergeAlgorithm kPrunedAlgorithms[] = {
-    MergeAlgorithm::kMaxScore, MergeAlgorithm::kWand,
-    MergeAlgorithm::kBlockMaxWand};
+    MergeAlgorithm::kMaxScore, MergeAlgorithm::kBlockMaxWand};
 
 ScoringOptions Disjunctive() {
   ScoringOptions scoring;
@@ -268,12 +267,8 @@ inline std::vector<CodecParam> AllCodecParams() {
        "varint_f32"},
       {{index::kPostingCodecBp128, index::RankEncoding::kFloat32},
        "bp128_f32"},
-      {{index::kPostingCodecVarintGb, index::RankEncoding::kFloat32},
-       "vgb_f32"},
       {{index::kPostingCodecBp128, index::RankEncoding::kQuantU16},
        "bp128_q16"},
-      {{index::kPostingCodecVarintGb, index::RankEncoding::kQuantU8},
-       "vgb_q8"},
   };
   CodecParam vbmw{{index::kPostingCodecVarint, index::RankEncoding::kFloat32},
                   "varint_f32_vbmw"};
@@ -500,9 +495,8 @@ SyntheticIndex BuildSparseHotIndex(uint32_t docs, uint32_t stride) {
 }
 
 // Under sum aggregation the per-page maxima are unsound, but the
-// serialized per-term max_doc_rank still gives MaxScore and WAND a sound
-// list-level bound — they must keep pruning. A BMW request must degrade to
-// plain WAND.
+// serialized per-term max_doc_rank still gives MaxScore a sound list-level
+// bound — it must keep pruning. A BMW request must degrade to MaxScore.
 TEST(DisjunctiveSkewTest, SumAggregationUsesListBoundsAndDegradesBmw) {
   SyntheticIndex idx = BuildSparseHotIndex(20000, 1000);
   std::vector<std::string> keywords = {"hot", "cold"};
@@ -521,10 +515,8 @@ TEST(DisjunctiveSkewTest, SumAggregationUsesListBoundsAndDegradesBmw) {
   bmw.algorithm = MergeAlgorithm::kBlockMaxWand;
   auto degraded = pruned.Execute(keywords, 10, bmw);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_EQ(degraded->stats.algorithm, "wand");
-  ExpectIdenticalResponses(*degraded, *slow, "bmw->wand");
-  EXPECT_GT(degraded->stats.docs_skipped, 0u);
-  EXPECT_LT(degraded->stats.postings_scanned, slow->stats.postings_scanned);
+  EXPECT_EQ(degraded->stats.algorithm, "maxscore");
+  ExpectIdenticalResponses(*degraded, *slow, "bmw->maxscore");
 
   // MaxScore never prunes a candidate here (the essential hot list's bound
   // always reaches theta) — its win is demoting cold to the non-essential
@@ -666,10 +658,10 @@ TEST(ResolveMergeAlgorithmTest, HeuristicAndDegradations) {
             MergeAlgorithm::kMaxScore);
   EXPECT_EQ(query::ResolveMergeAlgorithm(MergeAlgorithm::kAuto, sum_agg, 2),
             MergeAlgorithm::kMaxScore);
-  // BMW degrades to WAND when page bounds are unsound.
+  // BMW degrades to MaxScore when page bounds are unsound.
   EXPECT_EQ(query::ResolveMergeAlgorithm(MergeAlgorithm::kBlockMaxWand,
                                          sum_agg, 2),
-            MergeAlgorithm::kWand);
+            MergeAlgorithm::kMaxScore);
   EXPECT_EQ(query::ResolveMergeAlgorithm(MergeAlgorithm::kBlockMaxWand,
                                          max_agg, 2),
             MergeAlgorithm::kBlockMaxWand);

@@ -471,7 +471,7 @@ TEST_F(FaultInjectionTest, TamperedCommittedFileIsRefusedOnOpen) {
 TEST_F(FaultInjectionTest, ManifestTextRejectsTampering) {
   index::Manifest manifest;
   manifest.entries.push_back(
-      index::ManifestEntry{"DIL.xrank", IndexKind::kDil, 12, 0xABCD1234});
+      index::ManifestEntry{"DIL.xrank", IndexKind::kDil, 12, 0xABCD1234, {}});
   std::string blob = index::SerializeManifest(manifest);
   auto parsed = index::ParseManifest(blob);
   ASSERT_TRUE(parsed.ok()) << parsed.status();

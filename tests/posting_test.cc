@@ -222,8 +222,7 @@ TEST_P(CodecRoundTripTest, SeekToPageEveryFormat) {
 INSTANTIATE_TEST_SUITE_P(
     Formats, CodecRoundTripTest,
     ::testing::Combine(::testing::Values(kPostingCodecVarint,
-                                         kPostingCodecBp128,
-                                         kPostingCodecVarintGb),
+                                         kPostingCodecBp128),
                        ::testing::Values(RankEncoding::kFloat32,
                                          RankEncoding::kQuantU8,
                                          RankEncoding::kQuantU16),

@@ -183,12 +183,8 @@ inline const std::vector<CodecParam>& AllCodecParams() {
        "varint_f32"},
       {{index::kPostingCodecBp128, index::RankEncoding::kFloat32},
        "bp128_f32"},
-      {{index::kPostingCodecVarintGb, index::RankEncoding::kFloat32},
-       "vgb_f32"},
       {{index::kPostingCodecBp128, index::RankEncoding::kQuantU16},
        "bp128_q16"},
-      {{index::kPostingCodecVarintGb, index::RankEncoding::kQuantU8},
-       "vgb_q8"},
   };
   return params;
 }

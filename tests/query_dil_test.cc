@@ -86,7 +86,7 @@ TEST(DilQueryTest, ScansEntireListsSequentially) {
   std::vector<std::pair<std::string, std::string>> docs;
   for (int i = 0; i < 1500; ++i) {
     std::string text = "<doc><a>alpha beta gamma</a><b>alpha delta</b></doc>";
-    docs.emplace_back(text, "d" + std::to_string(i));
+    docs.emplace_back(text, std::string("d").append(std::to_string(i)));
   }
   auto corpus = BuildIndexedCorpus(docs);
   corpus->DropCaches();

@@ -128,7 +128,7 @@ TEST(HdilQueryTest, SwitchesToDilWhenRankPrefixExhausts) {
   for (int i = 0; i < 40; ++i) {
     docs.emplace_back(i % 2 == 0 ? "<a><b>eventerm pad</b></a>"
                                  : "<a><b>oddterm pad</b></a>",
-                      "d" + std::to_string(i));
+                      std::string("d").append(std::to_string(i)));
   }
   index::HdilOptions hdil_options;
   hdil_options.min_rank_entries = 4;  // tiny prefix to force exhaustion

@@ -170,8 +170,7 @@ TEST(ShardRouterParityTest, MatchesMonolithAcrossCodecsAndShardCounts) {
   const std::vector<std::vector<std::string>> queries =
       MakeWorkload(MakeCorpus().planted);
   const uint32_t codecs[] = {index::kPostingCodecVarint,
-                             index::kPostingCodecBp128,
-                             index::kPostingCodecVarintGb};
+                             index::kPostingCodecBp128};
   for (uint32_t codec : codecs) {
     EngineOptions engine_options;
     engine_options.indexes = {IndexKind::kHdil, IndexKind::kDil};
@@ -421,6 +420,27 @@ TEST(ShardRouterStatsTest, MergedStatsAreTheSumOfShardStats) {
   XRankEngine::ServingCounters serving =
       (*router)->serving_counters(IndexKind::kHdil);
   EXPECT_EQ(serving.result_cache_lookups, 0u);
+}
+
+// The forms without explicit QueryOptions use options.engine.query, like
+// XRankEngine's.
+TEST(ShardRouterStatsTest, DefaultQueryOptionsComeFromEngineOptions) {
+  ShardRouterOptions options;
+  options.num_shards = 2;
+  options.engine.indexes = {IndexKind::kDil};
+  options.engine.scoring.semantics = QuerySemantics::kDisjunctive;
+  options.engine.query.algorithm = MergeAlgorithm::kExhaustive;
+  auto router = ShardRouter::Build(MakeCorpus().documents, options);
+  ASSERT_TRUE(router.ok()) << router.status();
+
+  const auto quad = MakeCorpus().planted.low_correlation[0];
+  auto by_keywords =
+      (*router)->QueryKeywords({quad[0], quad[1]}, 10, IndexKind::kDil);
+  ASSERT_TRUE(by_keywords.ok()) << by_keywords.status();
+  EXPECT_EQ(by_keywords->stats.algorithm, "exhaustive");
+  auto by_text = (*router)->Query(quad[0] + " " + quad[1], 10, IndexKind::kDil);
+  ASSERT_TRUE(by_text.ok()) << by_text.status();
+  EXPECT_EQ(by_text->stats.algorithm, "exhaustive");
 }
 
 TEST(ShardRouterStatsTest, TraceSplicesPerShardSpans) {

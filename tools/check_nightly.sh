@@ -41,7 +41,7 @@ cmake -B "$DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$DIR" -j "$(nproc)" --target bench_table1_space \
   --target bench_topk_sweep --target bench_scaling
 
-"$DIR/bench/bench_table1_space" --reorder \
+"$DIR/bench/bench_table1_space" \
   --json "$DIR/BENCH_table1_space.json" > /dev/null
 "$DIR/bench/bench_topk_sweep" --json "$DIR/BENCH_disjunctive.json" > /dev/null
 "$DIR/bench/bench_scaling" --json "$DIR/BENCH_scaling.json" > /dev/null

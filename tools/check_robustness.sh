@@ -18,7 +18,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
-FILTER='CorruptionTest|FaultInjectionTest|LiveUpdateTest|BackoffTest|SafeStrErrorTest|CodecValidationTest|CodecPageTest|BitpackTest|DisjunctivePruningTest|DisjunctiveCodecPruningTest|DisjunctiveSkewTest|VbmwBlockTest|ReorderTest|ReorderCorruptionTest'
+FILTER='CorruptionTest|FaultInjectionTest|LiveUpdateTest|BackoffTest|SafeStrErrorTest|CodecValidationTest|CodecPageTest|BitpackTest|DisjunctivePruningTest|DisjunctiveCodecPruningTest|DisjunctiveSkewTest|VbmwBlockTest|RetiredFormatTest'
 
 for SAN in address undefined; do
   echo "=== robustness suites under ${SAN} sanitizer ==="

@@ -16,7 +16,7 @@
 //                                                  file the root is
 //                                                  re-opened and validated
 //                                                  instead of rebuilt)
-//     --codec=varint|bp128|vgb                    (posting codec, default
+//     --codec=varint|bp128                        (posting codec, default
 //                                                  varint)
 //     --quant-ranks=u8|u16                        (quantized ElemRanks;
 //                                                  default lossless float)
@@ -25,17 +25,8 @@
 //                                                  early when its rank
 //                                                  waste exceeds
 //                                                  MILLI/1000; 0 = dense)
-//     --reorder=off|bp                            (build-time document
-//                                                  reordering by recursive
-//                                                  graph bisection: tighter
-//                                                  d-gaps, denser pages,
-//                                                  sharper block-max bounds;
-//                                                  default off)
-//     --reorder-min-partition=N --reorder-depth=N (BP recursion knobs; an
-//                                                  Open must use the same
-//                                                  values as the build)
-//     --algorithm=auto|exhaustive|maxscore|       (disjunctive/mixed merge
-//                 wand|bmw                         strategy; default auto)
+//     --algorithm=auto|exhaustive|maxscore|bmw    (disjunctive/mixed merge
+//                                                  strategy; default auto)
 //     --top=N                                     (default 10)
 //     --disjunctive                               (OR semantics, DIL only)
 //     --tfidf                                     (tf-idf posting ranks
@@ -111,7 +102,6 @@ using xrank::index::IndexKind;
 struct CliOptions {
   IndexKind kind = IndexKind::kHdil;
   xrank::index::PostingFormatSpec format;
-  xrank::index::ReorderOptions reorder;
   xrank::query::MergeAlgorithm algorithm =
       xrank::query::MergeAlgorithm::kAuto;
   size_t top = 10;
@@ -178,8 +168,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, int first = 1) {
         options->algorithm = xrank::query::MergeAlgorithm::kExhaustive;
       } else if (name == "maxscore") {
         options->algorithm = xrank::query::MergeAlgorithm::kMaxScore;
-      } else if (name == "wand") {
-        options->algorithm = xrank::query::MergeAlgorithm::kWand;
       } else if (name == "bmw") {
         options->algorithm = xrank::query::MergeAlgorithm::kBlockMaxWand;
       } else {
@@ -189,30 +177,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, int first = 1) {
     } else if (xrank::StartsWith(arg, "--vbmw-lambda=")) {
       options->format.vbmw_lambda_milli = static_cast<uint32_t>(
           std::strtoul(arg.c_str() + 14, nullptr, 10));
-    } else if (xrank::StartsWith(arg, "--reorder=")) {
-      std::string mode = arg.substr(10);
-      if (mode == "off") {
-        options->reorder.algorithm = xrank::index::ReorderAlgorithm::kIdentity;
-      } else if (mode == "bp") {
-        options->reorder.algorithm = xrank::index::ReorderAlgorithm::kBp;
-      } else {
-        std::fprintf(stderr, "unknown reorder pass '%s'\n", mode.c_str());
-        return false;
-      }
-    } else if (xrank::StartsWith(arg, "--reorder-min-partition=")) {
-      options->reorder.min_partition = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + 24, nullptr, 10));
-      if (options->reorder.min_partition < 2) {
-        std::fprintf(stderr, "--reorder-min-partition needs a value >= 2\n");
-        return false;
-      }
-    } else if (xrank::StartsWith(arg, "--reorder-depth=")) {
-      options->reorder.max_depth = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + 16, nullptr, 10));
-      if (options->reorder.max_depth == 0) {
-        std::fprintf(stderr, "--reorder-depth needs a positive depth\n");
-        return false;
-      }
     } else if (xrank::StartsWith(arg, "--top=")) {
       options->top = std::strtoul(arg.c_str() + 6, nullptr, 10);
       if (options->top == 0) options->top = 10;
@@ -647,7 +611,6 @@ EngineOptions MakeEngineOptions(CliOptions* cli) {
     options.extraction.rank_source = xrank::index::RankSource::kTfIdf;
   }
   options.build.format = cli->format;
-  options.build.reorder = cli->reorder;
   return options;
 }
 
@@ -728,10 +691,9 @@ xrank::Result<std::unique_ptr<ShardRouter>> BuildRouterFromCli(
 void PrintUsage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [query] [--index=dil|rdil|hdil|naive-id|naive-rank] "
-               "[--codec=varint|bp128|vgb] [--quant-ranks=u8|u16] "
-               "[--vbmw-lambda=MILLI] [--reorder=off|bp] "
-               "[--reorder-min-partition=N] [--reorder-depth=N] "
-               "[--algorithm=auto|exhaustive|maxscore|wand|bmw] "
+               "[--codec=varint|bp128] [--quant-ranks=u8|u16] "
+               "[--vbmw-lambda=MILLI] "
+               "[--algorithm=auto|exhaustive|maxscore|bmw] "
                "[--top=N] [--shards=N] [--disk-dir=DIR] "
                "[--disjunctive] [--tfidf] [--trace] [--json] "
                "[--answer-nodes=a,b] [--query=\"...\"] <file.xml ...>\n"
