@@ -184,10 +184,8 @@ CodecFixture* GetCodecFixture(const std::string& codec_name) {
     postings.push_back(std::move(posting));
   }
   auto* fixture = new CodecFixture();
-  fixture->format = index::MakeWriterFormat(
-      codec,
-      index::PostingFormatSpec{codec->id(), index::RankEncoding::kFloat32},
-      postings, /*delta_encode_ids=*/true);
+  fixture->format = index::MakePostingFormat(
+      codec, index::PostingFormatSpec{codec->id()}, /*delta_encode_ids=*/true);
   auto file = storage::PageFile::CreateInMemory();
   index::PostingListWriter writer(file.get(), fixture->format);
   for (const auto& posting : postings) (void)writer.Add(posting);

@@ -82,8 +82,7 @@ void CodecSweep(const char* dataset, const std::string& slug,
   for (const index::PostingCodec* codec : index::RegisteredPostingCodecs()) {
     if (!only_codec.empty() && only_codec != codec->name()) continue;
     core::EngineOptions options;
-    options.build.format = index::PostingFormatSpec{
-        codec->id(), index::RankEncoding::kFloat32};
+    options.build.format.codec_id = codec->id();
     auto engine = BuildEngine(Reparse(corpus), kinds, options);
     for (index::IndexKind kind : kinds) {
       const index::IndexStats& stats = engine->index_stats(kind);

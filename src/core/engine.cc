@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string_view>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "core/result_cache.h"
 #include "index/dil_index.h"
@@ -260,26 +262,26 @@ std::string BaseDeleteHandle(uint32_t doc) {
 std::string SeqDeleteHandle(uint64_t seq) {
   return "seq:" + std::to_string(seq);
 }
-bool ParseDeleteHandle(std::string_view body, bool* is_base,
-                       uint64_t* value) {
+Status ParseDeleteHandle(std::string_view body, bool* is_base,
+                         uint64_t* value) {
   std::string_view digits;
-  if (body.rfind("base:", 0) == 0) {
+  uint64_t max = std::numeric_limits<uint64_t>::max();
+  if (StartsWith(body, "base:")) {
     *is_base = true;
     digits = body.substr(5);
-  } else if (body.rfind("seq:", 0) == 0) {
+    max = std::numeric_limits<uint32_t>::max();
+  } else if (StartsWith(body, "seq:")) {
     *is_base = false;
     digits = body.substr(4);
   } else {
-    return false;
+    return Status::Corruption("delete handle '" + std::string(body) +
+                              "' is neither base:<doc> nor seq:<seq>");
   }
-  if (digits.empty()) return false;
-  uint64_t parsed = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    parsed = parsed * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *value = parsed;
-  return true;
+  XRANK_ASSIGN_OR_RETURN(
+      *value, index::ParseDecimal(digits, max,
+                                  *is_base ? "base document id" : "add seq",
+                                  "WAL delete handle"));
+  return Status::OK();
 }
 
 }  // namespace
@@ -511,12 +513,11 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
       return Status::Corruption(
           "'" + path + "' was written with posting codec " +
           std::to_string(built.lexicon.format_spec().codec_id) +
-          " / rank encoding " +
-          std::to_string(
-              static_cast<uint32_t>(built.lexicon.format_spec().ranks)) +
+          " / vbmw lambda " +
+          std::to_string(built.lexicon.format_spec().vbmw_lambda_milli) +
           ", MANIFEST expects codec " + std::to_string(entry.format.codec_id) +
-          " / rank encoding " +
-          std::to_string(static_cast<uint32_t>(entry.format.ranks)));
+          " / vbmw lambda " +
+          std::to_string(entry.format.vbmw_lambda_milli));
     }
     IndexInstance instance;
     instance.built = std::move(built);
@@ -619,10 +620,12 @@ Status XRankEngine::ReplayWalLocked(LiveState* state) {
     }
     bool is_base = false;
     uint64_t value = 0;
-    if (!ParseDeleteHandle(record.body, &is_base, &value)) {
+    Status handle = ParseDeleteHandle(record.body, &is_base, &value);
+    if (!handle.ok()) {
       return Status::Corruption("WAL delete record (seq " +
                                 std::to_string(record.seq) +
-                                ") carries an unparseable handle");
+                                ") carries an unparseable handle: " +
+                                handle.message());
     }
     if (is_base) {
       if (value < base_doc_count_) {
@@ -1805,43 +1808,6 @@ XRankEngine::ServingCounters XRankEngine::serving_counters(
   counters.partial_result_queries =
       partial_result_queries_.load(std::memory_order_relaxed);
   return counters;
-}
-
-Result<EngineResponse> XRankEngine::QueryWithPath(
-    std::string_view query_text, size_t m, index::IndexKind kind,
-    const std::vector<std::string>& path) {
-  if (path.empty()) return Query(query_text, m, kind);
-  // Over-fetch, then keep results whose tag chain ends with `path`.
-  XRANK_ASSIGN_OR_RETURN(EngineResponse raw,
-                         Query(query_text, m * 4 + 64, kind));
-  auto state = Snapshot();
-  EngineResponse out;
-  out.stats = raw.stats;
-  for (core::EngineResult& result : raw.results) {
-    if (out.results.size() >= m) break;
-    const graph::XmlGraph* graph = &graph_;
-    uint32_t doc_base = 0;
-    if (!result.id.empty() && result.id.document_id() >= base_doc_count_) {
-      const index::LiveSegment* segment =
-          state->SegmentForDoc(result.id.document_id());
-      if (segment == nullptr) continue;  // regrouped away under our feet
-      graph = &segment->graph;
-      doc_base = segment->doc_base;
-    }
-    dewey::DeweyId current = RebaseDown(result.id, doc_base);
-    Result<graph::NodeId> node = graph->FindByDewey(current);
-    if (!node.ok()) continue;
-    // Walk up from the result, matching `path` from its last step.
-    graph::NodeId at = node.value();
-    size_t matched = 0;
-    while (matched < path.size() && at != graph::kInvalidNode &&
-           graph->name(at) == path[path.size() - 1 - matched]) {
-      at = graph->node(at).parent;
-      ++matched;
-    }
-    if (matched == path.size()) out.results.push_back(std::move(result));
-  }
-  return out;
 }
 
 Result<EngineResponse> XRankEngine::Query(std::string_view query_text,

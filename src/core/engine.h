@@ -152,10 +152,10 @@ struct EngineResponse {
 
 // The XRANK system facade.
 //
-// Thread safety: queries (Query/QueryKeywords/QueryWithPath) may run from
-// any number of threads concurrently, and concurrently with every update
-// operation. Each query pins an immutable snapshot of the serving state —
-// the base indexes, the flushed live segments, the mutable delta, and the
+// Thread safety: queries (Query/QueryKeywords) may run from any number of
+// threads concurrently, and concurrently with every update operation. Each
+// query pins an immutable snapshot of the serving state — the base
+// indexes, the flushed live segments, the mutable delta, and the
 // tombstone set — behind reference-counted pointers, so a flush or
 // compaction swapping segments underneath it can never expose a partially
 // updated view, and queries never wait on update work (the snapshot hand-
@@ -215,14 +215,6 @@ class XRankEngine {
   Result<EngineResponse> QueryKeywords(
       const std::vector<std::string>& keywords, size_t m,
       index::IndexKind kind, const query::QueryOptions& query_options);
-
-  // Keyword query restricted to elements whose ancestor tag chain ends
-  // with `path` — e.g. path {"paper", "title"} keeps only <title> elements
-  // whose parent is a <paper>. A minimal form of the paper's Section 7
-  // future-work item "integration with structured queries".
-  Result<EngineResponse> QueryWithPath(std::string_view query_text, size_t m,
-                                       index::IndexKind kind,
-                                       const std::vector<std::string>& path);
 
   const graph::XmlGraph& graph() const { return graph_; }
   const std::vector<double>& elem_ranks() const { return elem_ranks_; }

@@ -1,13 +1,12 @@
 #include "core/shard_router.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -58,17 +57,13 @@ struct RouterMetrics {
   }
 };
 
-Result<uint64_t> ParseU64(std::string_view token, const char* what) {
-  uint64_t value = 0;
-  if (token.empty()) return Status::Corruption(std::string(what) + " missing");
-  for (char c : token) {
-    if (c < '0' || c > '9') {
-      return Status::Corruption("bad " + std::string(what) + " '" +
-                                std::string(token) + "' in SHARDING");
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return value;
+// One SHARDING field, no wider than uint32_t.
+Result<uint32_t> ParseField(std::string_view token, std::string_view what) {
+  XRANK_ASSIGN_OR_RETURN(
+      uint64_t value,
+      index::ParseDecimal(token, std::numeric_limits<uint32_t>::max(), what,
+                          kShardingFileName));
+  return static_cast<uint32_t>(value);
 }
 
 // Same doc-id rebase as the engine's live segments: the first Dewey
@@ -86,40 +81,6 @@ Status MakeDirectory(const std::string& path) {
                            "': " + SafeStrError(errno));
   }
   return Status::OK();
-}
-
-// Durable small-file write: tmp + fsync + rename + directory fsync — the
-// MANIFEST commit idiom (index/manifest.h) applied to the SHARDING file.
-Status WriteFileDurably(const std::string& dir, const std::string& name,
-                        const std::string& blob) {
-  std::string tmp_path = dir + "/" + name + ".tmp";
-  std::string final_path = dir + "/" + name;
-  int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot create '" + tmp_path +
-                           "': " + SafeStrError(errno));
-  }
-  size_t written = 0;
-  while (written < blob.size()) {
-    ssize_t n = ::write(fd, blob.data() + written, blob.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = Status::IOError("write of '" + tmp_path +
-                                      "' failed: " + SafeStrError(errno));
-      ::close(fd);
-      return status;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status status = Status::IOError("fsync of '" + tmp_path +
-                                    "' failed: " + SafeStrError(errno));
-    ::close(fd);
-    return status;
-  }
-  ::close(fd);
-  XRANK_RETURN_NOT_OK(index::RenameFile(tmp_path, final_path));
-  return index::SyncDirectory(dir);
 }
 
 }  // namespace
@@ -157,8 +118,8 @@ Result<ShardingManifest> ParseShardingManifest(std::string_view text) {
     return Status::Corruption("malformed SHARDING commit trailer");
   }
   XRANK_ASSIGN_OR_RETURN(
-      uint64_t stored_crc,
-      ParseU64(trailer.substr(7, trailer.size() - 8), "commit crc"));
+      uint32_t stored_crc,
+      ParseField(trailer.substr(7, trailer.size() - 8), "commit crc"));
   uint32_t computed = Crc32c(body);
   if (stored_crc != computed) {
     return Status::Corruption("SHARDING checksum mismatch (stored " +
@@ -181,8 +142,8 @@ Result<ShardingManifest> ParseShardingManifest(std::string_view text) {
     std::vector<std::string_view> tokens = SplitString(line, " ");
     if (tokens.size() == 2 && tokens[0] == "reorder") {
       // A root built with the retired document reordering (index/codec.h).
-      XRANK_ASSIGN_OR_RETURN(uint64_t reorder_id,
-                             ParseU64(tokens[1], "reorder id"));
+      XRANK_ASSIGN_OR_RETURN(uint32_t reorder_id,
+                             ParseField(tokens[1], "reorder id"));
       XRANK_RETURN_NOT_OK(index::CheckIdentityOrder(reorder_id));
       continue;
     }
@@ -191,7 +152,8 @@ Result<ShardingManifest> ParseShardingManifest(std::string_view text) {
       return Status::Corruption("malformed SHARDING line '" +
                                 std::string(line) + "'");
     }
-    XRANK_ASSIGN_OR_RETURN(uint64_t index, ParseU64(tokens[1], "shard index"));
+    XRANK_ASSIGN_OR_RETURN(uint32_t index,
+                           ParseField(tokens[1], "shard index"));
     if (index != manifest.shards.size()) {
       return Status::Corruption("SHARDING shard indexes out of order (got " +
                                 std::to_string(index) + ", expected " +
@@ -199,10 +161,8 @@ Result<ShardingManifest> ParseShardingManifest(std::string_view text) {
     }
     ShardDescriptor shard;
     shard.dir = std::string(tokens[3]);
-    XRANK_ASSIGN_OR_RETURN(uint64_t base, ParseU64(tokens[5], "doc base"));
-    shard.doc_base = static_cast<uint32_t>(base);
-    XRANK_ASSIGN_OR_RETURN(uint64_t count, ParseU64(tokens[7], "doc count"));
-    shard.doc_count = static_cast<uint32_t>(count);
+    XRANK_ASSIGN_OR_RETURN(shard.doc_base, ParseField(tokens[5], "doc base"));
+    XRANK_ASSIGN_OR_RETURN(shard.doc_count, ParseField(tokens[7], "doc count"));
     manifest.shards.push_back(std::move(shard));
   }
   if (manifest.shards.empty()) {
@@ -228,36 +188,15 @@ Result<ShardingManifest> ParseShardingManifest(std::string_view text) {
 
 Status WriteShardingFile(const std::string& root_dir,
                          const ShardingManifest& manifest) {
-  return WriteFileDurably(root_dir, kShardingFileName,
-                          SerializeShardingManifest(manifest));
+  return index::WriteFileDurably(root_dir, kShardingFileName,
+                                 SerializeShardingManifest(manifest));
 }
 
 Result<ShardingManifest> ReadShardingFile(const std::string& root_dir) {
-  std::string path = root_dir + "/" + kShardingFileName;
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return Status::NotFound("no SHARDING in '" + root_dir +
-                              "': not a committed sharded root");
-    }
-    return Status::IOError("cannot open '" + path +
-                           "': " + SafeStrError(errno));
-  }
-  std::string blob;
-  char buffer[4096];
-  for (;;) {
-    ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = Status::IOError("read of '" + path +
-                                      "' failed: " + SafeStrError(errno));
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    blob.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  XRANK_ASSIGN_OR_RETURN(
+      std::string blob,
+      index::ReadWholeFile(root_dir, kShardingFileName,
+                           "not a committed sharded root"));
   return ParseShardingManifest(blob);
 }
 
@@ -484,7 +423,10 @@ Result<EngineResponse> ShardRouter::Scatter(
     Outcome& out = outcomes[i];
     query::QueryOptions shard_options = query_options;
     // A QueryTrace is single-threaded; every shard records its own and the
-    // gather splices them into the caller's afterwards.
+    // gather splices them into the caller's afterwards. The trace starts
+    // with the shard, so a shard queued behind another on the same worker
+    // is not charged for the wait.
+    if (tracing) out.trace = query::QueryTrace();
     shard_options.trace = tracing ? &out.trace : nullptr;
     shard_options.shared_threshold =
         options_.forward_theta ? &shared : nullptr;

@@ -1,7 +1,6 @@
 #include "index/codec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/bitpack.h"
@@ -31,70 +30,25 @@ inline uint32_t ZigzagEncode(uint32_t delta) {
 }
 inline uint32_t ZigzagDecode(uint32_t z) { return (z >> 1) ^ (0u - (z & 1)); }
 
-// --------------------------------------------------------- rank helpers --
-
-void AppendEncodedRank(float rank, const PostingFormat& format,
-                       std::string* out) {
-  switch (format.ranks) {
-    case RankEncoding::kFloat32: {
-      uint32_t bits;
-      static_assert(sizeof(bits) == sizeof(rank));
-      std::memcpy(&bits, &rank, sizeof(bits));
-      out->append(reinterpret_cast<const char*>(&bits), sizeof(bits));
-      return;
-    }
-    case RankEncoding::kQuantU8: {
-      uint8_t q = static_cast<uint8_t>(
-          QuantizeRank(rank, format.rank_scale, format.ranks));
-      out->push_back(static_cast<char>(q));
-      return;
-    }
-    case RankEncoding::kQuantU16: {
-      uint16_t q = static_cast<uint16_t>(
-          QuantizeRank(rank, format.rank_scale, format.ranks));
-      char buf[2] = {static_cast<char>(q & 0xFF),
-                     static_cast<char>(q >> 8)};
-      out->append(buf, 2);
-      return;
-    }
-  }
-  XRANK_CHECK(false, "unknown rank encoding");
-}
-
-Result<float> DecodeRankBytes(const uint8_t* p, const PostingFormat& format) {
-  switch (format.ranks) {
-    case RankEncoding::kFloat32: {
-      float rank;
-      std::memcpy(&rank, p, sizeof(rank));
-      return rank;
-    }
-    case RankEncoding::kQuantU8:
-      return DequantizeRank(p[0], format.rank_scale, format.ranks);
-    case RankEncoding::kQuantU16:
-      return DequantizeRank(
-          static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8),
-          format.rank_scale, format.ranks);
-  }
-  return Status::Corruption("unknown rank encoding");
-}
+// Ranks are raw IEEE-754 floats on every page, 4 bytes each.
+constexpr size_t kRankBytes = sizeof(float);
 
 // ---------------------------------------------------------- varint codec --
 //
-// The pre-codec on-disk layout, kept byte-identical (under float ranks) as
-// the compatibility baseline: u16 entry count, then back-to-back postings,
+// The pre-codec on-disk layout, kept byte-identical as the compatibility
+// baseline: u16 entry count, then back-to-back postings,
 // each = Dewey ID (prefix-delta against the previous posting on the page,
 // raw for the page's first posting or when delta coding is off) + rank +
 // varint position count + varint position deltas.
 
 void EncodeVarintPosting(const Posting& posting,
-                         const dewey::DeweyId* previous,
-                         const PostingFormat& format, std::string* out) {
+                         const dewey::DeweyId* previous, std::string* out) {
   if (previous != nullptr) {
     dewey::EncodeDeweyIdDelta(*previous, posting.id, out);
   } else {
     dewey::EncodeDeweyId(posting.id, out);
   }
-  AppendEncodedRank(posting.elem_rank, format, out);
+  out->append(reinterpret_cast<const char*>(&posting.elem_rank), kRankBytes);
   size_t count = std::min(posting.positions.size(), kMaxPositionsPerPosting);
   PutVarint32(out, static_cast<uint32_t>(count));
   uint32_t prev_pos = 0;
@@ -105,8 +59,7 @@ void EncodeVarintPosting(const Posting& posting,
 }
 
 Result<Posting> DecodeVarintPosting(std::string_view data, size_t* offset,
-                                    const dewey::DeweyId* previous,
-                                    const PostingFormat& format) {
+                                    const dewey::DeweyId* previous) {
   Posting posting;
   if (previous != nullptr) {
     XRANK_ASSIGN_OR_RETURN(posting.id,
@@ -114,15 +67,11 @@ Result<Posting> DecodeVarintPosting(std::string_view data, size_t* offset,
   } else {
     XRANK_ASSIGN_OR_RETURN(posting.id, dewey::DecodeDeweyId(data, offset));
   }
-  size_t rank_bytes = RankEncodedBytes(format.ranks);
-  if (*offset + rank_bytes > data.size()) {
+  if (*offset + kRankBytes > data.size()) {
     return Status::Corruption("truncated posting rank");
   }
-  XRANK_ASSIGN_OR_RETURN(
-      posting.elem_rank,
-      DecodeRankBytes(reinterpret_cast<const uint8_t*>(data.data()) + *offset,
-                      format));
-  *offset += rank_bytes;
+  std::memcpy(&posting.elem_rank, data.data() + *offset, kRankBytes);
+  *offset += kRankBytes;
   XRANK_ASSIGN_OR_RETURN(uint32_t count, GetVarint32(data, offset));
   if (count > kMaxPositionsPerPosting) {
     return Status::Corruption("posting position count out of range");
@@ -145,7 +94,7 @@ class VarintPageEncoder final : public PostingPageEncoder {
     const dewey::DeweyId* previous =
         (format_.delta_encode_ids && count_ > 0) ? &previous_id_ : nullptr;
     size_t before = buffer_.size();
-    EncodeVarintPosting(posting, previous, format_, &buffer_);
+    EncodeVarintPosting(posting, previous, &buffer_);
     if (kListPageHeaderSize + buffer_.size() > storage::kPageSize) {
       buffer_.resize(before);
       if (count_ == 0) {
@@ -198,9 +147,8 @@ class VarintPostingCodec final : public PostingCodec {
     for (uint16_t i = 0; i < count; ++i) {
       const dewey::DeweyId* prev =
           (format.delta_encode_ids && i > 0) ? &previous : nullptr;
-      XRANK_ASSIGN_OR_RETURN(
-          Posting posting, DecodeVarintPosting(page.view(), &offset, prev,
-                                               format));
+      XRANK_ASSIGN_OR_RETURN(Posting posting,
+                             DecodeVarintPosting(page.view(), &offset, prev));
       previous = posting.id;
       out->push_back(std::move(posting));
     }
@@ -211,14 +159,15 @@ class VarintPostingCodec final : public PostingCodec {
 // ------------------------------------------------------------ bp128 codec --
 //
 // The per-posting fields are transposed into six u32 streams, each
-// compressed independently, followed by a flat rank array. Page layout:
+// compressed independently, followed by a flat float rank array. Page
+// layout:
 //
 //   offset 0   u16  entry count
 //   offset 2   u16  reserved (0)
 //   offset 4   u32  total suffix components on the page
 //   offset 8   u32  total position deltas on the page
 //   offset 12  streams (depth, lcp, head-gap, suffix, pos-count, pos-delta)
-//   then       ranks: count * {4 (f32) | 1 (u8) | 2 (u16)} bytes
+//   then       ranks: count * 4 bytes (f32)
 //
 // Streams (one value per posting unless noted):
 //   depth      Dewey depth
@@ -370,8 +319,7 @@ Result<bool> BlockPageEncoder::Add(const Posting& posting) {
     prev_pos = posting.positions[i];
   }
 
-  size_t total = kBlockPageHeaderSize +
-                 (count_ + 1) * RankEncodedBytes(format_.ranks);
+  size_t total = kBlockPageHeaderSize + (count_ + 1) * kRankBytes;
   for (int s = 0; s < kNumStreams; ++s) total += SizerBytes(sizers_[s]);
 
   bool overflow = total > storage::kPageSize ||
@@ -408,27 +356,10 @@ Result<size_t> BlockPageEncoder::Flush(storage::Page* page) {
                 "block stream size accounting mismatch");
     off += packed;
   }
-  size_t rank_bytes = RankEncodedBytes(format_.ranks);
-  XRANK_CHECK(off + count_ * rank_bytes <= storage::kPageSize,
+  XRANK_CHECK(off + count_ * kRankBytes <= storage::kPageSize,
               "block page overflow");
-  for (float rank : ranks_) {
-    switch (format_.ranks) {
-      case RankEncoding::kFloat32:
-        std::memcpy(base + off, &rank, sizeof(rank));
-        break;
-      case RankEncoding::kQuantU8:
-        base[off] = static_cast<uint8_t>(
-            QuantizeRank(rank, format_.rank_scale, format_.ranks));
-        break;
-      case RankEncoding::kQuantU16: {
-        uint32_t q = QuantizeRank(rank, format_.rank_scale, format_.ranks);
-        base[off] = static_cast<uint8_t>(q & 0xFF);
-        base[off + 1] = static_cast<uint8_t>(q >> 8);
-        break;
-      }
-    }
-    off += rank_bytes;
-  }
+  std::memcpy(base + off, ranks_.data(), count_ * kRankBytes);
+  off += count_ * kRankBytes;
   for (int s = 0; s < kNumStreams; ++s) {
     streams_[s].clear();
     sizers_[s] = StreamSizer{};
@@ -440,8 +371,7 @@ Result<size_t> BlockPageEncoder::Flush(storage::Page* page) {
   return off;
 }
 
-Status DecodeBlockPage(const storage::Page& page, const PostingFormat& format,
-                       std::vector<Posting>* out) {
+Status DecodeBlockPage(const storage::Page& page, std::vector<Posting>* out) {
   const uint8_t* base = reinterpret_cast<const uint8_t*>(page.data.data());
   uint32_t count = page.ReadU16(0);
   if (count == 0) {
@@ -468,8 +398,7 @@ Status DecodeBlockPage(const storage::Page& page, const PostingFormat& format,
       return Status::Corruption("truncated posting block stream");
     }
   }
-  size_t rank_bytes = RankEncodedBytes(format.ranks);
-  if (off + static_cast<size_t>(count) * rank_bytes > storage::kPageSize) {
+  if (off + static_cast<size_t>(count) * kRankBytes > storage::kPageSize) {
     return Status::Corruption("truncated posting block ranks");
   }
 
@@ -496,7 +425,6 @@ Status DecodeBlockPage(const storage::Page& page, const PostingFormat& format,
     return Status::Corruption("posting position count out of range");
   }
   const uint8_t* rank_base = base + off;
-  const bool float_ranks = format.ranks == RankEncoding::kFloat32;
   uint32_t prev_head = 0;
   size_t suffix_idx = 0;
   size_t pos_idx = 0;
@@ -546,16 +474,7 @@ Status DecodeBlockPage(const storage::Page& page, const PostingFormat& format,
     }
     pos_idx += pos_count;
 
-    if (float_ranks) {
-      std::memcpy(&posting.elem_rank,
-                  rank_base + static_cast<size_t>(i) * sizeof(float),
-                  sizeof(float));
-    } else {
-      XRANK_ASSIGN_OR_RETURN(
-          posting.elem_rank,
-          DecodeRankBytes(rank_base + static_cast<size_t>(i) * rank_bytes,
-                          format));
-    }
+    std::memcpy(&posting.elem_rank, rank_base + i * kRankBytes, kRankBytes);
   }
   if (suffix_idx != suffix_total || pos_idx != pos_total) {
     return Status::Corruption("posting block stream totals inconsistent");
@@ -571,9 +490,10 @@ class Bp128PostingCodec final : public PostingCodec {
       const PostingFormat& format) const override {
     return std::make_unique<BlockPageEncoder>(format);
   }
-  Status DecodePage(const storage::Page& page, const PostingFormat& format,
+  Status DecodePage(const storage::Page& page,
+                    const PostingFormat& /*format*/,
                     std::vector<Posting>* out) const override {
-    return DecodeBlockPage(page, format, out);
+    return DecodeBlockPage(page, out);
   }
 };
 
@@ -615,11 +535,6 @@ Result<const PostingCodec*> ResolvePostingCodec(
         "index built with unregistered posting codec id " +
         std::to_string(spec.codec_id));
   }
-  if (static_cast<uint32_t>(spec.ranks) >= kRankEncodingCount) {
-    return Status::Corruption(
-        "index built with unknown rank encoding " +
-        std::to_string(static_cast<uint32_t>(spec.ranks)));
-  }
   return codec;
 }
 
@@ -631,104 +546,26 @@ Status CheckIdentityOrder(uint64_t reorder_id) {
       "), which is retired; rebuild it in ingest order");
 }
 
-PostingFormat DefaultPostingFormat(bool delta_encode_ids) {
-  PostingFormat format;
-  format.codec = FindPostingCodec(kPostingCodecVarint);
-  format.ranks = RankEncoding::kFloat32;
-  format.rank_scale = 1.0f;
-  format.delta_encode_ids = delta_encode_ids;
-  return format;
+Status CheckFloatRanks(uint64_t rank_encoding) {
+  if (rank_encoding == 0) return Status::OK();
+  return Status::Corruption(
+      "index built with retired rank quantization (rank encoding " +
+      std::to_string(rank_encoding) + "); rebuild it with float ranks");
 }
 
-// ----------------------------------------------------------- rank helpers --
-
-size_t RankEncodedBytes(RankEncoding encoding) {
-  switch (encoding) {
-    case RankEncoding::kFloat32:
-      return 4;
-    case RankEncoding::kQuantU8:
-      return 1;
-    case RankEncoding::kQuantU16:
-      return 2;
-  }
-  XRANK_CHECK(false, "unknown rank encoding");
-  return 4;
-}
-
-uint32_t RankQuantMax(RankEncoding encoding) {
-  switch (encoding) {
-    case RankEncoding::kFloat32:
-      return 0;
-    case RankEncoding::kQuantU8:
-      return 255;
-    case RankEncoding::kQuantU16:
-      return 65535;
-  }
-  return 0;
-}
-
-std::string_view RankEncodingName(RankEncoding encoding) {
-  switch (encoding) {
-    case RankEncoding::kFloat32:
-      return "f32";
-    case RankEncoding::kQuantU8:
-      return "q8";
-    case RankEncoding::kQuantU16:
-      return "q16";
-  }
-  return "?";
-}
-
-float DequantizeRank(uint32_t q, float scale, RankEncoding encoding) {
-  uint32_t qmax = RankQuantMax(encoding);
-  if (qmax == 0) return 0.0f;
-  return scale * (static_cast<float>(q) / static_cast<float>(qmax));
-}
-
-uint32_t QuantizeRank(float rank, float scale, RankEncoding encoding) {
-  uint32_t qmax = RankQuantMax(encoding);
-  if (qmax == 0) return 0;
-  if (!std::isfinite(rank) || !(rank > 0.0f) || !(scale > 0.0f)) return 0;
-  float x = rank / scale;
-  if (x > 1.0f) x = 1.0f;
-  uint32_t q = static_cast<uint32_t>(x * static_cast<float>(qmax));
-  if (q > qmax) q = qmax;
-  // Float rounding can land one step off in either direction; nudge to the
-  // exact floor so Dequantize(q) <= rank < Dequantize(q + 1).
-  while (q < qmax && DequantizeRank(q + 1, scale, encoding) <= rank) ++q;
-  while (q > 0 && DequantizeRank(q, scale, encoding) > rank) --q;
-  return q;
-}
-
-float RankQuantizationBound(RankEncoding encoding, float scale) {
-  uint32_t qmax = RankQuantMax(encoding);
-  if (qmax == 0) return 0.0f;
-  return scale / static_cast<float>(qmax);
-}
-
-PostingFormat MakeWriterFormat(const PostingCodec* codec,
-                               const PostingFormatSpec& spec,
-                               const std::vector<Posting>& postings,
-                               bool delta_encode_ids) {
+PostingFormat MakePostingFormat(const PostingCodec* codec,
+                                const PostingFormatSpec& spec,
+                                bool delta_encode_ids) {
   PostingFormat format;
   format.codec = codec;
-  format.ranks = spec.ranks;
-  format.rank_scale = spec.ranks == RankEncoding::kFloat32
-                          ? 1.0f
-                          : ComputeRankScale(postings);
   format.delta_encode_ids = delta_encode_ids;
   format.vbmw_lambda_milli = spec.vbmw_lambda_milli;
   return format;
 }
 
-float ComputeRankScale(const std::vector<Posting>& postings) {
-  float scale = 0.0f;
-  for (const Posting& posting : postings) {
-    if (std::isfinite(posting.elem_rank) && posting.elem_rank > scale) {
-      scale = posting.elem_rank;
-    }
-  }
-  return scale > 0.0f ? scale : 1.0f;
+PostingFormat DefaultPostingFormat(bool delta_encode_ids) {
+  return MakePostingFormat(FindPostingCodec(kPostingCodecVarint), {},
+                           delta_encode_ids);
 }
 
 }  // namespace xrank::index

@@ -12,58 +12,21 @@
 
 namespace xrank::index {
 
-// ---------------------------------------------------------- rank encoding --
-//
-// How the per-posting ElemRank is stored on list pages. The default keeps
-// the raw IEEE-754 float; the quantized encodings spend 1 or 2 bytes per
-// posting, linearly scaled by a per-list `rank_scale` (the list's maximum
-// ElemRank, recorded in TermInfo). Quantization always rounds DOWN, so a
-// decoded rank never exceeds the true rank and block-max pruning bounds
-// built from decoded ranks stay sound. Maximum error for true ranks in
-// [0, rank_scale] is one quantum: rank_scale / 255 (u8) or
-// rank_scale / 65535 (u16).
-enum class RankEncoding : uint32_t {
-  kFloat32 = 0,
-  kQuantU8 = 1,
-  kQuantU16 = 2,
-};
-
-inline constexpr uint32_t kRankEncodingCount = 3;
-
-size_t RankEncodedBytes(RankEncoding encoding);     // 4, 1 or 2
-uint32_t RankQuantMax(RankEncoding encoding);       // 0, 255 or 65535
-std::string_view RankEncodingName(RankEncoding encoding);
-
-// rank = scale * q / qmax. Monotone in q; Dequantize(qmax) == scale.
-float DequantizeRank(uint32_t q, float scale, RankEncoding encoding);
-
-// Largest q with Dequantize(q) <= rank (clamped to [0, qmax]); non-finite,
-// non-positive and over-scale ranks clamp to the range ends. With
-// encoding == kFloat32 this returns 0 (there is nothing to quantize).
-uint32_t QuantizeRank(float rank, float scale, RankEncoding encoding);
-
-// Documented error bound: |true - decoded| for true ranks in [0, scale].
-float RankQuantizationBound(RankEncoding encoding, float scale);
-
-// Per-list quantization scale: the list's largest finite ElemRank (1.0 for
-// lists with no positive rank, so dequantization never divides by zero).
-float ComputeRankScale(const std::vector<Posting>& postings);
-
 // ------------------------------------------------------------ format spec --
 //
 // The build-time knob and on-disk identity of a posting format: which codec
-// lays out list pages and how ranks are stored. Recorded in the index
-// header page and in every MANIFEST entry; validated against the registry
-// when an index is opened, so an index built with a codec this binary does
-// not know is refused with a clean error instead of misdecoded.
+// lays out list pages and how pages are sized. Ranks are always stored as
+// raw IEEE-754 floats. Recorded in the index header page and in every
+// MANIFEST entry; validated against the registry when an index is opened,
+// so an index built with a codec this binary does not know is refused with
+// a clean error instead of misdecoded.
 struct PostingFormatSpec {
   uint32_t codec_id = 0;  // kPostingCodecVarint
-  RankEncoding ranks = RankEncoding::kFloat32;
 
   // VBMW-style variable-sized skip blocks, in milli-rank units of waste.
   // 0 keeps the legacy dense page-filling layout. A positive value lets
   // the writer close a page early once the accumulated block-max waste
-  // (sum over buffered postings of page_max - decoded_rank) exceeds
+  // (sum over buffered postings of page_max - rank) exceeds
   // lambda = vbmw_lambda_milli / 1000, which tightens per-page `max_rank`
   // bounds for block-max pruning at the cost of shorter pages.
   uint32_t vbmw_lambda_milli = 0;
@@ -73,25 +36,13 @@ struct PostingFormatSpec {
 
 class PostingCodec;
 
-// A spec resolved against the codec registry plus the per-list parameters a
-// writer or cursor needs: the quantization scale of this particular list
-// and whether its Dewey IDs are prefix-delta coded (Dewey-ordered lists)
-// or independent (rank-ordered lists).
+// A spec resolved against the codec registry plus the per-list parameter a
+// writer or cursor needs: whether its Dewey IDs are prefix-delta coded
+// (Dewey-ordered lists) or independent (rank-ordered lists).
 struct PostingFormat {
   const PostingCodec* codec = nullptr;
-  RankEncoding ranks = RankEncoding::kFloat32;
-  float rank_scale = 1.0f;
   bool delta_encode_ids = false;
   uint32_t vbmw_lambda_milli = 0;  // writer-side block sizing; see the spec
-
-  // The rank a reader will observe for a posting written with `rank` —
-  // identity for kFloat32, quantize-then-dequantize otherwise. Writers
-  // compute skip-block maxima from this so pruning bounds are exact.
-  float DecodedRank(float rank) const {
-    if (ranks == RankEncoding::kFloat32) return rank;
-    return DequantizeRank(QuantizeRank(rank, rank_scale, ranks), rank_scale,
-                          ranks);
-  }
 };
 
 // ------------------------------------------------------------- interfaces --
@@ -154,25 +105,27 @@ inline constexpr uint32_t kRetiredPostingCodecVarintGb = 2;
 // SHARDING line); any other id is refused.
 Status CheckIdentityOrder(uint64_t reorder_id);
 
+// Rank quantization stored 1-byte (encoding 1, q8) or 2-byte (encoding 2,
+// q16) ranks scaled per list, recorded at index header offset 68 and in the
+// "ranks" token of every MANIFEST entry and segment line. Writers now
+// record 0 (float ranks); any other encoding is refused.
+Status CheckFloatRanks(uint64_t rank_encoding);
+
 const PostingCodec* FindPostingCodec(uint32_t id);
 const PostingCodec* FindPostingCodecByName(std::string_view name);
 const std::vector<const PostingCodec*>& RegisteredPostingCodecs();
 
-// Registry lookup with a clean error for unknown codec ids / rank
-// encodings (the validation path for manifests and index headers).
+// Registry lookup with a clean error for unknown or retired codec ids (the
+// validation path for manifests and index headers).
 Result<const PostingCodec*> ResolvePostingCodec(const PostingFormatSpec& spec);
 
-// The legacy layout: varint codec, float ranks.
-PostingFormat DefaultPostingFormat(bool delta_encode_ids);
+// The resolved format of one list written or read under `spec`.
+PostingFormat MakePostingFormat(const PostingCodec* codec,
+                                const PostingFormatSpec& spec,
+                                bool delta_encode_ids);
 
-// Resolved format for writing one list: computes the per-list quantization
-// scale from the postings when `spec` uses a quantized rank encoding (the
-// builder must store it in TermInfo::rank_scale so readers reconstruct the
-// identical format).
-PostingFormat MakeWriterFormat(const PostingCodec* codec,
-                               const PostingFormatSpec& spec,
-                               const std::vector<Posting>& postings,
-                               bool delta_encode_ids);
+// The legacy layout: varint codec, dense pages.
+PostingFormat DefaultPostingFormat(bool delta_encode_ids);
 
 }  // namespace xrank::index
 

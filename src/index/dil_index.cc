@@ -17,23 +17,19 @@ struct DilShardOutput {
   // Skip-block descriptors per term; page indices are relative to each
   // list's run, so they need no rebasing after the splice.
   std::vector<std::vector<SkipEntry>> skips;
-  std::vector<float> rank_scales;    // per-term quantization scale
   std::vector<float> max_doc_ranks;  // per-term sum-aggregation bound
   Status status = Status::OK();
 };
 
 Status EncodeDilShard(
     const std::vector<const TermPostingsMap::value_type*>& terms,
-    size_t begin, size_t end, const PostingCodec* codec,
-    const PostingFormatSpec& spec, DilShardOutput* out) {
+    size_t begin, size_t end, const PostingFormat& format,
+    DilShardOutput* out) {
   out->scratch = storage::PageFile::CreateInMemory();
   out->extents.reserve(end - begin);
   out->skips.reserve(end - begin);
-  out->rank_scales.reserve(end - begin);
   out->max_doc_ranks.reserve(end - begin);
   for (size_t t = begin; t < end; ++t) {
-    PostingFormat format = MakeWriterFormat(codec, spec, terms[t]->second,
-                                            /*delta_encode_ids=*/true);
     PostingListWriter writer(out->scratch.get(), format);
     for (const Posting& posting : terms[t]->second) {
       XRANK_RETURN_NOT_OK(writer.Add(posting).status());
@@ -41,7 +37,6 @@ Status EncodeDilShard(
     XRANK_ASSIGN_OR_RETURN(ListExtent extent, writer.Finish());
     out->extents.push_back(extent);
     out->skips.push_back(writer.TakeSkips());
-    out->rank_scales.push_back(format.rank_scale);
     out->max_doc_ranks.push_back(writer.max_doc_rank());
   }
   return Status::OK();
@@ -54,9 +49,9 @@ Result<BuiltIndex> BuildDilIndex(const TermPostingsMap& dewey_postings,
                                  const BuildOptions& build) {
   BuiltIndex index;
   index.kind = IndexKind::kDil;
-  XRANK_ASSIGN_OR_RETURN(const PostingCodec* codec,
-                         ResolvePostingCodec(build.format));
   XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
+  const PostingFormat format =
+      index.lexicon.ListFormat(/*delta_encode_ids=*/true);
   // Page 0 is the header, filled in by WriteIndexTrailer.
   XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
   if (header_page != 0) return Status::Internal("header page must be 0");
@@ -81,9 +76,9 @@ Result<BuiltIndex> BuildDilIndex(const TermPostingsMap& dewey_postings,
   std::vector<DilShardOutput> outputs(shards.size());
   if (num_workers <= 1) {
     for (size_t s = 0; s < shards.size(); ++s) {
-      outputs[s].status =
-          EncodeDilShard(terms, shards[s].first, shards[s].second, codec,
-                         build.format, &outputs[s]);
+      outputs[s].status = EncodeDilShard(terms, shards[s].first,
+                                         shards[s].second, format,
+                                         &outputs[s]);
     }
   } else {
     ThreadPool pool(static_cast<int>(num_workers));
@@ -91,8 +86,8 @@ Result<BuiltIndex> BuildDilIndex(const TermPostingsMap& dewey_postings,
                      [&](size_t begin, size_t end, size_t) {
                        for (size_t s = begin; s < end; ++s) {
                          outputs[s].status = EncodeDilShard(
-                             terms, shards[s].first, shards[s].second, codec,
-                             build.format, &outputs[s]);
+                             terms, shards[s].first, shards[s].second,
+                             format, &outputs[s]);
                        }
                      });
   }
@@ -110,7 +105,6 @@ Result<BuiltIndex> BuildDilIndex(const TermPostingsMap& dewey_postings,
       TermInfo info;
       info.list = extent;
       info.skips = std::move(outputs[s].skips[i]);
-      info.rank_scale = outputs[s].rank_scales[i];
       info.max_doc_rank = outputs[s].max_doc_ranks[i];
       index.lexicon.Add(terms[shards[s].first + i]->first, std::move(info));
     }

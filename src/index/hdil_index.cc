@@ -23,7 +23,6 @@ struct HdilShardOutput {
   // Skip-block descriptors for the full Dewey lists (page indices relative
   // to each list's run).
   std::vector<std::vector<SkipEntry>> skips;
-  std::vector<float> rank_scales;    // per-term quantization scale
   std::vector<float> max_doc_ranks;  // per-term sum-aggregation bound
   Status status = Status::OK();
 };
@@ -31,22 +30,18 @@ struct HdilShardOutput {
 Status EncodeHdilShard(
     const std::vector<const TermPostingsMap::value_type*>& terms,
     size_t begin, size_t end, const HdilOptions& options,
-    const PostingCodec* codec, const PostingFormatSpec& spec,
-    HdilShardOutput* out) {
+    const PostingFormat& format, HdilShardOutput* out) {
   out->dewey_scratch = storage::PageFile::CreateInMemory();
   out->rank_scratch = storage::PageFile::CreateInMemory();
   out->dewey_extents.reserve(end - begin);
   out->rank_extents.reserve(end - begin);
   out->separators.reserve(end - begin);
-  out->rank_scales.reserve(end - begin);
   out->max_doc_ranks.reserve(end - begin);
   for (size_t t = begin; t < end; ++t) {
     const std::vector<Posting>& postings = terms[t]->second;
 
     // Phase 1: the full Dewey-ordered list (same physical format as DIL),
     // capturing one separator per full-list page.
-    PostingFormat format = MakeWriterFormat(codec, spec, postings,
-                                            /*delta_encode_ids=*/true);
     PostingListWriter writer(out->dewey_scratch.get(), format);
     std::vector<std::pair<dewey::DeweyId, uint64_t>> separators;
     for (const Posting& posting : postings) {
@@ -59,7 +54,6 @@ Status EncodeHdilShard(
     out->dewey_extents.push_back(extent);
     out->separators.push_back(std::move(separators));
     out->skips.push_back(writer.TakeSkips());
-    out->rank_scales.push_back(format.rank_scale);
     out->max_doc_ranks.push_back(writer.max_doc_rank());
 
     // Select the rank-ordered prefix: top max(min_rank_entries,
@@ -80,9 +74,7 @@ Status EncodeHdilShard(
     rank_prefix.resize(keep);
 
     // Phase 2: the rank-ordered prefix list (raw IDs: rank order destroys
-    // prefix locality). Reuses the full list's rank_scale — the prefix is
-    // a subset, so the scale still dominates every rank, and readers look
-    // up one scale per term.
+    // prefix locality).
     PostingFormat rank_format = format;
     rank_format.delta_encode_ids = false;
     PostingListWriter rank_writer(out->rank_scratch.get(), rank_format);
@@ -103,9 +95,9 @@ Result<BuiltIndex> BuildHdilIndex(const TermPostingsMap& dewey_postings,
                                   const BuildOptions& build) {
   BuiltIndex index;
   index.kind = IndexKind::kHdil;
-  XRANK_ASSIGN_OR_RETURN(const PostingCodec* codec,
-                         ResolvePostingCodec(build.format));
   XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
+  const PostingFormat format =
+      index.lexicon.ListFormat(/*delta_encode_ids=*/true);
   XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
   if (header_page != 0) return Status::Internal("header page must be 0");
 
@@ -128,7 +120,7 @@ Result<BuiltIndex> BuildHdilIndex(const TermPostingsMap& dewey_postings,
     for (size_t s = 0; s < shards.size(); ++s) {
       outputs[s].status =
           EncodeHdilShard(terms, shards[s].first, shards[s].second, options,
-                          codec, build.format, &outputs[s]);
+                          format, &outputs[s]);
     }
   } else {
     ThreadPool pool(static_cast<int>(num_workers));
@@ -137,7 +129,7 @@ Result<BuiltIndex> BuildHdilIndex(const TermPostingsMap& dewey_postings,
                        for (size_t s = begin; s < end; ++s) {
                          outputs[s].status = EncodeHdilShard(
                              terms, shards[s].first, shards[s].second,
-                             options, codec, build.format, &outputs[s]);
+                             options, format, &outputs[s]);
                        }
                      });
   }
@@ -158,7 +150,6 @@ Result<BuiltIndex> BuildHdilIndex(const TermPostingsMap& dewey_postings,
       TermInfo info;
       info.list = extent;
       info.skips = std::move(outputs[s].skips[i]);
-      info.rank_scale = outputs[s].rank_scales[i];
       info.max_doc_rank = outputs[s].max_doc_ranks[i];
       index.lexicon.Add(terms[shards[s].first + i]->first, std::move(info));
     }

@@ -1,7 +1,6 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <thread>
 #include <unordered_map>
@@ -154,43 +153,6 @@ void FlattenNaive(ExtractionState* state, TermPostingsMap* out) {
   state->naive.clear();
 }
 
-void ApplyTfIdf(ExtractionResult* out) {
-  // Replace the ElemRank field with (1 + ln tf) · ln(1 + N/df), where tf
-  // is the occurrence count inside the posting's element and df the
-  // number of elements with a direct occurrence of the term. Normalized
-  // by the corpus-wide maximum so ranks stay in (0, 1], preserving the
-  // threshold-algorithm overestimate (Section 4.3.2).
-  double n = static_cast<double>(out->element_count);
-  double max_weight = 0.0;
-  auto weight = [&](const Posting& posting, double df) {
-    double tf = static_cast<double>(posting.positions.size());
-    return (1.0 + std::log(std::max(tf, 1.0))) * std::log(1.0 + n / df);
-  };
-  for (auto& [term, postings] : out->dewey_postings) {
-    double df = static_cast<double>(postings.size());
-    for (Posting& posting : postings) {
-      max_weight = std::max(max_weight, weight(posting, df));
-    }
-  }
-  if (max_weight <= 0.0) max_weight = 1.0;
-  for (auto& [term, postings] : out->dewey_postings) {
-    double df = static_cast<double>(postings.size());
-    for (Posting& posting : postings) {
-      posting.elem_rank = static_cast<float>(weight(posting, df) / max_weight);
-    }
-  }
-  for (auto& [term, postings] : out->naive_postings) {
-    // df at element granularity: direct-occurrence count of the term.
-    auto it = out->dewey_postings.find(term);
-    double df = it != out->dewey_postings.end()
-                    ? static_cast<double>(it->second.size())
-                    : 1.0;
-    for (Posting& posting : postings) {
-      posting.elem_rank = static_cast<float>(weight(posting, df) / max_weight);
-    }
-  }
-}
-
 }  // namespace
 
 Result<ExtractionResult> ExtractPostings(const XmlGraph& graph,
@@ -280,10 +242,6 @@ Result<ExtractionResult> ExtractPostings(const XmlGraph& graph,
     }
   }
   merged.element_count = merged.ordinal_to_dewey.size();
-
-  if (options.rank_source == RankSource::kTfIdf) {
-    ApplyTfIdf(&merged);
-  }
   return merged;
 }
 
@@ -303,10 +261,12 @@ constexpr size_t kLexFirstPageOffset = 40;
 constexpr size_t kLexPageCountOffset = 44;
 constexpr size_t kLexByteLenOffset = 48;
 constexpr size_t kListUsedBytesOffset = 56;
-// Posting format (PR 6). Pre-codec files carry zeros here — pages are
-// zero-initialized — which decodes as (varint, float32), i.e. exactly the
-// legacy layout, so old index files open unchanged.
+// Posting codec id. Pre-codec files carry zero here — pages are
+// zero-initialized — which decodes as varint, i.e. exactly the legacy
+// layout, so old index files open unchanged.
 constexpr size_t kCodecIdOffset = 64;
+// Retired rank quantization encoding (index/codec.h). Writers leave it
+// zero, meaning float ranks; a non-zero encoding is refused at open.
 constexpr size_t kRankEncodingOffset = 68;
 // VBMW block-sizing lambda (PR 7), milli-rank units; zero (also what every
 // pre-VBMW file carries) is the dense page-filling layout.
@@ -380,8 +340,6 @@ Status WriteIndexTrailer(storage::PageFile* file, IndexKind kind,
   header.WriteU64(kLexByteLenOffset, blob.size());
   header.WriteU64(kListUsedBytesOffset, stats->list_used_bytes);
   header.WriteU32(kCodecIdOffset, lexicon.format_spec().codec_id);
-  header.WriteU32(kRankEncodingOffset,
-                  static_cast<uint32_t>(lexicon.format_spec().ranks));
   header.WriteU32(kVbmwLambdaOffset, lexicon.format_spec().vbmw_lambda_milli);
   header.WriteU32(kLexFormatVersionOffset, kLexiconFormatVersion);
   XRANK_RETURN_NOT_OK(file->Write(0, header));
@@ -426,11 +384,11 @@ Result<BuiltIndex> OpenIndex(std::unique_ptr<storage::PageFile> file) {
   }
   PostingFormatSpec spec;
   spec.codec_id = header.ReadU32(kCodecIdOffset);
-  spec.ranks = static_cast<RankEncoding>(header.ReadU32(kRankEncodingOffset));
   spec.vbmw_lambda_milli = header.ReadU32(kVbmwLambdaOffset);
   // Refuse cleanly rather than misdecode: an index written by a build with
   // codecs this binary does not register must not be served.
   XRANK_RETURN_NOT_OK(ResolvePostingCodec(spec).status());
+  XRANK_RETURN_NOT_OK(CheckFloatRanks(header.ReadU32(kRankEncodingOffset)));
   XRANK_RETURN_NOT_OK(CheckIdentityOrder(header.ReadU32(kReorderIdOffset)));
   uint32_t lex_version = header.ReadU32(kLexFormatVersionOffset);
   if (lex_version > kLexiconFormatVersion) {

@@ -32,18 +32,8 @@ enum class IndexKind : uint8_t {
 
 std::string_view IndexKindName(IndexKind kind);
 
-// What the per-posting rank field carries. The paper's query processing is
-// "applicable to other ways of ranking XML elements, such as those using
-// text tf-idf measures" (Section 4) — both sources flow through identical
-// index structures and algorithms.
-enum class RankSource {
-  kElemRank,  // the element's hyperlink/containment importance (Section 3)
-  kTfIdf,     // (1 + ln tf) · ln(1 + N/df), normalized to (0, 1]
-};
-
 struct ExtractionOptions {
   AnalyzerOptions analyzer;
-  RankSource rank_source = RankSource::kElemRank;
   // Also produce element-granularity postings with replicated ancestors
   // (required by the two naive baselines; skip to save memory).
   bool build_naive = true;
@@ -66,10 +56,10 @@ struct ExtractionOptions {
 struct BuildOptions {
   // 0 = hardware concurrency, 1 = sequential reference path.
   int num_threads = 0;
-  // Posting-page codec and rank encoding for every list the build writes.
+  // Posting-page codec and page sizing for every list the build writes.
   // Recorded in the index header page and the MANIFEST; validated against
   // the codec registry at open. Default: the varint compatibility baseline
-  // with lossless float ranks (byte-identical to pre-codec indexes).
+  // with dense pages (byte-identical to pre-codec indexes).
   PostingFormatSpec format;
 };
 

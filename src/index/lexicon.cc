@@ -1,6 +1,5 @@
 #include "index/lexicon.h"
 
-#include <cmath>
 #include <cstring>
 
 #include "common/varint.h"
@@ -42,16 +41,6 @@ void Lexicon::Serialize(std::string* out, uint32_t format_version) const {
     PutVarint32(out, info.hash_page_count);
     PutVarint32(out, info.hash_slot_count);
     PutVarint32(out, info.hash_offset);
-    if (spec_.ranks != RankEncoding::kFloat32) {
-      // Per-list quantization scale, 4 raw IEEE-754 bytes. Only present
-      // under quantized rank encodings (the field is meaningless under
-      // float ranks).
-      uint32_t scale_bits;
-      static_assert(sizeof(scale_bits) == sizeof(info.rank_scale));
-      std::memcpy(&scale_bits, &info.rank_scale, sizeof(scale_bits));
-      out->append(reinterpret_cast<const char*>(&scale_bits),
-                  sizeof(scale_bits));
-    }
     if (format_version >= 1) {
       // Sum-aggregation list bound, 4 raw IEEE-754 bytes (format version 1;
       // 0 means "unknown" and query code degrades to no-prune).
@@ -108,18 +97,6 @@ Result<Lexicon> Lexicon::Deserialize(std::string_view data,
     XRANK_ASSIGN_OR_RETURN(info.hash_page_count, GetVarint32(data, &offset));
     XRANK_ASSIGN_OR_RETURN(info.hash_slot_count, GetVarint32(data, &offset));
     XRANK_ASSIGN_OR_RETURN(info.hash_offset, GetVarint32(data, &offset));
-    if (spec.ranks != RankEncoding::kFloat32) {
-      if (offset + sizeof(uint32_t) > data.size()) {
-        return Status::Corruption("truncated lexicon rank scale");
-      }
-      uint32_t scale_bits;
-      std::memcpy(&scale_bits, data.data() + offset, sizeof(scale_bits));
-      std::memcpy(&info.rank_scale, &scale_bits, sizeof(scale_bits));
-      offset += sizeof(scale_bits);
-      if (!(info.rank_scale > 0.0f) || !std::isfinite(info.rank_scale)) {
-        return Status::Corruption("lexicon rank scale not positive finite");
-      }
-    }
     if (format_version >= 1) {
       // Version-0 blobs predate the field; TermInfo's default 0 means "no
       // bound" there, so old index files keep opening byte-exact.

@@ -36,12 +36,7 @@ struct TermInfo {
   // pages (same space optimization as short B+-trees, Section 4.3.1).
   // Multi-page tables always start at offset 0.
   uint32_t hash_offset = 0;
-  // Codec-specific payload: the per-list linear-quantization scale (the
-  // list's maximum ElemRank) under quantized rank encodings. 1.0 and not
-  // serialized under the default float encoding. Shared by `list` and
-  // `rank_list` (the rank prefix holds a subset of the same postings).
-  float rank_scale = 1.0f;
-  // Upper bound on any single document's sum of decoded posting ranks for
+  // Upper bound on any single document's sum of posting ranks for
   // this term (PostingListWriter::max_doc_rank). Disjunctive pruning uses
   // it as the term's list-level score bound under sum aggregation, where
   // the per-page max_rank maxima alone would be unsound. Serialized only
@@ -74,30 +69,26 @@ class Lexicon {
   }
 
   // Index-wide posting format. SetFormatSpec resolves the codec against the
-  // registry (Corruption for unknown ids). Defaults to varint + float.
+  // registry (Corruption for unknown ids). Defaults to varint.
   Status SetFormatSpec(const PostingFormatSpec& spec);
   const PostingFormatSpec& format_spec() const { return spec_; }
   const PostingCodec* codec() const { return codec_; }
   std::string_view codec_name() const { return codec_->name(); }
 
-  // The resolved per-list format for a term's `list`/`rank_list`.
-  PostingFormat ListFormat(const TermInfo& info, bool delta_encode_ids) const {
-    PostingFormat format;
-    format.codec = codec_;
-    format.ranks = spec_.ranks;
-    format.rank_scale = info.rank_scale;
-    format.delta_encode_ids = delta_encode_ids;
-    format.vbmw_lambda_milli = spec_.vbmw_lambda_milli;
-    return format;
+  // The resolved format of a `list`/`rank_list`: Dewey-ordered lists are
+  // prefix-delta coded, rank-ordered ones store raw IDs.
+  PostingFormat ListFormat(bool delta_encode_ids) const {
+    return MakePostingFormat(codec_, spec_, delta_encode_ids);
   }
 
   // `format_version` selects the blob layout to emit; anything but the
   // current version exists only so tests can produce genuine legacy blobs.
   void Serialize(std::string* out,
                  uint32_t format_version = kLexiconFormatVersion) const;
-  // `spec` and `format_version` must be what the blob was serialized under
-  // (they gate the presence of per-term fields); callers read both from the
-  // index header page before deserializing. The defaults match a blob
+  // `spec` becomes the index-wide format, and `format_version` must be what
+  // the blob was serialized under (it gates the presence of per-term
+  // fields); callers read both from the index header page before
+  // deserializing. The defaults match a blob
   // written by this build; pre-codec index files carry the default spec and
   // a zero (legacy) version in their zero-initialized header slots.
   static Result<Lexicon> Deserialize(

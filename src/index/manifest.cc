@@ -7,6 +7,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "common/crc32.h"
 #include "common/safe_strerror.h"
@@ -16,21 +17,53 @@
 
 namespace xrank::index {
 
+Result<uint64_t> ParseDecimal(std::string_view token, uint64_t max,
+                              std::string_view what,
+                              std::string_view source) {
+  if (token.empty()) {
+    return Status::Corruption(std::string(what) + " missing in " +
+                              std::string(source));
+  }
+  uint64_t value = 0;
+  for (char c : token) {
+    if (c < '0' || c > '9') {
+      return Status::Corruption("bad " + std::string(what) + " '" +
+                                std::string(token) + "' in " +
+                                std::string(source));
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (max - digit) / 10) {
+      return Status::Corruption(std::string(what) + " '" +
+                                std::string(token) + "' in " +
+                                std::string(source) + " exceeds " +
+                                std::to_string(max));
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 namespace {
 
 constexpr char kManifestHeader[] = "xrank-manifest v1";
 
-Result<uint64_t> ParseU64(std::string_view token, const char* what) {
-  uint64_t value = 0;
-  if (token.empty()) return Status::Corruption(std::string(what) + " missing");
-  for (char c : token) {
-    if (c < '0' || c > '9') {
-      return Status::Corruption("bad " + std::string(what) + " '" +
-                                std::string(token) + "' in MANIFEST");
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+// One MANIFEST field, no wider than T.
+template <typename T>
+Result<T> ParseField(std::string_view token, std::string_view what) {
+  XRANK_ASSIGN_OR_RETURN(
+      uint64_t value,
+      ParseDecimal(token, std::numeric_limits<T>::max(), what,
+                   kManifestFileName));
+  return static_cast<T>(value);
+}
+
+Result<IndexKind> ParseKind(std::string_view token, std::string_view what) {
+  XRANK_ASSIGN_OR_RETURN(uint32_t kind, ParseField<uint32_t>(token, what));
+  if (kind < 1 || kind > 5) {
+    return Status::Corruption("bad " + std::string(what) + " " +
+                              std::to_string(kind) + " in MANIFEST");
   }
-  return value;
+  return static_cast<IndexKind>(kind);
 }
 
 }  // namespace
@@ -41,11 +74,10 @@ std::string SerializeManifest(const Manifest& manifest) {
   for (const ManifestEntry& entry : manifest.entries) {
     char line[256];
     std::snprintf(line, sizeof(line),
-                  "file %s kind %u pages %u crc %u codec %u ranks %u vbmw %u "
+                  "file %s kind %u pages %u crc %u codec %u ranks 0 vbmw %u "
                   "reorder 0\n",
                   entry.file.c_str(), static_cast<unsigned>(entry.kind),
                   entry.page_count, entry.crc, entry.format.codec_id,
-                  static_cast<unsigned>(entry.format.ranks),
                   entry.format.vbmw_lambda_milli);
     out += line;
   }
@@ -53,12 +85,11 @@ std::string SerializeManifest(const Manifest& manifest) {
     char line[512];
     std::snprintf(
         line, sizeof(line),
-        "segment file %s kind %u pages %u crc %u codec %u ranks %u vbmw %u "
+        "segment file %s kind %u pages %u crc %u codec %u ranks 0 vbmw %u "
         "docs %s bytes %" PRIu64 " dcrc %u base %u count %u seq %" PRIu64
         " %" PRIu64 "\n",
         seg.index.file.c_str(), static_cast<unsigned>(seg.index.kind),
         seg.index.page_count, seg.index.crc, seg.index.format.codec_id,
-        static_cast<unsigned>(seg.index.format.ranks),
         seg.index.format.vbmw_lambda_milli, seg.docs_file.c_str(),
         seg.docs_bytes, seg.docs_crc, seg.doc_base, seg.doc_count,
         seg.first_seq, seg.last_seq);
@@ -98,37 +129,33 @@ Result<SegmentManifestEntry> ParseSegmentLine(
   }
   SegmentManifestEntry seg;
   seg.index.file = std::string(tokens[2]);
-  XRANK_ASSIGN_OR_RETURN(uint64_t kind, ParseU64(tokens[4], "segment kind"));
-  if (kind < 1 || kind > 5) {
-    return Status::Corruption("bad segment index kind " +
-                              std::to_string(kind) + " in MANIFEST");
-  }
-  seg.index.kind = static_cast<IndexKind>(kind);
-  XRANK_ASSIGN_OR_RETURN(uint64_t pages,
-                         ParseU64(tokens[6], "segment page count"));
-  seg.index.page_count = static_cast<uint32_t>(pages);
-  XRANK_ASSIGN_OR_RETURN(uint64_t crc, ParseU64(tokens[8], "segment crc"));
-  seg.index.crc = static_cast<uint32_t>(crc);
-  XRANK_ASSIGN_OR_RETURN(uint64_t codec_id,
-                         ParseU64(tokens[10], "segment codec"));
-  seg.index.format.codec_id = static_cast<uint32_t>(codec_id);
-  XRANK_ASSIGN_OR_RETURN(uint64_t ranks,
-                         ParseU64(tokens[12], "segment rank encoding"));
-  seg.index.format.ranks = static_cast<RankEncoding>(ranks);
-  XRANK_ASSIGN_OR_RETURN(uint64_t lambda,
-                         ParseU64(tokens[14], "segment vbmw lambda"));
-  seg.index.format.vbmw_lambda_milli = static_cast<uint32_t>(lambda);
+  XRANK_ASSIGN_OR_RETURN(seg.index.kind, ParseKind(tokens[4], "segment kind"));
+  XRANK_ASSIGN_OR_RETURN(seg.index.page_count,
+                         ParseField<uint32_t>(tokens[6], "segment page count"));
+  XRANK_ASSIGN_OR_RETURN(seg.index.crc,
+                         ParseField<uint32_t>(tokens[8], "segment crc"));
+  XRANK_ASSIGN_OR_RETURN(seg.index.format.codec_id,
+                         ParseField<uint32_t>(tokens[10], "segment codec"));
+  XRANK_ASSIGN_OR_RETURN(
+      uint32_t ranks,
+      ParseField<uint32_t>(tokens[12], "segment rank encoding"));
+  XRANK_RETURN_NOT_OK(CheckFloatRanks(ranks));
+  XRANK_ASSIGN_OR_RETURN(
+      seg.index.format.vbmw_lambda_milli,
+      ParseField<uint32_t>(tokens[14], "segment vbmw lambda"));
   seg.docs_file = std::string(tokens[16]);
-  XRANK_ASSIGN_OR_RETURN(seg.docs_bytes,
-                         ParseU64(tokens[18], "segment docs bytes"));
-  XRANK_ASSIGN_OR_RETURN(uint64_t dcrc, ParseU64(tokens[20], "docs crc"));
-  seg.docs_crc = static_cast<uint32_t>(dcrc);
-  XRANK_ASSIGN_OR_RETURN(uint64_t base, ParseU64(tokens[22], "doc base"));
-  seg.doc_base = static_cast<uint32_t>(base);
-  XRANK_ASSIGN_OR_RETURN(uint64_t count, ParseU64(tokens[24], "doc count"));
-  seg.doc_count = static_cast<uint32_t>(count);
-  XRANK_ASSIGN_OR_RETURN(seg.first_seq, ParseU64(tokens[26], "first seq"));
-  XRANK_ASSIGN_OR_RETURN(seg.last_seq, ParseU64(tokens[27], "last seq"));
+  XRANK_ASSIGN_OR_RETURN(
+      seg.docs_bytes, ParseField<uint64_t>(tokens[18], "segment docs bytes"));
+  XRANK_ASSIGN_OR_RETURN(seg.docs_crc,
+                         ParseField<uint32_t>(tokens[20], "docs crc"));
+  XRANK_ASSIGN_OR_RETURN(seg.doc_base,
+                         ParseField<uint32_t>(tokens[22], "doc base"));
+  XRANK_ASSIGN_OR_RETURN(seg.doc_count,
+                         ParseField<uint32_t>(tokens[24], "doc count"));
+  XRANK_ASSIGN_OR_RETURN(seg.first_seq,
+                         ParseField<uint64_t>(tokens[26], "first seq"));
+  XRANK_ASSIGN_OR_RETURN(seg.last_seq,
+                         ParseField<uint64_t>(tokens[27], "last seq"));
   if (seg.last_seq < seg.first_seq) {
     return Status::Corruption("MANIFEST segment seq range inverted");
   }
@@ -152,8 +179,9 @@ Result<Manifest> ParseManifest(std::string_view text) {
     return Status::Corruption("malformed MANIFEST commit trailer");
   }
   XRANK_ASSIGN_OR_RETURN(
-      uint64_t stored_crc,
-      ParseU64(trailer.substr(7, trailer.size() - 8), "commit crc"));
+      uint32_t stored_crc,
+      ParseField<uint32_t>(trailer.substr(7, trailer.size() - 8),
+                           "commit crc"));
   uint32_t computed = Crc32c(body);
   if (stored_crc != computed) {
     return Status::Corruption("MANIFEST checksum mismatch (stored " +
@@ -181,7 +209,8 @@ Result<Manifest> ParseManifest(std::string_view text) {
       continue;
     }
     // 8 tokens: legacy (pre-codec) line, posting format defaults to
-    // (varint, float32). 12 tokens: explicit codec/ranks suffix.
+    // varint. 12 tokens: explicit codec suffix, plus the retired rank
+    // encoding, which must be 0 (index/codec.h).
     // 14 tokens: adds the VBMW block-sizing lambda. 16 tokens: adds the
     // retired document-reorder pass id, which must be 0 (index/codec.h).
     if ((tokens.size() != 8 && tokens.size() != 12 && tokens.size() != 14 &&
@@ -193,44 +222,37 @@ Result<Manifest> ParseManifest(std::string_view text) {
     }
     ManifestEntry entry;
     entry.file = std::string(tokens[1]);
-    XRANK_ASSIGN_OR_RETURN(uint64_t kind, ParseU64(tokens[3], "index kind"));
-    if (kind < 1 || kind > 5) {
-      return Status::Corruption("bad index kind " + std::to_string(kind) +
-                                " in MANIFEST");
-    }
-    entry.kind = static_cast<IndexKind>(kind);
-    XRANK_ASSIGN_OR_RETURN(uint64_t pages, ParseU64(tokens[5], "page count"));
-    entry.page_count = static_cast<uint32_t>(pages);
-    XRANK_ASSIGN_OR_RETURN(uint64_t crc, ParseU64(tokens[7], "file crc"));
-    entry.crc = static_cast<uint32_t>(crc);
+    XRANK_ASSIGN_OR_RETURN(entry.kind, ParseKind(tokens[3], "index kind"));
+    XRANK_ASSIGN_OR_RETURN(entry.page_count,
+                           ParseField<uint32_t>(tokens[5], "page count"));
+    XRANK_ASSIGN_OR_RETURN(entry.crc,
+                           ParseField<uint32_t>(tokens[7], "file crc"));
     if (tokens.size() >= 12) {
       if (tokens[8] != "codec" || tokens[10] != "ranks") {
         return Status::Corruption("malformed MANIFEST line '" +
                                   std::string(line) + "'");
       }
-      XRANK_ASSIGN_OR_RETURN(uint64_t codec_id,
-                             ParseU64(tokens[9], "posting codec"));
-      entry.format.codec_id = static_cast<uint32_t>(codec_id);
-      XRANK_ASSIGN_OR_RETURN(uint64_t ranks,
-                             ParseU64(tokens[11], "rank encoding"));
-      entry.format.ranks = static_cast<RankEncoding>(ranks);
+      XRANK_ASSIGN_OR_RETURN(entry.format.codec_id,
+                             ParseField<uint32_t>(tokens[9], "posting codec"));
+      XRANK_ASSIGN_OR_RETURN(uint32_t ranks,
+                             ParseField<uint32_t>(tokens[11], "rank encoding"));
+      XRANK_RETURN_NOT_OK(CheckFloatRanks(ranks));
     }
     if (tokens.size() >= 14) {
       if (tokens[12] != "vbmw") {
         return Status::Corruption("malformed MANIFEST line '" +
                                   std::string(line) + "'");
       }
-      XRANK_ASSIGN_OR_RETURN(uint64_t lambda,
-                             ParseU64(tokens[13], "vbmw lambda"));
-      entry.format.vbmw_lambda_milli = static_cast<uint32_t>(lambda);
+      XRANK_ASSIGN_OR_RETURN(entry.format.vbmw_lambda_milli,
+                             ParseField<uint32_t>(tokens[13], "vbmw lambda"));
     }
     if (tokens.size() == 16) {
       if (tokens[14] != "reorder") {
         return Status::Corruption("malformed MANIFEST line '" +
                                   std::string(line) + "'");
       }
-      XRANK_ASSIGN_OR_RETURN(uint64_t reorder,
-                             ParseU64(tokens[15], "reorder pass"));
+      XRANK_ASSIGN_OR_RETURN(uint32_t reorder,
+                             ParseField<uint32_t>(tokens[15], "reorder pass"));
       XRANK_RETURN_NOT_OK(CheckIdentityOrder(reorder));
     }
     XRANK_RETURN_NOT_OK(ResolvePostingCodec(entry.format).status());
@@ -269,11 +291,10 @@ Status SyncDirectory(const std::string& dir) {
   return Status::OK();
 }
 
-Status WriteManifestFile(const std::string& dir, const Manifest& manifest) {
-  std::string blob = SerializeManifest(manifest);
-  std::string tmp_path = dir + "/" + kManifestFileName + ".tmp";
-  std::string final_path = dir + "/" + kManifestFileName;
-
+Status WriteFileDurably(const std::string& dir, const std::string& name,
+                        std::string_view blob) {
+  std::string tmp_path = dir + "/" + name + ".tmp";
+  std::string final_path = dir + "/" + name;
   int fd = ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) {
     return Status::IOError("cannot create '" + tmp_path +
@@ -302,15 +323,15 @@ Status WriteManifestFile(const std::string& dir, const Manifest& manifest) {
   return SyncDirectory(dir);
 }
 
-Result<Manifest> ReadManifestFile(const std::string& dir) {
-  std::string path = dir + "/" + kManifestFileName;
+Result<std::string> ReadWholeFile(const std::string& dir,
+                                  const std::string& name,
+                                  std::string_view missing_hint) {
+  std::string path = dir + "/" + name;
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) {
-      return Status::NotFound(
-          "no MANIFEST in '" + dir +
-          "': the index directory was never committed (or a crash "
-          "interrupted the build before its commit point)");
+      return Status::NotFound("no " + name + " in '" + dir +
+                              "': " + std::string(missing_hint));
     }
     return Status::IOError("cannot open '" + path +
                            "': " + SafeStrError(errno));
@@ -330,6 +351,19 @@ Result<Manifest> ReadManifestFile(const std::string& dir) {
     blob.append(buffer, static_cast<size_t>(n));
   }
   ::close(fd);
+  return blob;
+}
+
+Status WriteManifestFile(const std::string& dir, const Manifest& manifest) {
+  return WriteFileDurably(dir, kManifestFileName, SerializeManifest(manifest));
+}
+
+Result<Manifest> ReadManifestFile(const std::string& dir) {
+  XRANK_ASSIGN_OR_RETURN(
+      std::string blob,
+      ReadWholeFile(dir, kManifestFileName,
+                    "the index directory was never committed (or a crash "
+                    "interrupted the build before its commit point)"));
   return ParseManifest(blob);
 }
 

@@ -2,6 +2,7 @@
 #define XRANK_INDEX_MANIFEST_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -30,10 +31,11 @@ struct ManifestEntry {
   uint32_t page_count = 0;
   uint32_t crc = 0;  // CRC32C over the logical page payloads, in order
   // Posting format the file was written with. Serialized as trailing
-  // "codec <id> ranks <id>" tokens; legacy manifests without them parse as
-  // the default (varint, float32). ParseManifest refuses unregistered
-  // codec ids, so a mixed-version index directory fails at open with a
-  // clean error instead of misdecoding pages.
+  // "codec <id> ranks 0 vbmw <lambda>" tokens (the ranks token is the
+  // retired rank encoding, always 0); legacy manifests without them parse
+  // as the default (varint). ParseManifest refuses unregistered codec ids
+  // and non-zero rank encodings, so a mixed-version index directory fails
+  // at open with a clean error instead of misdecoding pages.
   PostingFormatSpec format;
 };
 
@@ -71,8 +73,27 @@ struct Manifest {
 std::string SerializeManifest(const Manifest& manifest);
 Result<Manifest> ParseManifest(std::string_view text);
 
-// Durably writes `<dir>/MANIFEST` via MANIFEST.tmp + fsync + rename +
-// directory fsync.
+// Parses one decimal token of a committed text record (MANIFEST, SHARDING,
+// a WAL delete handle) into a value no wider than `max`. An empty token, a
+// non-digit, or a value above `max` (digit overflow included) is refused
+// with Corruption naming `what`, the token and `source`, so a field never
+// wraps silently.
+Result<uint64_t> ParseDecimal(std::string_view token, uint64_t max,
+                              std::string_view what, std::string_view source);
+
+// Durably replaces `<dir>/<name>` with `blob`: writes `<name>.tmp`, fsyncs
+// it, renames it over `<name>` (the commit point) and fsyncs the directory.
+// MANIFEST and SHARDING commit through it.
+Status WriteFileDurably(const std::string& dir, const std::string& name,
+                        std::string_view blob);
+
+// Reads all of `<dir>/<name>`. NotFound ("no <name> in '<dir>': " +
+// `missing_hint`) when the file does not exist.
+Result<std::string> ReadWholeFile(const std::string& dir,
+                                  const std::string& name,
+                                  std::string_view missing_hint);
+
+// Durably writes `<dir>/MANIFEST` through WriteFileDurably.
 Status WriteManifestFile(const std::string& dir, const Manifest& manifest);
 
 // Reads and validates `<dir>/MANIFEST`. NotFound when the directory was

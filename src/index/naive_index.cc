@@ -135,15 +135,13 @@ Result<BuiltIndex> BuildNaiveIdIndex(const TermPostingsMap& naive_postings,
                                      const BuildOptions& build) {
   BuiltIndex index;
   index.kind = IndexKind::kNaiveId;
-  XRANK_ASSIGN_OR_RETURN(const PostingCodec* codec,
-                         ResolvePostingCodec(build.format));
   XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
+  const PostingFormat format =
+      index.lexicon.ListFormat(/*delta_encode_ids=*/false);
   XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
   if (header_page != 0) return Status::Internal("header page must be 0");
 
   for (const auto& [term, postings] : naive_postings) {
-    PostingFormat format = MakeWriterFormat(codec, build.format, postings,
-                                            /*delta_encode_ids=*/false);
     PostingListWriter writer(file.get(), format);
     for (const Posting& posting : postings) {
       XRANK_RETURN_NOT_OK(writer.Add(posting).status());
@@ -154,7 +152,6 @@ Result<BuiltIndex> BuildNaiveIdIndex(const TermPostingsMap& naive_postings,
     index.stats.entry_count += extent.entry_count;
     TermInfo info;
     info.list = extent;
-    info.rank_scale = format.rank_scale;
     index.lexicon.Add(term, info);
   }
 
@@ -169,9 +166,9 @@ Result<BuiltIndex> BuildNaiveRankIndex(
     std::unique_ptr<storage::PageFile> file, const BuildOptions& build) {
   BuiltIndex index;
   index.kind = IndexKind::kNaiveRank;
-  XRANK_ASSIGN_OR_RETURN(const PostingCodec* codec,
-                         ResolvePostingCodec(build.format));
   XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
+  const PostingFormat format =
+      index.lexicon.ListFormat(/*delta_encode_ids=*/false);
   XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
   if (header_page != 0) return Status::Internal("header page must be 0");
 
@@ -193,8 +190,6 @@ Result<BuiltIndex> BuildNaiveRankIndex(
                 return a->id < b->id;
               });
 
-    PostingFormat format = MakeWriterFormat(codec, build.format, postings,
-                                            /*delta_encode_ids=*/false);
     PostingListWriter writer(file.get(), format);
     StagedHash stage;
     stage.term = term;
@@ -210,7 +205,6 @@ Result<BuiltIndex> BuildNaiveRankIndex(
     index.stats.entry_count += extent.entry_count;
     TermInfo info;
     info.list = extent;
-    info.rank_scale = format.rank_scale;
     index.lexicon.Add(term, info);
     staged.push_back(std::move(stage));
   }

@@ -62,23 +62,21 @@ Result<PostingLocation> PostingListWriter::Add(const Posting& posting) {
   if (loc.slot == 0) {
     skips_.push_back(SkipEntry{loc.page_index, posting.id});
   }
-  // Block-max maintenance: the descriptor tracks the page's largest rank
-  // *as a reader will decode it* (identical under float ranks; the
-  // quantized value under quantized encodings), so the top-k merge's bound
-  // is exact for what queries actually score with.
-  float decoded = format_.DecodedRank(posting.elem_rank);
-  skips_.back().max_rank = std::max(skips_.back().max_rank, decoded);
+  // Block-max maintenance: the descriptor tracks the page's largest rank,
+  // so the top-k merge's bound is exact for what queries score with.
+  const float rank = posting.elem_rank;
+  skips_.back().max_rank = std::max(skips_.back().max_rank, rank);
 
   uint64_t doc = posting.id.document_id();
   if (have_doc_ && doc == current_doc_) {
-    current_doc_sum_ += decoded;
+    current_doc_sum_ += rank;
   } else {
     if (have_doc_ && current_doc_sum_ > max_doc_sum_) {
       max_doc_sum_ = current_doc_sum_;
     }
     have_doc_ = true;
     current_doc_ = doc;
-    current_doc_sum_ = decoded;
+    current_doc_sum_ = rank;
   }
 
   ++extent_.entry_count;
@@ -87,14 +85,14 @@ Result<PostingLocation> PostingListWriter::Add(const Posting& posting) {
   // block-max waste — how far below the page's max_rank its postings sit —
   // exceeds lambda. A posting that raises the page max retroactively adds
   // waste for every earlier posting in the page.
-  if (format_.vbmw_lambda_milli > 0 && std::isfinite(decoded)) {
+  if (format_.vbmw_lambda_milli > 0 && std::isfinite(rank)) {
     uint32_t in_page = encoder_->count();
-    if (decoded > page_max_rank_) {
+    if (rank > page_max_rank_) {
       page_waste_ +=
-          static_cast<double>(decoded - page_max_rank_) * (in_page - 1);
-      page_max_rank_ = decoded;
+          static_cast<double>(rank - page_max_rank_) * (in_page - 1);
+      page_max_rank_ = rank;
     } else {
-      page_waste_ += static_cast<double>(page_max_rank_ - decoded);
+      page_waste_ += static_cast<double>(page_max_rank_ - rank);
     }
     double lambda = static_cast<double>(format_.vbmw_lambda_milli) / 1000.0;
     if (page_waste_ > lambda && in_page >= kVbmwMinPageEntries) {

@@ -23,7 +23,7 @@ namespace xrank::index {
 class PostingListWriter {
  public:
   PostingListWriter(storage::PageFile* file, const PostingFormat& format);
-  // Legacy convenience: the varint compatibility baseline with float ranks.
+  // Legacy convenience: the varint compatibility baseline.
   PostingListWriter(storage::PageFile* file, bool delta_encode_ids);
 
   // Returns the location the posting was placed at.
@@ -36,7 +36,7 @@ class PostingListWriter {
   const std::vector<SkipEntry>& skips() const { return skips_; }
   std::vector<SkipEntry> TakeSkips() { return std::move(skips_); }
 
-  // The largest per-document sum of decoded ranks seen so far: an upper
+  // The largest per-document sum of ranks seen so far: an upper
   // bound on any element's sum-aggregated keyword rank for this term
   // (decay <= 1 and subtree occurrences are a subset of the document's).
   // Exact only when postings arrive grouped by document — true for the
@@ -54,10 +54,10 @@ class PostingListWriter {
   std::vector<storage::PageId> pages_;
   std::vector<SkipEntry> skips_;
   bool finished_ = false;
-  // VBMW block sizing: decoded-rank waste accumulated in the open page.
+  // VBMW block sizing: rank waste accumulated in the open page.
   float page_max_rank_ = 0.0f;
   double page_waste_ = 0.0;
-  // Streaming per-document decoded-rank sum for max_doc_rank().
+  // Streaming per-document rank sum for max_doc_rank().
   bool have_doc_ = false;
   uint64_t current_doc_ = 0;
   double current_doc_sum_ = 0.0;
@@ -74,7 +74,7 @@ class PostingListCursor {
  public:
   PostingListCursor(storage::BufferPool* pool, const ListExtent& extent,
                     const PostingFormat& format);
-  // Legacy convenience: the varint compatibility baseline with float ranks.
+  // Legacy convenience: the varint compatibility baseline.
   PostingListCursor(storage::BufferPool* pool, const ListExtent& extent,
                     bool delta_encode_ids);
 

@@ -53,9 +53,7 @@ inline PostingLocation DecodePostingLocation(uint64_t encoded) {
 // every page whose successor descriptor still precedes the merge target,
 // without decoding the postings in between, and the top-k merge uses
 // `max_rank` as a block-max score bound to skip page runs that cannot beat
-// the current k-th result. Under quantized rank encodings `max_rank` is the
-// maximum *decoded* rank of the page, so the bound stays exact for what a
-// query cursor will actually observe.
+// the current k-th result.
 struct SkipEntry {
   uint32_t page_index = 0;
   dewey::DeweyId first_id;

@@ -16,18 +16,16 @@ struct RdilShardOutput {
   std::unique_ptr<storage::PageFile> scratch;
   std::vector<ListExtent> extents;  // one per term, shard order
   std::vector<std::vector<std::pair<dewey::DeweyId, uint64_t>>> tree_entries;
-  std::vector<float> rank_scales;  // per-term quantization scale
   Status status = Status::OK();
 };
 
 Status EncodeRdilShard(
     const std::vector<const TermPostingsMap::value_type*>& terms,
-    size_t begin, size_t end, const PostingCodec* codec,
-    const PostingFormatSpec& spec, RdilShardOutput* out) {
+    size_t begin, size_t end, const PostingFormat& format,
+    RdilShardOutput* out) {
   out->scratch = storage::PageFile::CreateInMemory();
   out->extents.reserve(end - begin);
   out->tree_entries.reserve(end - begin);
-  out->rank_scales.reserve(end - begin);
   for (size_t t = begin; t < end; ++t) {
     const std::vector<Posting>& postings = terms[t]->second;
     // Sort by descending ElemRank; ties broken by Dewey ID so builds are
@@ -43,9 +41,6 @@ Status EncodeRdilShard(
                 return a->id < b->id;
               });
 
-    // Rank order destroys prefix locality, so IDs are stored raw.
-    PostingFormat format = MakeWriterFormat(codec, spec, postings,
-                                            /*delta_encode_ids=*/false);
     PostingListWriter writer(out->scratch.get(), format);
     std::vector<std::pair<dewey::DeweyId, uint64_t>> entries;
     entries.reserve(postings.size());
@@ -58,7 +53,6 @@ Status EncodeRdilShard(
               [](const auto& a, const auto& b) { return a.first < b.first; });
     out->extents.push_back(extent);
     out->tree_entries.push_back(std::move(entries));
-    out->rank_scales.push_back(format.rank_scale);
   }
   return Status::OK();
 }
@@ -70,9 +64,10 @@ Result<BuiltIndex> BuildRdilIndex(const TermPostingsMap& dewey_postings,
                                   const BuildOptions& build) {
   BuiltIndex index;
   index.kind = IndexKind::kRdil;
-  XRANK_ASSIGN_OR_RETURN(const PostingCodec* codec,
-                         ResolvePostingCodec(build.format));
   XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
+  // Rank order destroys prefix locality, so IDs are stored raw.
+  const PostingFormat format =
+      index.lexicon.ListFormat(/*delta_encode_ids=*/false);
   XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
   if (header_page != 0) return Status::Internal("header page must be 0");
 
@@ -96,9 +91,9 @@ Result<BuiltIndex> BuildRdilIndex(const TermPostingsMap& dewey_postings,
   std::vector<RdilShardOutput> outputs(shards.size());
   if (num_workers <= 1) {
     for (size_t s = 0; s < shards.size(); ++s) {
-      outputs[s].status =
-          EncodeRdilShard(terms, shards[s].first, shards[s].second, codec,
-                          build.format, &outputs[s]);
+      outputs[s].status = EncodeRdilShard(terms, shards[s].first,
+                                          shards[s].second, format,
+                                          &outputs[s]);
     }
   } else {
     ThreadPool pool(static_cast<int>(num_workers));
@@ -106,8 +101,8 @@ Result<BuiltIndex> BuildRdilIndex(const TermPostingsMap& dewey_postings,
                      [&](size_t begin, size_t end, size_t) {
                        for (size_t s = begin; s < end; ++s) {
                          outputs[s].status = EncodeRdilShard(
-                             terms, shards[s].first, shards[s].second, codec,
-                             build.format, &outputs[s]);
+                             terms, shards[s].first, shards[s].second,
+                             format, &outputs[s]);
                        }
                      });
   }
@@ -124,7 +119,6 @@ Result<BuiltIndex> BuildRdilIndex(const TermPostingsMap& dewey_postings,
       index.stats.entry_count += extent.entry_count;
       TermInfo info;
       info.list = extent;
-      info.rank_scale = outputs[s].rank_scales[i];
       index.lexicon.Add(terms[shards[s].first + i]->first, info);
     }
   }

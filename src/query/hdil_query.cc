@@ -61,7 +61,7 @@ Result<size_t> HdilLongestCommonPrefix(storage::BufferPool* pool,
   size_t best = 0;
   for (uint32_t page : pages) {
     index::PostingListCursor cursor(
-        pool, info.list, lexicon->ListFormat(info, /*delta_encode_ids=*/true));
+        pool, info.list, lexicon->ListFormat(/*delta_encode_ids=*/true));
     XRANK_RETURN_NOT_OK(cursor.SeekToPage(page));
     index::Posting posting;
     for (;;) {
@@ -92,7 +92,7 @@ Status HdilScanPrefix(
     return Status::OK();
   }
   index::PostingListCursor cursor(
-      pool, info.list, lexicon->ListFormat(info, /*delta_encode_ids=*/true));
+      pool, info.list, lexicon->ListFormat(/*delta_encode_ids=*/true));
   XRANK_RETURN_NOT_OK(cursor.SeekToPage(start_page));
   index::Posting posting;
   for (;;) {
@@ -165,7 +165,7 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
     for (size_t k = 0; k < n; ++k) {
       rank_cursors.emplace_back(
           pool_, infos[k]->rank_list,
-          lexicon_->ListFormat(*infos[k], /*delta_encode_ids=*/false));
+          lexicon_->ListFormat(/*delta_encode_ids=*/false));
       rank_cursors.back().set_block_cache(block_cache_);
       // DIL's cost is predictable a priori: a full sequential scan of each
       // keyword's inverted list (paper Section 4.4.2).

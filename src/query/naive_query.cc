@@ -99,7 +99,7 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
     for (size_t k = 0; k < n; ++k) {
       cursors.emplace_back(
           pool_, infos[k]->list,
-          lexicon_->ListFormat(*infos[k], /*delta_encode_ids=*/false));
+          lexicon_->ListFormat(/*delta_encode_ids=*/false));
     }
   }
   std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
@@ -226,7 +226,7 @@ Result<QueryResponse> NaiveRankQueryProcessor::Execute(
     for (size_t k = 0; k < n; ++k) {
       cursors.emplace_back(
           pool_, infos[k]->list,
-          lexicon_->ListFormat(*infos[k], /*delta_encode_ids=*/false));
+          lexicon_->ListFormat(/*delta_encode_ids=*/false));
     }
   }
   std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
@@ -294,7 +294,7 @@ Result<QueryResponse> NaiveRankQueryProcessor::Execute(
             postings[j],
             index::ReadPostingAt(
                 pool_, infos[j]->list, *loc,
-                lexicon_->ListFormat(*infos[j], /*delta_encode_ids=*/false)));
+                lexicon_->ListFormat(/*delta_encode_ids=*/false)));
         ++response.stats.postings_scanned;
         if (trace != nullptr) ++term_stats[j].postings_read;
       }

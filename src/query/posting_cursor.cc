@@ -13,7 +13,7 @@ PostingCursor::PostingCursor(storage::BufferPool* pool,
                              const index::TermInfo* info, bool use_skip_blocks,
                              index::BlockCache* block_cache)
     : cursor_(pool, info->list,
-              lexicon->ListFormat(*info, /*delta_encode_ids=*/true)),
+              lexicon->ListFormat(/*delta_encode_ids=*/true)),
       skips_(use_skip_blocks ? &info->skips : nullptr) {
   cursor_.set_block_cache(block_cache);
 }

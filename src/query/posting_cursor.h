@@ -33,11 +33,10 @@ class PostingCursor {
  public:
   // `pool`, `lexicon` and `info` are borrowed and must outlive the cursor.
   // The list is `info->list` (Dewey order with delta-encoded IDs, the
-  // DIL/HDIL full-list format), decoded with the lexicon's posting codec
-  // and the list's quantization scale; skip descriptors are `info->skips`
-  // and may be empty, in which case SkipToDocument degrades to a linear
-  // scan. `block_cache` (optional, borrowed) serves decoded pages without
-  // re-running the codec.
+  // DIL/HDIL full-list format), decoded with the lexicon's posting codec;
+  // skip descriptors are `info->skips` and may be empty, in which case
+  // SkipToDocument degrades to a linear scan. `block_cache` (optional,
+  // borrowed) serves decoded pages without re-running the codec.
   PostingCursor(storage::BufferPool* pool, const index::Lexicon* lexicon,
                 const index::TermInfo* info, bool use_skip_blocks,
                 index::BlockCache* block_cache = nullptr);

@@ -82,7 +82,7 @@ Result<QueryResponse> RdilQueryProcessor::Execute(
     for (size_t k = 0; k < n; ++k) {
       cursors.emplace_back(
           pool_, infos[k]->list,
-          lexicon_->ListFormat(*infos[k], /*delta_encode_ids=*/false));
+          lexicon_->ListFormat(/*delta_encode_ids=*/false));
       btrees.emplace_back(pool_, infos[k]->btree_root);
     }
   }
@@ -115,7 +115,7 @@ Result<QueryResponse> RdilQueryProcessor::Execute(
             index::Posting posting,
             index::ReadPostingAt(
                 pool_, infos[k]->list, index::DecodePostingLocation(loc),
-                lexicon_->ListFormat(*infos[k], /*delta_encode_ids=*/false)));
+                lexicon_->ListFormat(/*delta_encode_ids=*/false)));
         ++response.stats.postings_scanned;
         if (trace != nullptr) ++term_stats[k].postings_read;
         hits.push_back(Hit{k, std::move(posting)});

@@ -14,8 +14,8 @@ namespace xrank::query {
 // List-level upper bound on the term's contribution to any one element's
 // overall rank (its keyword rank r̂, before the cross-term sum): under max
 // aggregation the max over the per-page block maxima; under sum aggregation
-// the serialized TermInfo::max_doc_rank (largest per-document decoded-rank
-// sum — subtree occurrences are a subset of the document's and every decay
+// the serialized TermInfo::max_doc_rank (largest per-document rank sum —
+// subtree occurrences are a subset of the document's and every decay
 // power is <= 1). Returns +infinity when no sound bound is available —
 // missing descriptors, a pre-field index, or corrupted (non-finite) values
 // — so pruning simply never fires instead of dropping results.

@@ -67,7 +67,7 @@ bool SupportsBlockMaxPruning(const ScoringOptions& options);
 // SupportsScorePruning: list-level upper bounds exist for *both*
 // aggregations — max over the per-page block maxima under max aggregation,
 // the serialized per-term TermInfo::max_doc_rank (largest per-document
-// decoded-rank sum) under sum aggregation. Only decay <= 1 is required, so
+// rank sum) under sum aggregation. Only decay <= 1 is required, so
 // every decay power and the proximity factor shrink the score.
 bool SupportsScorePruning(const ScoringOptions& options);
 

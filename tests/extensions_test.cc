@@ -1,20 +1,11 @@
-// Tests for the extension features: parser depth limiting, element-
-// granularity HITS (paper footnote 1), and path-filtered keyword queries
-// (paper Section 7 future work).
+// Tests for the parser's depth limit.
 
 #include <gtest/gtest.h>
 
-#include "core/engine.h"
-#include "rank/hits.h"
-#include "test_util.h"
 #include "xml/parser.h"
 
 namespace xrank {
 namespace {
-
-using core::EngineOptions;
-using core::XRankEngine;
-using index::IndexKind;
 
 // --- parser depth guard ---
 
@@ -39,148 +30,6 @@ TEST(ParserDepthTest, DefaultAllowsRealisticDepth) {
   nested += "payload";
   for (int i = 0; i < 100; ++i) nested += "</n>";
   EXPECT_TRUE(xml::ParseDocument(nested, "ok").ok());
-}
-
-// --- element-granularity HITS ---
-
-TEST(HitsTest, AuthorityFollowsInLinks) {
-  // Hand-built: doc C's elements all cite paper A; paper B uncited.
-  graph::XmlGraph graph;
-  uint32_t tag = graph.InternName("e");
-  auto make_doc = [&](const std::string& uri) {
-    uint32_t doc = graph.AddDocument(uri);
-    graph::NodeId root = graph.AddElement(tag, graph::kInvalidNode, doc);
-    graph.SetDocumentRoot(doc, root);
-    return root;
-  };
-  graph::NodeId a = make_doc("a");
-  graph::NodeId b = make_doc("b");
-  uint32_t doc_c = graph.AddDocument("c");
-  graph::NodeId c_root = graph.AddElement(tag, graph::kInvalidNode, doc_c);
-  graph.SetDocumentRoot(doc_c, c_root);
-  std::vector<graph::NodeId> citers;
-  for (int i = 0; i < 5; ++i) {
-    graph::NodeId citer = graph.AddElement(tag, c_root, doc_c);
-    graph.AddHyperlink(citer, a);
-    citers.push_back(citer);
-  }
-  graph.FinalizeStructure();
-
-  auto result = rank::ComputeHits(graph, rank::HitsOptions{});
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->converged);
-  // A (cited) has more authority than B (uncited).
-  EXPECT_GT(result->authorities[a], result->authorities[b]);
-  // The citing elements are the hubs.
-  EXPECT_GT(result->hubs[citers[0]], result->hubs[a]);
-}
-
-TEST(HitsTest, ContainmentCouplesAuthority) {
-  // A cited paper's section inherits authority relative to an uncited
-  // paper's section (footnote 1's containment refinement applied to HITS).
-  graph::XmlGraph graph;
-  uint32_t tag = graph.InternName("e");
-  auto make_paper = [&](const std::string& uri) {
-    uint32_t doc = graph.AddDocument(uri);
-    graph::NodeId root = graph.AddElement(tag, graph::kInvalidNode, doc);
-    graph.SetDocumentRoot(doc, root);
-    graph::NodeId section = graph.AddElement(tag, root, doc);
-    return std::make_pair(root, section);
-  };
-  auto [popular, popular_sec] = make_paper("popular");
-  auto [obscure, obscure_sec] = make_paper("obscure");
-  uint32_t doc_c = graph.AddDocument("citers");
-  graph::NodeId c_root = graph.AddElement(tag, graph::kInvalidNode, doc_c);
-  graph.SetDocumentRoot(doc_c, c_root);
-  for (int i = 0; i < 5; ++i) {
-    graph::NodeId citer = graph.AddElement(tag, c_root, doc_c);
-    graph.AddHyperlink(citer, popular);
-  }
-  graph.FinalizeStructure();
-
-  auto result = rank::ComputeHits(graph, rank::HitsOptions{});
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->authorities[popular_sec],
-            result->authorities[obscure_sec]);
-
-  // With containment_weight = 0 (classic HITS), the sections tie at zero
-  // authority: nothing links to them.
-  rank::HitsOptions classic;
-  classic.containment_weight = 0.0;
-  auto classic_result = rank::ComputeHits(graph, classic);
-  ASSERT_TRUE(classic_result.ok());
-  EXPECT_NEAR(classic_result->authorities[popular_sec], 0.0, 1e-9);
-  EXPECT_NEAR(classic_result->authorities[obscure_sec], 0.0, 1e-9);
-}
-
-TEST(HitsTest, RejectsBadOptions) {
-  graph::XmlGraph graph;
-  uint32_t tag = graph.InternName("e");
-  uint32_t doc = graph.AddDocument("d");
-  graph.SetDocumentRoot(doc, graph.AddElement(tag, graph::kInvalidNode, doc));
-  graph.FinalizeStructure();
-  rank::HitsOptions options;
-  options.containment_weight = 1.5;
-  EXPECT_FALSE(rank::ComputeHits(graph, options).ok());
-}
-
-// --- path-filtered queries ---
-
-TEST(PathQueryTest, FiltersByAncestorTagChain) {
-  std::vector<xml::Document> docs;
-  auto doc = xml::ParseDocument(testutil::Figure1Xml(), "f");
-  ASSERT_TRUE(doc.ok());
-  docs.push_back(std::move(doc).value());
-  EngineOptions options;
-  options.indexes = {IndexKind::kDil};
-  auto engine = XRankEngine::Build(std::move(docs), options);
-  ASSERT_TRUE(engine.ok());
-
-  // 'xql' occurs in several elements; restrict to //paper/title.
-  auto all = (*engine)->Query("xql", 20, IndexKind::kDil);
-  ASSERT_TRUE(all.ok());
-  ASSERT_GT(all->results.size(), 1u);
-
-  auto titles = (*engine)->QueryWithPath("xql", 20, IndexKind::kDil,
-                                         {"paper", "title"});
-  ASSERT_TRUE(titles.ok()) << titles.status();
-  ASSERT_EQ(titles->results.size(), 1u);
-  EXPECT_EQ(titles->results[0].element_tag, "title");
-  // It really is a <paper>'s title: check the parent tag.
-  auto parent =
-      (*engine)->graph().FindByDewey(titles->results[0].id.Parent());
-  ASSERT_TRUE(parent.ok());
-  EXPECT_EQ((*engine)->graph().name(*parent), "paper");
-}
-
-TEST(PathQueryTest, EmptyPathIsUnfiltered) {
-  std::vector<xml::Document> docs;
-  auto doc = xml::ParseDocument(testutil::Figure1Xml(), "f");
-  ASSERT_TRUE(doc.ok());
-  docs.push_back(std::move(doc).value());
-  EngineOptions options;
-  options.indexes = {IndexKind::kDil};
-  auto engine = XRankEngine::Build(std::move(docs), options);
-  ASSERT_TRUE(engine.ok());
-  auto plain = (*engine)->Query("xql", 20, IndexKind::kDil);
-  auto pathless = (*engine)->QueryWithPath("xql", 20, IndexKind::kDil, {});
-  ASSERT_TRUE(plain.ok() && pathless.ok());
-  EXPECT_EQ(plain->results.size(), pathless->results.size());
-}
-
-TEST(PathQueryTest, NonMatchingPathYieldsEmpty) {
-  std::vector<xml::Document> docs;
-  auto doc = xml::ParseDocument(testutil::Figure1Xml(), "f");
-  ASSERT_TRUE(doc.ok());
-  docs.push_back(std::move(doc).value());
-  EngineOptions options;
-  options.indexes = {IndexKind::kDil};
-  auto engine = XRankEngine::Build(std::move(docs), options);
-  ASSERT_TRUE(engine.ok());
-  auto response = (*engine)->QueryWithPath("xql", 20, IndexKind::kDil,
-                                           {"nosuchtag"});
-  ASSERT_TRUE(response.ok());
-  EXPECT_TRUE(response->results.empty());
 }
 
 }  // namespace

@@ -322,6 +322,24 @@ TEST_F(LiveUpdateTest, DeletesOfLiveAndBaseDocumentsSurviveReopen) {
   EXPECT_EQ(CountDocResults(*response, "d2.xml"), 0u);
   EXPECT_EQ(CountDocResults(*response, LiveUri(1)), 0u);
   EXPECT_GT(CountDocResults(*response, LiveUri(2)), 0u);
+  reopened->reset();
+
+  // A logged handle whose id is wider than a base document id is refused,
+  // not wrapped onto document 1.
+  {
+    auto wal = storage::LogWriter::Open(dir + "/" + storage::kWalFileName,
+                                        /*truncate=*/false);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    storage::LogRecord record;
+    record.type = storage::LogRecord::Type::kDeleteDocument;
+    record.seq = 1000;
+    record.uri = "d1.xml";
+    record.body = "base:18446744073709551617";
+    ASSERT_TRUE((*wal)->Append(record).ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  auto wrapped = XRankEngine::Open(BaseCollection(), DiskOptions(dir));
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(LiveUpdateTest, TornWalTailIsTruncatedOnReopen) {

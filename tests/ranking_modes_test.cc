@@ -1,136 +1,18 @@
-// Tests for the alternative ranking/semantics modes: tf-idf posting ranks
-// (paper Section 4's "other ways of ranking XML elements") and disjunctive
-// query semantics (Section 2.2).
+// Tests for disjunctive query semantics (Section 2.2).
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "core/engine.h"
 #include "index/index_builder.h"
 #include "query/dil_query.h"
 #include "query/rdil_query.h"
 #include "test_util.h"
-#include "xml/parser.h"
 
 namespace xrank {
 namespace {
 
-using core::EngineOptions;
-using core::XRankEngine;
 using index::IndexKind;
-
-std::vector<xml::Document> ParseAll(
-    std::vector<std::pair<const char*, const char*>> sources) {
-  std::vector<xml::Document> docs;
-  for (const auto& [text, uri] : sources) {
-    auto doc = xml::ParseDocument(text, uri);
-    EXPECT_TRUE(doc.ok()) << doc.status();
-    docs.push_back(std::move(doc).value());
-  }
-  return docs;
-}
-
-// --- tf-idf ---
-
-TEST(TfIdfTest, RanksReflectTermFrequencyAndRarity) {
-  // 'common' in every doc; 'rare' once; 'burst' appears 4x in one element.
-  auto docs = ParseAll({
-      {"<d><p>common common burst burst burst burst</p></d>", "d1"},
-      {"<d><p>common filler</p></d>", "d2"},
-      {"<d><p>common rare</p></d>", "d3"},
-      {"<d><p>common filler</p></d>", "d4"},
-  });
-  graph::GraphBuilder builder;
-  for (const auto& doc : docs) ASSERT_TRUE(builder.AddDocument(doc).ok());
-  auto graph = std::move(builder).Finalize();
-  ASSERT_TRUE(graph.ok());
-  auto ranks = rank::ComputeElemRank(*graph, rank::ElemRankOptions{});
-  ASSERT_TRUE(ranks.ok());
-
-  index::ExtractionOptions options;
-  options.rank_source = index::RankSource::kTfIdf;
-  auto extracted = index::ExtractPostings(*graph, ranks->ranks, options);
-  ASSERT_TRUE(extracted.ok()) << extracted.status();
-
-  // All ranks in (0, 1].
-  for (const auto& [term, postings] : extracted->dewey_postings) {
-    for (const auto& posting : postings) {
-      EXPECT_GT(posting.elem_rank, 0.0f) << term;
-      EXPECT_LE(posting.elem_rank, 1.0f) << term;
-    }
-  }
-  // Rare term outranks the ubiquitous one (idf).
-  float rare = extracted->dewey_postings.at("rare")[0].elem_rank;
-  float common = extracted->dewey_postings.at("common")[0].elem_rank;
-  EXPECT_GT(rare, common);
-  // Term frequency raises the rank (tf), at equal df... 'burst' df=1 like
-  // 'rare' but tf=4 > 1.
-  float burst = extracted->dewey_postings.at("burst")[0].elem_rank;
-  EXPECT_GT(burst, rare);
-}
-
-TEST(TfIdfTest, EngineEndToEndAgreesAcrossIndexes) {
-  EngineOptions options;
-  options.extraction.rank_source = index::RankSource::kTfIdf;
-  options.indexes = {IndexKind::kDil, IndexKind::kRdil, IndexKind::kHdil};
-  std::vector<xml::Document> docs;
-  auto doc = xml::ParseDocument(testutil::Figure1Xml(), "f");
-  ASSERT_TRUE(doc.ok());
-  docs.push_back(std::move(doc).value());
-  auto engine = XRankEngine::Build(std::move(docs), options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  for (const char* query : {"xql", "xql language", "querying xyleme"}) {
-    auto dil = (*engine)->Query(query, 10, IndexKind::kDil);
-    auto rdil = (*engine)->Query(query, 10, IndexKind::kRdil);
-    auto hdil = (*engine)->Query(query, 10, IndexKind::kHdil);
-    ASSERT_TRUE(dil.ok() && rdil.ok() && hdil.ok());
-    ASSERT_EQ(dil->results.size(), rdil->results.size()) << query;
-    ASSERT_EQ(dil->results.size(), hdil->results.size()) << query;
-    for (size_t i = 0; i < dil->results.size(); ++i) {
-      EXPECT_EQ(dil->results[i].id, rdil->results[i].id) << query;
-      EXPECT_EQ(dil->results[i].id, hdil->results[i].id) << query;
-    }
-  }
-}
-
-TEST(TfIdfTest, ChangesOrderingVersusElemRank) {
-  // Two papers: A is heavily cited (high ElemRank) and mentions 'topic'
-  // once among much text; B is obscure but is *about* 'topic' (tf 3 in a
-  // short element). ElemRank mode favors A, tf-idf mode favors B.
-  std::vector<std::pair<std::string, std::string>> sources = {
-      {"<p><t>topic word1 word2 word3 word4 word5 word6 word7</t></p>", "a"},
-      {"<p><t>topic topic topic</t></p>", "b"},
-  };
-  for (int i = 0; i < 6; ++i) {
-    sources.emplace_back("<p><c xlink=\"a\">x</c></p>",
-                         "citer" + std::to_string(i));
-  }
-  auto parse_all = [&]() {
-    std::vector<xml::Document> docs;
-    for (const auto& [text, uri] : sources) {
-      auto doc = xml::ParseDocument(text, uri);
-      EXPECT_TRUE(doc.ok());
-      docs.push_back(std::move(doc).value());
-    }
-    return docs;
-  };
-
-  auto run = [&](index::RankSource source) {
-    EngineOptions options;
-    options.extraction.rank_source = source;
-    options.indexes = {IndexKind::kDil};
-    auto engine = XRankEngine::Build(parse_all(), options);
-    EXPECT_TRUE(engine.ok());
-    auto response = (*engine)->Query("topic", 5, IndexKind::kDil);
-    EXPECT_TRUE(response.ok());
-    return response->results.empty() ? std::string()
-                                     : response->results[0].document_uri;
-  };
-  EXPECT_EQ(run(index::RankSource::kElemRank), "a");
-  EXPECT_EQ(run(index::RankSource::kTfIdf), "b");
-}
 
 // --- disjunctive semantics ---
 

@@ -1,9 +1,10 @@
 // Retired on-disk formats and CLI values. The vgb (group-varint) posting
-// codec and build-time document reordering were removed, but their ids stay
-// reserved: an index header, MANIFEST entry or SHARDING root that uses them
-// must be refused with Status::Corruption and a message naming the retired
-// feature, never misread. Identity-ordered files keep opening unchanged, and
-// the CLI refuses the retired flag values.
+// codec, build-time document reordering and rank quantization were removed,
+// but their ids stay reserved: an index header, MANIFEST entry or segment
+// line, or SHARDING root that uses them must be refused with
+// Status::Corruption and a message naming the retired feature, never
+// misread. Identity-ordered, float-rank files keep opening unchanged, and
+// the CLI refuses the retired flags and flag values.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +26,10 @@
 namespace xrank {
 namespace {
 
-// Header offsets of the codec id and of the document-reorder id
-// (index/index_builder.cc).
+// Header offsets of the codec id, the rank encoding and the document-reorder
+// id (index/index_builder.cc).
 constexpr size_t kCodecIdOffset = 64;
+constexpr size_t kRankEncodingOffset = 68;
 constexpr size_t kReorderIdOffset = 80;
 
 std::unique_ptr<storage::PageFile> BuildSmallDilFile() {
@@ -65,12 +67,20 @@ void ExpectRefused(const Status& status, const std::string& needle) {
   EXPECT_NE(status.message().find(needle), std::string::npos) << status;
 }
 
-// A committed MANIFEST with one DIL entry of the given codec and reorder id.
-std::string ManifestWith(uint32_t codec, uint32_t reorder) {
-  std::string body = "xrank-manifest v1\nfile dil.xrank kind 3 pages 7 crc 42";
-  body += " codec " + std::to_string(codec) + " ranks 0 vbmw 0";
-  body += " reorder " + std::to_string(reorder) + "\n";
+// `body` followed by the commit trailer that covers it.
+std::string WithCommit(const std::string& body) {
   return body + "commit " + std::to_string(Crc32c(body)) + "\n";
+}
+
+// A committed MANIFEST with one DIL entry of the given codec, rank encoding
+// and reorder id.
+std::string ManifestWith(uint32_t codec, uint32_t reorder,
+                         uint32_t ranks = 0) {
+  std::string body = "xrank-manifest v1\nfile dil.xrank kind 3 pages 7 crc 42";
+  body += " codec " + std::to_string(codec) + " ranks " +
+          std::to_string(ranks) + " vbmw 0";
+  body += " reorder " + std::to_string(reorder) + "\n";
+  return WithCommit(body);
 }
 
 TEST(RetiredFormatTest, VgbCodecIdInHeaderIsRefused) {
@@ -120,10 +130,52 @@ TEST(RetiredFormatTest, ReorderLineInShardingIsRefused) {
 
   std::string body = written.substr(0, written.rfind("commit "));
   body += "reorder 1\n";
-  std::string commit = "commit " + std::to_string(Crc32c(body)) + "\n";
-  auto parsed = core::ParseShardingManifest(body + commit);
+  auto parsed = core::ParseShardingManifest(WithCommit(body));
   ASSERT_FALSE(parsed.ok());
   ExpectRefused(parsed.status(), "document reordering");
+}
+
+TEST(RetiredFormatTest, RankEncodingInHeaderIsRefused) {
+  auto file = BuildSmallDilFile();
+  EXPECT_TRUE(OpenPatched(*file, kRankEncodingOffset, 0).ok());
+  for (uint32_t encoding : {1u, 2u}) {
+    auto opened = OpenPatched(*file, kRankEncodingOffset, encoding);
+    ASSERT_FALSE(opened.ok()) << encoding;
+    ExpectRefused(opened.status(), "rank quantization");
+  }
+}
+
+TEST(RetiredFormatTest, RankTokenInManifestIsRefused) {
+  // What the writer emits (float ranks) parses, in a base entry and in a
+  // segment line alike.
+  index::Manifest manifest;
+  index::ManifestEntry entry;
+  entry.file = "dil.xrank";
+  manifest.entries.push_back(entry);
+  index::SegmentManifestEntry segment;
+  segment.index.file = "seg-1.xrank";
+  segment.docs_file = "seg-1.docs";
+  segment.doc_count = 1;
+  manifest.segments.push_back(segment);
+  std::string written = index::SerializeManifest(manifest);
+  EXPECT_TRUE(index::ParseManifest(written).ok());
+  EXPECT_TRUE(index::ParseManifest(ManifestWith(1, 0, 0)).ok());
+
+  std::string body = written.substr(0, written.rfind("commit "));
+  const size_t segment_line = body.find("\nsegment ");
+  const size_t segment_ranks = body.find(" ranks 0 ", segment_line);
+  ASSERT_NE(segment_ranks, std::string::npos) << written;
+  for (uint32_t encoding : {1u, 2u}) {
+    auto base = index::ParseManifest(ManifestWith(1, 0, encoding));
+    ASSERT_FALSE(base.ok()) << encoding;
+    ExpectRefused(base.status(), "rank quantization");
+
+    std::string bad = body;
+    bad.replace(segment_ranks + 7, 1, std::to_string(encoding));
+    auto seg = index::ParseManifest(WithCommit(bad));
+    ASSERT_FALSE(seg.ok()) << encoding;
+    ExpectRefused(seg.status(), "rank quantization");
+  }
 }
 
 // Runs the CLI with `flag`; returns its exit code and combined output.
@@ -148,6 +200,8 @@ TEST(RetiredFormatTest, CliRefusesRetiredFlagValues) {
       {"--codec=vgb", "unknown posting codec 'vgb'"},
       {"--reorder=bp", "unknown option '--reorder=bp'"},
       {"--algorithm=wand", "unknown merge algorithm 'wand'"},
+      {"--quant-ranks=u8", "unknown option '--quant-ranks=u8'"},
+      {"--tfidf", "unknown option '--tfidf'"},
   };
   for (const auto& [flag, message] : cases) {
     auto [code, output] = RunCli(flag);

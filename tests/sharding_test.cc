@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "core/engine.h"
 #include "core/shard_router.h"
 #include "datagen/dblp_gen.h"
@@ -142,6 +143,13 @@ TEST(ShardingManifestTest, ParseRejectsBrokenPartitions) {
   // No shards at all.
   auto empty_result = ParseShardingManifest(SerializeShardingManifest({}));
   EXPECT_EQ(empty_result.status().code(), StatusCode::kCorruption);
+
+  // A count wider than its u32 field must not wrap to a one-document shard.
+  std::string body =
+      "xrank-sharding v1\nshard 0 dir shard-0000 base 0 count 4294967297\n";
+  auto wide_result = ParseShardingManifest(
+      body + "commit " + std::to_string(Crc32c(body)) + "\n");
+  EXPECT_EQ(wide_result.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ShardingFileTest, WriteReadRoundTripAndDetection) {
@@ -470,6 +478,29 @@ TEST(ShardRouterStatsTest, TraceSplicesPerShardSpans) {
     if (key == "shards" && value == "2") saw_shard_count = true;
   }
   EXPECT_TRUE(saw_shard_count);
+
+  // Scattered sequentially, shard 1 runs after shard 0; its span must start
+  // when it does, not when the scatter began, so the wait is not its time.
+  ShardRouterOptions sequential = options;
+  sequential.sequential_scatter = true;
+  auto serial_router =
+      ShardRouter::Build(MakeCorpus(8).documents, sequential);
+  ASSERT_TRUE(serial_router.ok()) << serial_router.status();
+  query::QueryTrace serial_trace;
+  query_options.trace = &serial_trace;
+  ASSERT_TRUE((*serial_router)
+                  ->QueryKeywords({quad[0], quad[1]}, 5, IndexKind::kHdil,
+                                  query_options)
+                  .ok());
+  const query::QueryTrace::Span* shard0 = nullptr;
+  const query::QueryTrace::Span* shard1 = nullptr;
+  for (const query::QueryTrace::Span& span : serial_trace.spans()) {
+    if (span.name == "shard[0]") shard0 = &span;
+    if (span.name == "shard[1]") shard1 = &span;
+  }
+  ASSERT_NE(shard0, nullptr);
+  ASSERT_NE(shard1, nullptr);
+  EXPECT_GE(shard1->start_us, shard0->start_us + shard0->duration_us);
 }
 
 // --- disk round-trip ---------------------------------------------------------

@@ -18,8 +18,6 @@
 //                                                  instead of rebuilt)
 //     --codec=varint|bp128                        (posting codec, default
 //                                                  varint)
-//     --quant-ranks=u8|u16                        (quantized ElemRanks;
-//                                                  default lossless float)
 //     --vbmw-lambda=MILLI                         (variable-sized list
 //                                                  pages: close a page
 //                                                  early when its rank
@@ -29,8 +27,6 @@
 //                                                  strategy; default auto)
 //     --top=N                                     (default 10)
 //     --disjunctive                               (OR semantics, DIL only)
-//     --tfidf                                     (tf-idf posting ranks
-//                                                  instead of ElemRank)
 //     --answer-nodes=tag1,tag2,...                (Section 2.2 answer nodes)
 //     --query="..."                               (one-shot; else REPL)
 //     --trace                                     (per-stage timings and
@@ -108,7 +104,6 @@ struct CliOptions {
   size_t shards = 0;  // 0 = monolithic engine, N >= 1 = shard router
   std::string disk_dir;
   bool disjunctive = false;
-  bool tfidf = false;
   bool trace = false;
   bool json = false;
   std::vector<std::string> answer_nodes;
@@ -149,17 +144,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, int first = 1) {
         return false;
       }
       options->format.codec_id = codec->id();
-    } else if (xrank::StartsWith(arg, "--quant-ranks=")) {
-      std::string mode = arg.substr(14);
-      if (mode == "u8") {
-        options->format.ranks = xrank::index::RankEncoding::kQuantU8;
-      } else if (mode == "u16") {
-        options->format.ranks = xrank::index::RankEncoding::kQuantU16;
-      } else {
-        std::fprintf(stderr, "unknown rank quantization '%s'\n",
-                     mode.c_str());
-        return false;
-      }
     } else if (xrank::StartsWith(arg, "--algorithm=")) {
       std::string name = arg.substr(12);
       if (name == "auto") {
@@ -190,8 +174,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, int first = 1) {
       options->disk_dir = arg.substr(11);
     } else if (arg == "--disjunctive") {
       options->disjunctive = true;
-    } else if (arg == "--tfidf") {
-      options->tfidf = true;
     } else if (arg == "--trace") {
       options->trace = true;
     } else if (arg == "--json") {
@@ -268,13 +250,11 @@ int VerifyIndexDir(const std::string& dir) {
       const xrank::index::PostingCodec* codec =
           xrank::index::FindPostingCodec(entry.format.codec_id);
       std::printf(
-          "  %-16s %-10s %6u pages  crc %08x  codec %u (%s, %s ranks)  OK\n",
+          "  %-16s %-10s %6u pages  crc %08x  codec %u (%s)  OK\n",
           entry.file.c_str(),
           std::string(xrank::index::IndexKindName(entry.kind)).c_str(),
           entry.page_count, entry.crc, entry.format.codec_id,
-          std::string(codec->name()).c_str(),
-          std::string(xrank::index::RankEncodingName(entry.format.ranks))
-              .c_str());
+          std::string(codec->name()).c_str());
       continue;
     }
     ++damaged;
@@ -607,9 +587,6 @@ EngineOptions MakeEngineOptions(CliOptions* cli) {
       cli->kind = IndexKind::kDil;
     }
   }
-  if (cli->tfidf) {
-    options.extraction.rank_source = xrank::index::RankSource::kTfIdf;
-  }
   options.build.format = cli->format;
   return options;
 }
@@ -620,15 +597,13 @@ void PrintIndexedBanner(const CliOptions& cli, const XRankEngine& engine,
       xrank::index::FindPostingCodec(cli.format.codec_id);
   std::fprintf(quiet ? stderr : stdout,
                "indexed %zu documents, %zu elements, %zu hyperlinks "
-               "(%s, %s ranks, codec %u/%s, %s rank storage)\n",
+               "(%s, codec %u/%s)\n",
                engine.graph().document_count(),
                engine.graph().element_count(),
                engine.graph().total_hyperlink_count(),
                std::string(xrank::index::IndexKindName(cli.kind)).c_str(),
-               cli.tfidf ? "tf-idf" : "ElemRank", cli.format.codec_id,
-               codec != nullptr ? std::string(codec->name()).c_str() : "?",
-               std::string(xrank::index::RankEncodingName(cli.format.ranks))
-                   .c_str());
+               cli.format.codec_id,
+               codec != nullptr ? std::string(codec->name()).c_str() : "?");
 }
 
 // Shared by the query and stats subcommands: parse the files and build the
@@ -681,21 +656,20 @@ xrank::Result<std::unique_ptr<ShardRouter>> BuildRouterFromCli(
   }
   std::fprintf(out,
                "indexed %zu documents, %zu elements, %zu hyperlinks "
-               "across the fleet (%s, %s ranks, codec %u)\n",
+               "across the fleet (%s, codec %u)\n",
                documents, elements, hyperlinks,
                std::string(xrank::index::IndexKindName(cli->kind)).c_str(),
-               cli->tfidf ? "tf-idf" : "ElemRank", cli->format.codec_id);
+               cli->format.codec_id);
   return router;
 }
 
 void PrintUsage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [query] [--index=dil|rdil|hdil|naive-id|naive-rank] "
-               "[--codec=varint|bp128] [--quant-ranks=u8|u16] "
-               "[--vbmw-lambda=MILLI] "
+               "[--codec=varint|bp128] [--vbmw-lambda=MILLI] "
                "[--algorithm=auto|exhaustive|maxscore|bmw] "
                "[--top=N] [--shards=N] [--disk-dir=DIR] "
-               "[--disjunctive] [--tfidf] [--trace] [--json] "
+               "[--disjunctive] [--trace] [--json] "
                "[--answer-nodes=a,b] [--query=\"...\"] <file.xml ...>\n"
                "       %s stats [--json] [options] <file.xml ...>\n"
                "       %s verify [--disk-dir=]<index-dir-or-sharded-root>\n"
