@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -141,6 +142,15 @@ inline const char* Figure1Xml() {
 </workshop>
 )";
 }
+
+// The rank-layout column of the codec test matrices. Lists store float32
+// ranks only (layout id 0 at header offset 68; ids 1 and 2 are retired and
+// refused, see retired_format_test.cc), so the column has a single value.
+// It stays in each matrix so every entry keeps the name of the layout it
+// covers ("varint_f32", "bp128_f32_raw").
+enum class RankLayout : uint32_t { kFloat32 = 0 };
+
+inline const char* RankLayoutName(RankLayout /*layout*/) { return "f32"; }
 
 }  // namespace xrank::testutil
 
