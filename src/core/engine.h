@@ -277,6 +277,10 @@ class XRankEngine {
 
   size_t deleted_document_count() const;
 
+  // Whether a live document — from the base corpus or added, and not
+  // deleted — holds `uri` (the check AddDocument refuses a duplicate by).
+  bool HasLiveDocument(std::string_view uri) const;
+
   // Live-update observability (mirrored into the process-wide metrics
   // registry as update.* series).
   struct UpdateCounters {
@@ -411,6 +415,8 @@ class XRankEngine {
   Status CommitBaseLocked(std::map<index::IndexKind, IndexInstance>& indexes);
 
   // Live-update internals; all *Locked members require update_mutex_.
+  // Resolves the update.* registry series (see PrepareBase).
+  static void RegisterUpdateMetrics();
   index::LiveSegmentOptions SegmentOptions() const;
   Status OpenWalLocked();
   Status ReplayWalLocked(LiveState* state);

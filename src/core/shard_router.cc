@@ -4,10 +4,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/crc32.h"
@@ -15,9 +13,9 @@
 #include "common/safe_strerror.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "core/fan_out.h"
 #include "graph/builder.h"
 #include "index/manifest.h"
-#include "query/result_heap.h"
 #include "query/trace.h"
 #include "rank/elem_rank.h"
 
@@ -28,7 +26,7 @@ namespace {
 constexpr char kShardingHeader[] = "xrank-sharding v1";
 
 // Router-level metrics series, registered once (same pattern as the
-// engine's query.* series in core/engine.cc).
+// engine's query.* series in core/engine_query.cc).
 struct RouterMetrics {
   metrics::Counter* queries = nullptr;
   metrics::Counter* shard_queries = nullptr;
@@ -64,15 +62,6 @@ Result<uint32_t> ParseField(std::string_view token, std::string_view what) {
       index::ParseDecimal(token, std::numeric_limits<uint32_t>::max(), what,
                           kShardingFileName));
   return static_cast<uint32_t>(value);
-}
-
-// Same doc-id rebase as the engine's live segments: the first Dewey
-// component is the document id, everything below it is unchanged.
-dewey::DeweyId RebaseUp(const dewey::DeweyId& local, uint32_t doc_base) {
-  if (doc_base == 0) return local;
-  std::vector<uint32_t> components = local.components();
-  components[0] += doc_base;
-  return dewey::DeweyId(std::move(components));
 }
 
 Status MakeDirectory(const std::string& path) {
@@ -342,6 +331,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Assemble(
     router->shards_.push_back(Shard{std::move(engine).value()});
   }
   router->manifest_ = std::move(manifest);
+  router->analyzer_ = index::Analyzer(options.engine.extraction.analyzer);
 
   // Commit point for a disk-backed build: every shard directory already
   // committed its own MANIFEST; the root SHARDING file lands last, so a
@@ -367,13 +357,19 @@ Result<EngineResponse> ShardRouter::Query(
     std::string_view query_text, size_t m, index::IndexKind kind,
     const query::QueryOptions& query_options,
     std::vector<query::QueryStats>* per_shard_stats) {
-  std::string text(query_text);
-  return Scatter(
-      [&text, m, kind](XRankEngine& engine,
-                       const query::QueryOptions& shard_options) {
-        return engine.Query(text, m, kind, shard_options);
-      },
-      m, query_options, per_shard_stats);
+  std::vector<std::string> keywords;
+  {
+    query::ScopedSpan span(query_options.trace, "parse");
+    uint32_t position = 0;
+    for (index::Analyzer::Token& token :
+         analyzer_.Tokenize(query_text, &position)) {
+      keywords.push_back(std::move(token.term));
+    }
+  }
+  if (keywords.empty()) {
+    return Status::InvalidArgument("query contains no keywords");
+  }
+  return QueryKeywords(keywords, m, kind, query_options, per_shard_stats);
 }
 
 Result<EngineResponse> ShardRouter::QueryKeywords(
@@ -386,190 +382,92 @@ Result<EngineResponse> ShardRouter::QueryKeywords(
     const std::vector<std::string>& keywords, size_t m, index::IndexKind kind,
     const query::QueryOptions& query_options,
     std::vector<query::QueryStats>* per_shard_stats) {
-  return Scatter(
-      [&keywords, m, kind](XRankEngine& engine,
-                           const query::QueryOptions& shard_options) {
-        return engine.QueryKeywords(keywords, m, kind, shard_options);
-      },
-      m, query_options, per_shard_stats);
-}
-
-Result<EngineResponse> ShardRouter::Scatter(
-    const std::function<Result<EngineResponse>(XRankEngine&,
-                                               const query::QueryOptions&)>&
-        run_query,
-    size_t m, const query::QueryOptions& query_options,
-    std::vector<query::QueryStats>* per_shard_stats) {
   WallTimer wall;
   const RouterMetrics& rm = RouterMetrics::Get();
   const size_t n = shards_.size();
   queries_.fetch_add(1, std::memory_order_relaxed);
   rm.queries->Increment();
 
-  query::SharedTopKThreshold shared;
-  const auto start = std::chrono::steady_clock::now();
-  const bool tracing = query_options.trace != nullptr;
+  EngineResponse response;
+  query::QueryStats& stats = response.stats;
+  std::vector<std::vector<EngineResult>> shard_results(n);
+  RangeFanOut fan_out(query_options, "shard");
+  Status scattered = fan_out.Run(
+      n,
+      [&](size_t i, const query::QueryOptions& shard_options)
+          -> Result<query::QueryStats> {
+        XRANK_ASSIGN_OR_RETURN(
+            EngineResponse shard_response,
+            shards_[i].engine->QueryKeywords(keywords, m, kind,
+                                             shard_options));
+        shard_results[i] = std::move(shard_response.results);
+        return std::move(shard_response.stats);
+      },
+      &stats, pool_.get(), &scatter_mutex_);
 
-  struct Outcome {
-    Status status;
-    bool ran = false;      // the shard returned a response
-    bool skipped = false;  // never started: the budget was already spent
-    EngineResponse response;
-    query::QueryTrace trace;
-  };
-  std::vector<Outcome> outcomes(n);
-
-  auto run_shard = [&](size_t i) {
-    Outcome& out = outcomes[i];
-    query::QueryOptions shard_options = query_options;
-    // A QueryTrace is single-threaded; every shard records its own and the
-    // gather splices them into the caller's afterwards. The trace starts
-    // with the shard, so a shard queued behind another on the same worker
-    // is not charged for the wait.
-    if (tracing) out.trace = query::QueryTrace();
-    shard_options.trace = tracing ? &out.trace : nullptr;
-    shard_options.shared_threshold =
-        options_.forward_theta ? &shared : nullptr;
-    if (query_options.deadline_ms > 0) {
-      const int64_t elapsed_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      const int64_t remaining = query_options.deadline_ms - elapsed_ms;
-      if (remaining <= 0) {
-        out.skipped = true;
-        out.status = Status::DeadlineExceeded(
-            "query budget spent before shard " + std::to_string(i) +
-            " started");
-        return;
-      }
-      shard_options.deadline_ms = remaining;
-    }
-    shard_queries_.fetch_add(1, std::memory_order_relaxed);
-    rm.shard_queries->Increment();
-    Result<EngineResponse> result = run_query(*shards_[i].engine,
-                                              shard_options);
-    if (result.ok()) {
-      out.ran = true;
-      out.response = std::move(result).value();
-    } else {
-      out.status = result.status();
-    }
-  };
-
-  if (options_.sequential_scatter || n == 1) {
-    for (size_t i = 0; i < n; ++i) run_shard(i);
-  } else {
-    // The pool runs one job at a time; concurrent router queries take
-    // turns scattering (each still fans out across the whole pool).
-    std::lock_guard<std::mutex> lock(scatter_mutex_);
-    pool_->ParallelFor(0, n, 1,
-                       [&](size_t begin, size_t end, size_t /*chunk*/) {
-                         for (size_t i = begin; i < end; ++i) run_shard(i);
-                       });
-  }
-
-  const uint64_t raises = shared.raises();
+  const uint64_t raises = fan_out.threshold()->raises();
   theta_raises_.fetch_add(raises, std::memory_order_relaxed);
   rm.theta_raises->Increment(raises);
-
-  // Error policy: any hard shard failure fails the query; deadline misses
-  // follow the partial-results contract.
-  Status hard_error;
-  bool deadline_hit = false;
-  for (const Outcome& out : outcomes) {
-    if (out.ran) continue;
-    if (out.status.code() == StatusCode::kDeadlineExceeded) {
-      deadline_hit = true;
-    } else if (hard_error.ok()) {
-      hard_error = out.status;
-    }
+  uint64_t skipped = 0;
+  for (const RangeFanOut::Range& range : fan_out.ranges()) {
+    if (range.skipped) ++skipped;
   }
-  if (!hard_error.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    rm.errors->Increment();
-    return hard_error;
-  }
-  if (deadline_hit) {
-    for (const Outcome& out : outcomes) {
-      if (out.skipped) {
-        shards_skipped_.fetch_add(1, std::memory_order_relaxed);
-        rm.shards_skipped->Increment();
-      }
-    }
-    if (!query_options.allow_partial_results) {
+  shard_queries_.fetch_add(n - skipped, std::memory_order_relaxed);
+  rm.shard_queries->Increment(n - skipped);
+  shards_skipped_.fetch_add(skipped, std::memory_order_relaxed);
+  rm.shards_skipped->Increment(skipped);
+  if (!scattered.ok()) {
+    if (scattered.code() == StatusCode::kDeadlineExceeded) {
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       rm.deadline_exceeded->Increment();
-      return Status::DeadlineExceeded(
-          "scatter-gather deadline exceeded (" +
-          std::to_string(query_options.deadline_ms) + " ms)");
+    } else {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      rm.errors->Increment();
     }
+    return scattered;
   }
 
   // Gather: rebase every shard's decorated results into the global doc-id
-  // space and re-rank through one TopKAccumulator — the same comparator
-  // (rank descending, Dewey id ascending) the monolithic engine sorts
-  // with, so the merged top-m is bitwise-identical to it.
-  EngineResponse response;
-  query::QueryStats& stats = response.stats;
-  query::TopKAccumulator gather(m);
-  std::unordered_map<dewey::DeweyId, EngineResult, dewey::DeweyIdHash> by_id;
+  // space and keep the best m in the monolithic engine's order, so the
+  // merged top-m is bitwise-identical to it.
   std::vector<std::string> labels;
-  bool every_shard_cache_hit = true;
   if (per_shard_stats != nullptr) {
     per_shard_stats->assign(n, query::QueryStats{});
   }
   for (size_t i = 0; i < n; ++i) {
-    const Outcome& out = outcomes[i];
-    if (!out.ran) {
-      every_shard_cache_hit = false;
-      continue;
-    }
-    const EngineResponse& shard_response = out.response;
-    query::MergeQueryStats(&stats, shard_response.stats);
+    const RangeFanOut::Range& range = fan_out.ranges()[i];
+    if (!range.ran) continue;
     stats.switched_to_dil =
-        stats.switched_to_dil || shard_response.stats.switched_to_dil;
-    stats.threshold_terminated = stats.threshold_terminated ||
-                                 shard_response.stats.threshold_terminated;
-    if (!shard_response.stats.result_cache_hit) every_shard_cache_hit = false;
-    const std::string& label = shard_response.stats.algorithm;
+        stats.switched_to_dil || range.stats.switched_to_dil;
+    stats.threshold_terminated =
+        stats.threshold_terminated || range.stats.threshold_terminated;
+    const std::string& label = range.stats.algorithm;
     if (!label.empty() &&
         std::find(labels.begin(), labels.end(), label) == labels.end()) {
       labels.push_back(label);
     }
     const uint32_t doc_base = manifest_.shards[i].doc_base;
-    for (const EngineResult& result : shard_response.results) {
-      EngineResult global = result;
-      global.id = RebaseUp(result.id, doc_base);
-      gather.Add(global.id, global.rank);
-      by_id.emplace(global.id, std::move(global));
+    for (EngineResult& result : shard_results[i]) {
+      result.id = RebaseUp(result.id, doc_base);
+      response.results.push_back(std::move(result));
     }
-    if (per_shard_stats != nullptr) {
-      (*per_shard_stats)[i] = shard_response.stats;
-    }
+    if (per_shard_stats != nullptr) (*per_shard_stats)[i] = range.stats;
   }
-  if (deadline_hit) stats.partial = true;  // a shard never contributed
-  stats.result_cache_hit = every_shard_cache_hit && n > 0;
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) stats.algorithm += "+";
     stats.algorithm += labels[i];
   }
-
-  for (const query::RankedResult& ranked : gather.TakeTop()) {
-    response.results.push_back(std::move(by_id[ranked.id]));
-  }
+  std::sort(response.results.begin(), response.results.end(),
+            [](const EngineResult& a, const EngineResult& b) {
+              return query::RankOrder(a.rank, a.id, b.rank, b.id);
+            });
+  if (response.results.size() > m) response.results.resize(m);
 
   if (stats.partial) {
     partial_results_.fetch_add(1, std::memory_order_relaxed);
     rm.partial->Increment();
   }
-  if (tracing) {
-    for (size_t i = 0; i < n; ++i) {
-      if (outcomes[i].ran || !outcomes[i].trace.spans().empty()) {
-        query_options.trace->MergeChild("shard[" + std::to_string(i) + "]",
-                                        outcomes[i].trace);
-      }
-    }
+  if (query_options.trace != nullptr) {
     query_options.trace->AddAnnotation("shards", std::to_string(n));
     query_options.trace->AddAnnotation("theta_raises",
                                        std::to_string(raises));
@@ -585,16 +483,13 @@ Result<EngineResponse> ShardRouter::Scatter(
 Status ShardRouter::AddDocument(std::string_view uri,
                                 std::string_view xml_text) {
   // The tail shard is the only one whose id space can grow without
-  // colliding with a later shard's base range. Refuse a URI another
-  // shard's base corpus already holds (the tail engine checks its own).
+  // colliding with a later shard's base range. Refuse a URI a live
+  // document of another shard holds (the tail engine checks its own).
   for (size_t i = 0; i + 1 < shards_.size(); ++i) {
-    for (const graph::XmlGraph::DocumentInfo& doc :
-         shards_[i].engine->graph().documents()) {
-      if (doc.uri == uri) {
-        return Status::InvalidArgument("document '" + std::string(uri) +
-                                       "' already exists in shard " +
-                                       std::to_string(i));
-      }
+    if (shards_[i].engine->HasLiveDocument(uri)) {
+      return Status::InvalidArgument("document '" + std::string(uri) +
+                                     "' already exists in shard " +
+                                     std::to_string(i));
     }
   }
   return shards_.back().engine->AddDocument(uri, xml_text);

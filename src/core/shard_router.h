@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -13,6 +12,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "index/analyzer.h"
 #include "query/query.h"
 #include "xml/node.h"
 
@@ -87,23 +87,13 @@ struct ShardRouterOptions {
   // MANIFESTs plus the root SHARDING file. Empty: in-memory shards.
   std::string root_dir;
 
-  // Scatter worker threads (0 = one per shard, capped by the hardware).
-  // Concurrent router queries serialize their scatters — the shared
-  // ThreadPool runs one ParallelFor at a time — so per-query latency uses
-  // the full pool while throughput comes from pipelining.
+  // Scatter worker threads (0 = one per shard, capped by the shard
+  // count). Concurrent router queries serialize their scatters — the
+  // shared ThreadPool runs one ParallelFor at a time — so per-query latency
+  // uses the full pool while throughput comes from pipelining. 1 runs the
+  // shards in shard order on the calling thread, so the θ each shard sees
+  // depends only on earlier shards.
   size_t scatter_threads = 0;
-
-  // Forward the running k-th-rank θ between shards through a shared
-  // threshold (query/result_heap.h), so MaxScore/BMW pruning in
-  // later/slower shards starts from the bound earlier shards established.
-  // Results are bitwise-identical either way; this is purely work saved.
-  bool forward_theta = true;
-
-  // Query shards one at a time in shard order on the calling thread
-  // instead of scattering on the pool. Deterministic (the θ floor each
-  // shard sees depends only on earlier shards), so tests can assert
-  // pruning efficacy; also what a 1-thread pool degrades to.
-  bool sequential_scatter = false;
 };
 
 // Fans queries out over N document-sharded XRankEngines and gathers their
@@ -112,7 +102,8 @@ struct ShardRouterOptions {
 // Partitioning invariant: shard i owns the contiguous global document-id
 // range [doc_base, doc_base + doc_count); Dewey ids rebase between the
 // shard-local and global spaces by adding/subtracting doc_base to the
-// first component (exactly the live-segment idiom in core/engine.cc).
+// first component (RebaseUp/RebaseDown in core/fan_out.h, as for the
+// engine's live segments).
 // ElemRank is computed ONCE over the global graph and sliced per shard
 // (see EngineOptions::precomputed_elem_ranks), so every shard scores
 // exactly as the monolithic engine would and the gathered top-k is
@@ -139,17 +130,21 @@ class ShardRouter {
   static Result<std::unique_ptr<ShardRouter>> Open(
       std::vector<xml::Document> documents, const ShardRouterOptions& options);
 
-  // Scatter-gather top-m. Semantics match XRankEngine::Query (the forms
-  // without `query_options` use options.engine.query), plus:
+  // Scatter-gather top-m through one RangeFanOut (core/fan_out.h).
+  // Semantics match XRankEngine::Query (the forms without `query_options`
+  // use options.engine.query), plus:
+  //   - θ: every shard shares one running k-th-rank floor, so MaxScore/BMW
+  //     pruning in later shards starts from the bound earlier shards
+  //     established. Shards therefore bypass their result caches.
   //   - deadline: the remaining budget is re-computed as each shard
   //     starts; with allow_partial_results a shard that misses (or never
   //     starts within) the budget contributes what it scanned and the
   //     response is marked partial, otherwise DeadlineExceeded.
   //   - stats: per-shard QueryStats are merged into one coherent block
   //     (counters sum, `partial` ORs, distinct algorithm labels join with
-  //     '+'); `result_cache_hit` only when every shard hit.
+  //     '+').
   //   - trace: per-shard spans splice into the caller's trace as
-  //     "shard[i]" subtrees after the gather.
+  //     "shard[i]" subtrees. Query(text) parses once, in the router.
   // `per_shard_stats` (when non-null) receives each shard's own stats
   // block, in shard order (zeroed entries for shards that never ran).
   Result<EngineResponse> Query(std::string_view query_text, size_t m,
@@ -168,8 +163,9 @@ class ShardRouter {
 
   // Live ingest routes to the tail shard — the only shard whose global ids
   // may grow without colliding with a later shard's base range, keeping
-  // the contiguous-partition invariant. Deletes resolve the URI against
-  // every shard (NotFound when none holds it).
+  // the contiguous-partition invariant. A URI a live document of another
+  // shard holds is refused. Deletes resolve the URI against every shard
+  // (NotFound when none holds it).
   Status AddDocument(std::string_view uri, std::string_view xml_text);
   Status DeleteDocument(std::string_view uri);
   Status WaitForMaintenance();
@@ -209,16 +205,10 @@ class ShardRouter {
       std::vector<xml::Document> documents, const ShardRouterOptions& options,
       ShardingManifest manifest, bool open_existing);
 
-  // The scatter-gather core shared by Query and QueryKeywords:
-  // `run_query` executes the per-shard call with that shard's derived
-  // QueryOptions (own trace, remaining deadline, shared θ).
-  Result<EngineResponse> Scatter(
-      const std::function<Result<EngineResponse>(
-          XRankEngine&, const query::QueryOptions&)>& run_query,
-      size_t m, const query::QueryOptions& query_options,
-      std::vector<query::QueryStats>* per_shard_stats);
-
   ShardRouterOptions options_;
+  // Tokenizes Query(text) once for every shard, as each shard's engine
+  // would (options.engine.extraction.analyzer).
+  index::Analyzer analyzer_;
   ShardingManifest manifest_;
   std::vector<Shard> shards_;
   std::unique_ptr<ThreadPool> pool_;

@@ -65,15 +65,15 @@ struct QueryOptions {
   MergeAlgorithm algorithm = MergeAlgorithm::kAuto;
   // When non-null, the query's TopKAccumulator publishes its running
   // m-th-best rank into this shared floor and prunes against the maximum
-  // of its local θ and the floor (see query/result_heap.h). The shard
-  // router hands the same object to every shard of a scatter-gather query
-  // so later/slower shards inherit the θ earlier shards have already
-  // established. Sound because every pruning test is strictly-below-θ and
-  // a cooperating accumulator's m-th-best is a lower bound on the global
-  // one — but the local top-k may then omit elements below the fleet θ,
-  // so engines bypass their result cache when this is set (a θ-truncated
-  // response reflects fleet state, not this index). Borrowed; must
-  // outlive the query.
+  // of its local θ and the floor (see query/result_heap.h). The range
+  // fan-out (core/fan_out.h) hands the same object to every shard or live
+  // segment of one query, so later/slower ranges inherit the θ earlier
+  // ones have already established. Sound because every pruning test is
+  // strictly-below-θ and a cooperating accumulator's m-th-best is a lower
+  // bound on the global one — but the local top-k may then omit elements
+  // below the fleet θ, so engines bypass their result cache when this is
+  // set (a θ-truncated response reflects fleet state, not this index).
+  // Borrowed; must outlive the query.
   SharedTopKThreshold* shared_threshold = nullptr;
 };
 
@@ -108,11 +108,10 @@ struct QueryResponse {
 };
 
 // Adds one scan's execution counters into a merged per-query stats block —
-// used by the engine to fold live-segment scans into the base index's
-// stats, and by the shard router to fold per-shard stats into one coherent
-// fleet-wide block. Counters sum; `partial` ORs (one budget-cut scan makes
-// the whole response partial); the label and cache/switch flags are the
-// caller's to set.
+// used by the range fan-out (core/fan_out.h) to fold each live segment's or
+// shard's scan into one coherent block. Counters sum; `partial` ORs (one
+// budget-cut scan makes the whole response partial); the label and
+// cache/switch flags are the caller's to set.
 inline void MergeQueryStats(QueryStats* into, const QueryStats& from) {
   into->postings_scanned += from.postings_scanned;
   into->pages_skipped += from.pages_skipped;

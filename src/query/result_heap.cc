@@ -63,8 +63,7 @@ std::vector<RankedResult> TopKAccumulator::TakeTop() const {
   }
   std::sort(results.begin(), results.end(),
             [](const RankedResult& a, const RankedResult& b) {
-              if (a.rank != b.rank) return a.rank > b.rank;
-              return a.id < b.id;
+              return RankOrder(a.rank, a.id, b.rank, b.id);
             });
   if (results.size() > m_) results.resize(m_);
   return results;

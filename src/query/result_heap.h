@@ -14,6 +14,16 @@
 
 namespace xrank::query {
 
+// The order of every ranked list: rank descending, then Dewey id ascending,
+// so ties break alike everywhere. TakeTop sorts by it, and so does every
+// gather of disjoint doc-id ranges (core/fan_out.h), which therefore ranks
+// exactly as one index over all the ranges would.
+inline bool RankOrder(double a_rank, const dewey::DeweyId& a_id,
+                      double b_rank, const dewey::DeweyId& b_id) {
+  if (a_rank != b_rank) return a_rank > b_rank;
+  return a_id < b_id;
+}
+
 // A monotonically rising top-k threshold shared by cooperating
 // accumulators running on different threads — the shard router's θ
 // forwarding. Each shard's accumulator publishes its running m-th-best

@@ -61,10 +61,10 @@ class QueryTrace {
   // Splices another query's finished trace into this one as a synthetic
   // parent span named `name` holding the child's span tree (depths shifted
   // below it, times re-anchored to this trace's clock via the two origins)
-  // plus the child's term counters, each term prefixed "name:". The shard
-  // router uses this to merge per-shard traces — each recorded
-  // single-threadedly on its own scatter thread — into the caller's trace
-  // after the gather, keeping QueryTrace itself free of locks.
+  // plus the child's term counters, each term prefixed "name:". The range
+  // fan-out (core/fan_out.h) uses this to merge per-range traces — each
+  // recorded single-threadedly on its own thread — into the caller's trace
+  // after the ranges ran, keeping QueryTrace itself free of locks.
   void MergeChild(std::string_view name, const QueryTrace& child);
 
   // Query annotations (shown by the renderers and the slow-query log).

@@ -182,6 +182,53 @@ TEST_F(LiveUpdateTest, DeleteLiveDocumentFiltersImmediately) {
   }
 }
 
+// --- one query budget across the base and the segments ---
+
+TEST_F(LiveUpdateTest, SegmentsStartWithTheBudgetTheBaseLeft) {
+  // A base whose exhaustive scan of "shared" takes far longer than 1 ms.
+  constexpr uint32_t kBaseDocs = 3000;
+  std::vector<xml::Document> base;
+  for (uint32_t d = 0; d < kBaseDocs; ++d) {
+    std::string xml = "<a>";
+    for (int e = 0; e < 8; ++e) {
+      xml += "<t>shared bulk" + std::to_string(e) + "</t>";
+    }
+    auto doc = xml::ParseDocument(xml + "</a>",
+                                  "bulk" + std::to_string(d) + ".xml");
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    base.push_back(std::move(doc).value());
+  }
+  EngineOptions options = InlineOptions();
+  options.indexes = {IndexKind::kDil};
+  options.result_cache_entries = 0;
+  auto engine = XRankEngine::Build(std::move(base), options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  for (int i = 1; i <= 4; ++i) {
+    ASSERT_TRUE((*engine)->AddDocument(LiveUri(i), LiveXml(i)).ok());
+    ASSERT_TRUE((*engine)->Flush().ok());
+  }
+
+  query::QueryOptions query_options;
+  query_options.algorithm = query::MergeAlgorithm::kExhaustive;
+  auto full = (*engine)->Query("shared", 10, IndexKind::kDil, query_options);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_GE(full->stats.wall_ms, 10.0) << "the base scans too fast";
+  // Unbounded, the live documents rank first (per-document ElemRank).
+  ASSERT_FALSE(full->results.empty());
+  EXPECT_GE(full->results[0].id.document_id(), kBaseDocs);
+
+  // The base spends the whole budget, so no segment may start: the partial
+  // answer holds base documents only.
+  query_options.deadline_ms = 1;
+  query_options.allow_partial_results = true;
+  auto cut = (*engine)->Query("shared", 10, IndexKind::kDil, query_options);
+  ASSERT_TRUE(cut.ok()) << cut.status();
+  EXPECT_TRUE(cut->stats.partial);
+  for (const auto& result : cut->results) {
+    EXPECT_LT(result.id.document_id(), kBaseDocs) << result.document_uri;
+  }
+}
+
 // --- flush / compaction result invariance (snapshot regrouping) ---
 
 TEST_F(LiveUpdateTest, FlushAndCompactionPreserveResults) {

@@ -265,6 +265,50 @@ TEST(MetricsTest, EngineQueryPopulatesTrace) {
     EXPECT_EQ(trace.index_kind(), index::IndexKindName(kind));
     EXPECT_EQ(trace.query_text(), "xql xyleme");
   }
+
+  // Two flushed segments and a delta: each range's spans nest under
+  // "segments" as a "segment[i]" row that holds its own merge.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*engine)
+                    ->AddDocument("live" + std::to_string(i) + ".xml",
+                                  "<paper><title>xql xyleme</title></paper>")
+                    .ok());
+    if (i < 2) {
+      ASSERT_TRUE((*engine)->Flush().ok());
+    }
+  }
+  QueryTrace trace;
+  query::QueryOptions query_options;
+  query_options.trace = &trace;
+  ASSERT_TRUE(
+      (*engine)->Query("xql xyleme", 5, IndexKind::kDil, query_options).ok());
+  const std::vector<QueryTrace::Span>& spans = trace.spans();
+  size_t segments = 0;
+  while (segments < spans.size() && spans[segments].name != "segments") {
+    ++segments;
+  }
+  ASSERT_LT(segments, spans.size());
+  std::vector<std::string> rows;
+  bool row_has_merge = false;
+  for (size_t i = segments + 1;
+       i < spans.size() && spans[i].depth > spans[segments].depth; ++i) {
+    if (spans[i].depth == spans[segments].depth + 1) {
+      if (!rows.empty()) {
+        EXPECT_TRUE(row_has_merge) << rows.back();
+      }
+      rows.push_back(spans[i].name);
+      row_has_merge = false;
+    } else if (spans[i].name == "merge") {
+      row_has_merge = true;
+    }
+  }
+  EXPECT_TRUE(row_has_merge);
+  EXPECT_EQ(rows, (std::vector<std::string>{"segment[0]", "segment[1]",
+                                            "segment[2]"}));
+  // The rows only group stages; they add no query.stage.* series.
+  EXPECT_EQ(Registry::Instance().Snapshot().histogram(
+                "query.stage.segment[0]_us"),
+            nullptr);
 }
 
 TEST(MetricsTest, SlowQueryRingBufferEviction) {

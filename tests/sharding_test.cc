@@ -328,27 +328,27 @@ std::vector<xml::Document> MakeSkewedCorpus() {
   return documents;
 }
 
-ShardRouterOptions SkewedRouterOptions(bool forward_theta) {
+ShardRouterOptions SkewedRouterOptions() {
   ShardRouterOptions options;
   options.num_shards = 4;
   options.engine.scoring.semantics = QuerySemantics::kDisjunctive;
-  options.forward_theta = forward_theta;
-  // Shard order is the θ propagation order, so the assertion "later shards
-  // inherit shard 0's bound" is deterministic.
-  options.sequential_scatter = true;
+  // The standalone shard queries below report real scans, not cache hits.
+  options.engine.result_cache_entries = 0;
+  // One thread runs the shards in shard order, which is the θ propagation
+  // order, so the assertion "later shards inherit shard 0's bound" is
+  // deterministic.
+  options.scatter_threads = 1;
   return options;
 }
 
 TEST(ShardRouterThetaTest, ForwardedThresholdPrunesLaterShards) {
   const std::vector<std::string> keywords = {"alpha", "beta"};
 
-  auto forwarding = ShardRouter::Build(MakeSkewedCorpus(),
-                                       SkewedRouterOptions(true));
-  ASSERT_TRUE(forwarding.ok()) << forwarding.status();
+  auto router = ShardRouter::Build(MakeSkewedCorpus(), SkewedRouterOptions());
+  ASSERT_TRUE(router.ok()) << router.status();
   std::vector<QueryStats> forwarded_stats;
-  auto forwarded = (*forwarding)->QueryKeywords(keywords, 3, IndexKind::kHdil,
-                                                QueryOptions{},
-                                                &forwarded_stats);
+  auto forwarded = (*router)->QueryKeywords(keywords, 3, IndexKind::kHdil,
+                                            QueryOptions{}, &forwarded_stats);
   ASSERT_TRUE(forwarded.ok()) << forwarded.status();
   ASSERT_EQ(forwarded_stats.size(), 4u);
 
@@ -359,21 +359,18 @@ TEST(ShardRouterThetaTest, ForwardedThresholdPrunesLaterShards) {
   uint64_t later_pruned = 0;
   for (size_t i = 1; i < 4; ++i) later_pruned += pruned(forwarded_stats[i]);
   EXPECT_GT(later_pruned, pruned(forwarded_stats[0]));
-  EXPECT_GT((*forwarding)->router_counters().theta_raises, 0u);
+  EXPECT_GT((*router)->router_counters().theta_raises, 0u);
 
-  // Against a non-forwarding router: identical results (θ is purely a
-  // work-saving channel), strictly less scanning with the floor shared.
-  auto isolated = ShardRouter::Build(MakeSkewedCorpus(),
-                                     SkewedRouterOptions(false));
-  ASSERT_TRUE(isolated.ok()) << isolated.status();
-  std::vector<QueryStats> isolated_stats;
-  auto baseline = (*isolated)->QueryKeywords(keywords, 3, IndexKind::kHdil,
-                                             QueryOptions{}, &isolated_stats);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  ExpectSameResults(*baseline, *forwarded, "theta on/off");
-  EXPECT_LT(forwarded->stats.postings_scanned,
-            baseline->stats.postings_scanned);
-  EXPECT_EQ((*isolated)->router_counters().theta_raises, 0u);
+  // Against the same shards queried standalone, each with only its own θ:
+  // strictly less scanning with the floor shared.
+  uint64_t standalone_postings = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    auto alone = (*router)->shard_engine(i).QueryKeywords(
+        keywords, 3, IndexKind::kHdil, QueryOptions{});
+    ASSERT_TRUE(alone.ok()) << alone.status();
+    standalone_postings += alone->stats.postings_scanned;
+  }
+  EXPECT_LT(forwarded->stats.postings_scanned, standalone_postings);
 
   // The winners really live in shard 0 (the premise of the skew).
   ASSERT_FALSE(forwarded->results.empty());
@@ -479,10 +476,11 @@ TEST(ShardRouterStatsTest, TraceSplicesPerShardSpans) {
   }
   EXPECT_TRUE(saw_shard_count);
 
-  // Scattered sequentially, shard 1 runs after shard 0; its span must start
-  // when it does, not when the scatter began, so the wait is not its time.
+  // Scattered on one thread, shard 1 runs after shard 0; its span must
+  // start when it does, not when the scatter began, so the wait is not its
+  // time.
   ShardRouterOptions sequential = options;
-  sequential.sequential_scatter = true;
+  sequential.scatter_threads = 1;
   auto serial_router =
       ShardRouter::Build(MakeCorpus(8).documents, sequential);
   ASSERT_TRUE(serial_router.ok()) << serial_router.status();
@@ -618,6 +616,18 @@ TEST(ShardRouterLiveTest, IngestRoutesToTailShardAndDeletesResolveAnywhere) {
   ASSERT_TRUE((*router)->DeleteDocument("base-0.xml").ok());
   EXPECT_EQ((*router)->DeleteDocument("no-such.xml").code(),
             StatusCode::kNotFound);
+
+  // A deleted URI is free again, whichever shard held it: the re-add goes
+  // to the tail shard like any other.
+  ASSERT_TRUE((*router)
+                  ->AddDocument("base-0.xml",
+                                "<paper><title>zzzback shared</title></paper>")
+                  .ok());
+  auto back = (*router)->QueryKeywords({"zzzback"}, 5, IndexKind::kHdil);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_FALSE(back->results.empty());
+  EXPECT_EQ(back->results[0].document_uri, "base-0.xml");
+  EXPECT_GE(back->results[0].id.components()[0], 6u);
 }
 
 // --- deadline / partial results ----------------------------------------------
