@@ -9,6 +9,9 @@
 
 namespace xrank::metrics {
 
+Counter::Counter(std::string_view series)
+    : series_(Registry::Instance().GetCounter(series)) {}
+
 std::vector<uint64_t> Histogram::SnapshotCounts() const {
   std::vector<uint64_t> counts(kNumBuckets);
   for (size_t i = 0; i < kNumBuckets; ++i) {

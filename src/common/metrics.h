@@ -22,20 +22,31 @@ namespace xrank::metrics {
 //
 // The registry is the single aggregation point for what used to be ad-hoc
 // counters (QueryStats, CostModel read counts, engine serving counters):
-// those APIs stay per-instance for attribution, but every increment is also
-// recorded here, so one Snapshot() shows the whole process.
+// those APIs stay per-instance for attribution. Instance counters are
+// linked to their registry series and QueryStats is folded in per query,
+// so one Snapshot() shows the whole process.
 
-// Monotonic counter.
+// Monotonic counter. A counter constructed with a series name is one
+// instance's own count, linked to the registry series of that name: each
+// Increment counts into both, so one call records the event for the
+// per-instance view and the process-wide one. value() and Reset() see only
+// this counter.
 class Counter {
  public:
+  Counter() = default;
+  // Links to the registry series `series`, creating it on first use.
+  explicit Counter(std::string_view series);
+
   void Increment(uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
+    if (series_ != nullptr) series_->Increment(n);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
+  Counter* const series_ = nullptr;
 };
 
 // Instantaneous value (may go down).

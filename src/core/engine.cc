@@ -39,17 +39,6 @@ Result<std::unique_ptr<storage::PageFile>> MakePageFile(
 
 XRankEngine::~XRankEngine() { StopMaintenanceThread(); }
 
-const index::LiveSegment* XRankEngine::LiveState::SegmentForDoc(
-    uint32_t global_doc) const {
-  for (const auto& segment : segments) {
-    if (segment->ContainsGlobalDoc(global_doc)) return segment.get();
-  }
-  if (delta != nullptr && delta->ContainsGlobalDoc(global_doc)) {
-    return delta.get();
-  }
-  return nullptr;
-}
-
 std::shared_ptr<const XRankEngine::LiveState> XRankEngine::Snapshot() const {
   std::lock_guard<std::mutex> lock(live_mutex_);
   return live_;
@@ -69,9 +58,6 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Build(
 Status XRankEngine::PrepareBase(
     const std::vector<xml::Document>& documents,
     const std::vector<xml::Document>& html_documents) {
-  // Pre-register the update.* series so registry dumps (xrank_cli stats)
-  // show them at zero before the first live update.
-  RegisterUpdateMetrics();
   analyzer_ = index::Analyzer(options_.extraction.analyzer);
   if (options_.result_cache_entries > 0) {
     result_cache_ = std::make_unique<ResultCache>(
@@ -225,12 +211,7 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
   bool need_naive = false;
   engine->options_.indexes.clear();
   for (const index::ManifestEntry& entry : manifest.entries) {
-    if (options.verify_on_open) {
-      storage::PageId first_bad = storage::kInvalidPage;
-      Status verified =
-          index::VerifyManifestEntry(options.disk_dir, entry, &first_bad);
-      if (!verified.ok()) return verified;
-    }
+    XRANK_RETURN_NOT_OK(index::VerifyManifestEntry(options.disk_dir, entry));
     std::string path = options.disk_dir + "/" + entry.file;
     XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
                            storage::PageFile::OpenOnDisk(path));
@@ -264,7 +245,7 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
         std::make_unique<storage::CostModel>(options.cost);
     instance.pool = std::make_unique<storage::BufferPool>(
         instance.built.file.get(), options.buffer_pool_pages,
-        instance.cost_model.get(), options.buffer_pool_shards);
+        instance.cost_model.get());
     need_naive = need_naive || entry.kind == index::IndexKind::kNaiveId ||
                  entry.kind == index::IndexKind::kNaiveRank;
     engine->options_.indexes.push_back(entry.kind);
@@ -300,8 +281,7 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
     }
     XRANK_ASSIGN_OR_RETURN(
         std::shared_ptr<index::LiveSegment> segment,
-        index::OpenLiveSegment(options.disk_dir, entry, segment_options,
-                               options.verify_on_open));
+        index::OpenLiveSegment(options.disk_dir, entry, segment_options));
     expected_base += segment->doc_count();
     state->segments.push_back(std::move(segment));
   }
@@ -356,7 +336,7 @@ Result<XRankEngine::IndexInstance> XRankEngine::BuildInstance(
   instance.cost_model = std::make_unique<storage::CostModel>(options_.cost);
   instance.pool = std::make_unique<storage::BufferPool>(
       instance.built.file.get(), options_.buffer_pool_pages,
-      instance.cost_model.get(), options_.buffer_pool_shards);
+      instance.cost_model.get());
   return instance;
 }
 
@@ -390,23 +370,6 @@ const index::IndexStats& XRankEngine::index_stats(
   auto it = state->base->indexes.find(kind);
   if (it == state->base->indexes.end()) return kEmpty;
   return it->second.built.stats;
-}
-
-Result<double> XRankEngine::ElemRankOf(const dewey::DeweyId& id) const {
-  auto state = Snapshot();
-  if (!id.empty() && id.document_id() >= base_doc_count_) {
-    const index::LiveSegment* segment = state->SegmentForDoc(id.document_id());
-    if (segment == nullptr) {
-      return Status::NotFound("no live document " +
-                              std::to_string(id.document_id()));
-    }
-    XRANK_ASSIGN_OR_RETURN(
-        graph::NodeId node,
-        segment->graph.FindByDewey(RebaseDown(id, segment->doc_base)));
-    return segment->elem_ranks[node];
-  }
-  XRANK_ASSIGN_OR_RETURN(graph::NodeId node, graph_.FindByDewey(id));
-  return elem_ranks_[node];
 }
 
 }  // namespace xrank::core

@@ -1,7 +1,6 @@
 #ifndef XRANK_CORE_ENGINE_H_
 #define XRANK_CORE_ENGINE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -13,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 #include "graph/builder.h"
 #include "query/trace.h"
@@ -68,8 +68,6 @@ struct EngineOptions {
 
   // Shared buffer pool capacity per index, in pages.
   size_t buffer_pool_pages = 4096;
-  // Lock stripes of the shared pool (0 = automatic from the capacity).
-  size_t buffer_pool_shards = 0;
   // Start each query with a cold cache (the paper's experimental setup):
   // the shared pool is dropped at each query start instead of allocating a
   // private pool per query.
@@ -105,12 +103,6 @@ struct EngineOptions {
   int64_t slow_query_ms = 0;
   size_t slow_query_log_entries = 64;
 
-  // When re-opening a committed index directory (Open), re-read every page
-  // and compare the whole-file checksums against the MANIFEST before
-  // serving anything. Slower startup, but at-rest corruption is reported
-  // up front (with the first bad page) instead of mid-query.
-  bool verify_on_open = true;
-
   // Non-empty: only elements with these tags may be returned (the
   // "answer node" mechanism of Section 2.2); a result is mapped to its
   // nearest ancestor-or-self answer node. Empty: all elements qualify.
@@ -132,8 +124,6 @@ struct EngineOptions {
   // AddDocument that fills the delta flushes it synchronously, and
   // Flush()/CompactSegments() remain available to callers.
   bool background_maintenance = true;
-  // Buffer pool pages for each live segment's index (segments are small).
-  size_t segment_pool_pages = 256;
 };
 
 // A query result decoded back to the document structure.
@@ -149,6 +139,13 @@ struct EngineResponse {
   std::vector<EngineResult> results;
   query::QueryStats stats;
 };
+
+// Tokenizes free query text into keywords, as XRankEngine::Query and
+// ShardRouter::Query do, under a "parse" span of `trace` (may be null).
+// InvalidArgument when the text holds no keyword.
+Result<std::vector<std::string>> ParseQueryText(
+    const index::Analyzer& analyzer, std::string_view query_text,
+    query::QueryTrace* trace);
 
 // The XRANK system facade.
 //
@@ -226,10 +223,6 @@ class XRankEngine {
   const index::IndexStats& index_stats(index::IndexKind kind) const;
   bool has_index(index::IndexKind kind) const;
 
-  // ElemRank of the element with the given Dewey ID (display helper).
-  // Resolves live-segment documents too (their ranks are per-document).
-  Result<double> ElemRankOf(const dewey::DeweyId& id) const;
-
   // --- live updates (LSM-style delta + WAL, paper Section 4.5 extended) ---
 
   // Parses and ingests one XML document. Disk-backed engines append the
@@ -281,8 +274,8 @@ class XRankEngine {
   // deleted — holds `uri` (the check AddDocument refuses a duplicate by).
   bool HasLiveDocument(std::string_view uri) const;
 
-  // Live-update observability (mirrored into the process-wide metrics
-  // registry as update.* series).
+  // Live-update observability. The monotonic counts are the engine's own;
+  // each is linked to the update.* registry series of the same name.
   struct UpdateCounters {
     uint64_t wal_appends = 0;           // records appended this process
     uint64_t wal_replayed_records = 0;  // records read back by Open
@@ -290,7 +283,6 @@ class XRankEngine {
     uint64_t flushes = 0;
     uint64_t compactions = 0;
     uint64_t backpressure_waits = 0;    // AddDocument calls that blocked
-    uint64_t backpressure_us_total = 0;
     uint64_t segment_count = 0;         // flushed segments, current
     uint64_t delta_documents = 0;       // mutable delta size, current
     uint64_t added_documents = 0;       // live (non-base) docs, current
@@ -372,7 +364,6 @@ class XRankEngine {
     uint64_t content_seq = 1;
     uint64_t epoch = 1;  // advances on every publish
 
-    const index::LiveSegment* SegmentForDoc(uint32_t global_doc) const;
     bool HasLiveDocs() const { return !segments.empty() || delta != nullptr; }
   };
 
@@ -415,8 +406,6 @@ class XRankEngine {
   Status CommitBaseLocked(std::map<index::IndexKind, IndexInstance>& indexes);
 
   // Live-update internals; all *Locked members require update_mutex_.
-  // Resolves the update.* registry series (see PrepareBase).
-  static void RegisterUpdateMetrics();
   index::LiveSegmentOptions SegmentOptions() const;
   Status OpenWalLocked();
   Status ReplayWalLocked(LiveState* state);
@@ -425,6 +414,14 @@ class XRankEngine {
   // `covered` seq ranges; reopens the writer on the rewritten file.
   Status RewriteWalLocked(
       const std::vector<std::pair<uint64_t, uint64_t>>& covered);
+  // Writes the segment over `sources` (kAddDocument records in seq order)
+  // under disk_dir as `<name>.xrank` and `<name>.docs`, `<name>` naming the
+  // records' seq range: both are built as `.tmp` files and synced, the
+  // `<failpoint>.before_rename` failpoint is evaluated, and both are renamed
+  // into place. Fills `*entry` for the caller's MANIFEST commit.
+  Result<std::shared_ptr<index::LiveSegment>> WriteSegmentLocked(
+      std::vector<storage::LogRecord> sources, uint32_t doc_base,
+      const std::string& failpoint, index::SegmentManifestEntry* entry);
   Status FlushLocked();
   Status CompactSegmentsLocked();
   Status CompactDeletionsLocked();
@@ -477,23 +474,31 @@ class XRankEngine {
   bool maintenance_active_ = false;
   Status maintenance_status_;  // sticky last failure, cleared on success
 
-  // Monotonic update counters (relaxed; readers take no locks).
-  std::atomic<uint64_t> wal_appends_{0};
-  std::atomic<uint64_t> wal_replayed_records_{0};
-  std::atomic<uint64_t> wal_dropped_bytes_{0};
-  std::atomic<uint64_t> flushes_{0};
-  std::atomic<uint64_t> compactions_{0};
-  std::atomic<uint64_t> backpressure_waits_{0};
-  std::atomic<uint64_t> backpressure_us_total_{0};
+  // Monotonic update counters (relaxed; readers take no locks), linked to
+  // their update.* registry series. Constructing them registers the series,
+  // so registry dumps show them at zero before the first live update.
+  metrics::Counter wal_appends_{"update.wal_appends"};
+  metrics::Counter wal_replayed_records_{"update.wal_replayed_records"};
+  metrics::Counter wal_dropped_bytes_{"update.wal_dropped_bytes"};
+  metrics::Counter flushes_{"update.flushes"};
+  metrics::Counter compactions_{"update.compactions"};
+  metrics::Counter backpressure_waits_{"update.backpressure_waits"};
+  // Registry-only update series.
+  metrics::Counter* const add_documents_ =
+      metrics::Registry::Instance().GetCounter("update.add_documents");
+  metrics::Counter* const delete_documents_ =
+      metrics::Registry::Instance().GetCounter("update.delete_documents");
+  metrics::Histogram* const backpressure_us_ =
+      metrics::Registry::Instance().GetHistogram("update.backpressure_us");
 
   // Null when EngineOptions::result_cache_entries == 0.
   std::unique_ptr<ResultCache> result_cache_;
   // Decoded posting-block cache shared by every index kind (page-file ids
   // keep entries distinct). Null when EngineOptions::block_cache_bytes == 0.
   std::unique_ptr<index::BlockCache> block_cache_;
-  // Deadline outcomes.
-  mutable std::atomic<uint64_t> deadline_exceeded_queries_{0};
-  mutable std::atomic<uint64_t> partial_result_queries_{0};
+  // Deadline outcomes, linked to query.deadline_exceeded / query.partial.
+  metrics::Counter deadline_exceeded_queries_{"query.deadline_exceeded"};
+  metrics::Counter partial_result_queries_{"query.partial"};
   // Slow-query ring buffer: fills to capacity, then overwrites the oldest
   // entry (slow_query_next_). Guarded by its own mutex — recording a slow
   // query must not serialize concurrent fast queries.

@@ -23,13 +23,11 @@ namespace xrank::core {
 namespace {
 
 // Registry handles for the serving path, resolved once per process (the
-// registry outlives every engine). These aggregate what the per-engine /
-// per-pool counters attribute: the registry is the process-wide view.
+// registry outlives every engine). The query.* folds of QueryStats live
+// only here; the engine's deadline counters link to their own series.
 struct EngineMetrics {
   metrics::Counter* queries = nullptr;
   metrics::Counter* errors = nullptr;
-  metrics::Counter* deadline_exceeded = nullptr;
-  metrics::Counter* partial = nullptr;
   metrics::Counter* cache_hit = nullptr;
   metrics::Counter* postings_scanned = nullptr;
   metrics::Counter* pages_skipped = nullptr;
@@ -57,8 +55,6 @@ struct EngineMetrics {
       auto* em = new EngineMetrics();
       em->queries = registry.GetCounter("query.count");
       em->errors = registry.GetCounter("query.errors");
-      em->deadline_exceeded = registry.GetCounter("query.deadline_exceeded");
-      em->partial = registry.GetCounter("query.partial");
       em->cache_hit = registry.GetCounter("query.result_cache_hit");
       em->postings_scanned = registry.GetCounter("query.postings_scanned");
       em->pages_skipped = registry.GetCounter("query.pages_skipped");
@@ -90,7 +86,8 @@ struct EngineMetrics {
 
 // Folds one finished query's stats into the registry. This is the "one
 // source of truth" bridge: QueryStats keeps its per-query API, and every
-// field also lands here so a registry snapshot diff reproduces it.
+// field also lands in the registry (`partial` through the engine's
+// query.partial counter) so a registry snapshot diff reproduces it.
 void RecordQueryMetrics(const query::QueryStats& stats) {
   const EngineMetrics& m = EngineMetrics::Get();
   m.queries->Increment();
@@ -123,7 +120,6 @@ void RecordQueryMetrics(const query::QueryStats& stats) {
   m.sequential_reads->Increment(stats.sequential_reads);
   m.random_reads->Increment(stats.random_reads);
   if (stats.switched_to_dil) m.switched_to_dil->Increment();
-  if (stats.partial) m.partial->Increment();
   if (stats.result_cache_hit) m.cache_hit->Increment();
   m.latency_us->Observe(static_cast<uint64_t>(stats.wall_ms * 1e3));
 }
@@ -163,6 +159,24 @@ std::string Snippet(const graph::XmlGraph& graph, graph::NodeId node) {
 }
 
 }  // namespace
+
+Result<std::vector<std::string>> ParseQueryText(
+    const index::Analyzer& analyzer, std::string_view query_text,
+    query::QueryTrace* trace) {
+  std::vector<std::string> keywords;
+  {
+    query::ScopedSpan span(trace, "parse");
+    uint32_t position = 0;
+    for (index::Analyzer::Token& token :
+         analyzer.Tokenize(query_text, &position)) {
+      keywords.push_back(std::move(token.term));
+    }
+  }
+  if (keywords.empty()) {
+    return Status::InvalidArgument("query contains no keywords");
+  }
+  return keywords;
+}
 
 graph::NodeId XRankEngine::MapToAnswerNode(const graph::XmlGraph& graph,
                                            graph::NodeId node) const {
@@ -368,8 +382,7 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
     metrics.queries->Increment();
     metrics.errors->Increment();
     if (status.code() == StatusCode::kDeadlineExceeded) {
-      deadline_exceeded_queries_.fetch_add(1, std::memory_order_relaxed);
-      metrics.deadline_exceeded->Increment();
+      deadline_exceeded_queries_.Increment();
     }
     return status;
   };
@@ -445,9 +458,6 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
                                         b.global_id);
               });
   }
-  if (stats.partial) {
-    partial_result_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
   Result<EngineResponse> decorate_result = [&] {
     query::ScopedSpan span(trace, "decorate");
     return Decorate(*state, std::move(hits), std::move(stats), m);
@@ -460,6 +470,7 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
   if (use_result_cache && !decorated.stats.partial) {
     result_cache_->Insert(cache_key, decorated);
   }
+  if (decorated.stats.partial) partial_result_queries_.Increment();
   RecordQueryMetrics(decorated.stats);
   if (trace != nullptr) RecordStageMetrics(*trace);
 
@@ -527,10 +538,8 @@ XRankEngine::ServingCounters XRankEngine::serving_counters(
     counters.block_cache_hits = block_cache_->hits();
     counters.block_cache_lookups = block_cache_->lookups();
   }
-  counters.deadline_exceeded_queries =
-      deadline_exceeded_queries_.load(std::memory_order_relaxed);
-  counters.partial_result_queries =
-      partial_result_queries_.load(std::memory_order_relaxed);
+  counters.deadline_exceeded_queries = deadline_exceeded_queries_.value();
+  counters.partial_result_queries = partial_result_queries_.value();
   return counters;
 }
 
@@ -542,18 +551,9 @@ Result<EngineResponse> XRankEngine::Query(std::string_view query_text,
 Result<EngineResponse> XRankEngine::Query(
     std::string_view query_text, size_t m, index::IndexKind kind,
     const query::QueryOptions& query_options) {
-  std::vector<std::string> keywords;
-  {
-    query::ScopedSpan span(query_options.trace, "parse");
-    uint32_t position = 0;
-    for (index::Analyzer::Token& token :
-         analyzer_.Tokenize(query_text, &position)) {
-      keywords.push_back(std::move(token.term));
-    }
-  }
-  if (keywords.empty()) {
-    return Status::InvalidArgument("query contains no keywords");
-  }
+  XRANK_ASSIGN_OR_RETURN(
+      std::vector<std::string> keywords,
+      ParseQueryText(analyzer_, query_text, query_options.trace));
   return QueryKeywords(keywords, m, kind, query_options);
 }
 

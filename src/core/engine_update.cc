@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "xml/parser.h"
@@ -26,39 +25,6 @@ namespace {
 std::string SegmentBaseName(uint64_t first_seq, uint64_t last_seq) {
   return "seg-" + std::to_string(first_seq) + "-" + std::to_string(last_seq);
 }
-
-// Registry handles for the live-update path (update.* series).
-struct UpdateMetrics {
-  metrics::Counter* wal_appends = nullptr;
-  metrics::Counter* wal_replayed = nullptr;
-  metrics::Counter* wal_dropped_bytes = nullptr;
-  metrics::Counter* add_documents = nullptr;
-  metrics::Counter* delete_documents = nullptr;
-  metrics::Counter* flushes = nullptr;
-  metrics::Counter* compactions = nullptr;
-  metrics::Counter* backpressure_waits = nullptr;
-  metrics::Histogram* backpressure_us = nullptr;
-
-  static const UpdateMetrics& Get() {
-    static const UpdateMetrics* m = [] {
-      auto& registry = metrics::Registry::Instance();
-      auto* um = new UpdateMetrics();
-      um->wal_appends = registry.GetCounter("update.wal_appends");
-      um->wal_replayed = registry.GetCounter("update.wal_replayed_records");
-      um->wal_dropped_bytes =
-          registry.GetCounter("update.wal_dropped_bytes");
-      um->add_documents = registry.GetCounter("update.add_documents");
-      um->delete_documents = registry.GetCounter("update.delete_documents");
-      um->flushes = registry.GetCounter("update.flushes");
-      um->compactions = registry.GetCounter("update.compactions");
-      um->backpressure_waits =
-          registry.GetCounter("update.backpressure_waits");
-      um->backpressure_us = registry.GetHistogram("update.backpressure_us");
-      return um;
-    }();
-    return *m;
-  }
-};
 
 bool SeqCovered(uint64_t seq,
                 const std::vector<std::pair<uint64_t, uint64_t>>& covered) {
@@ -105,8 +71,6 @@ Status ParseDeleteHandle(std::string_view body, bool* is_base,
 
 }  // namespace
 
-void XRankEngine::RegisterUpdateMetrics() { (void)UpdateMetrics::Get(); }
-
 index::LiveSegmentOptions XRankEngine::SegmentOptions() const {
   index::LiveSegmentOptions options;
   options.graph = options_.graph;
@@ -114,8 +78,6 @@ index::LiveSegmentOptions XRankEngine::SegmentOptions() const {
   options.extraction = options_.extraction;
   options.build = options_.build;
   options.cost = options_.cost;
-  options.buffer_pool_pages = options_.segment_pool_pages;
-  options.buffer_pool_shards = options_.buffer_pool_shards;
   return options;
 }
 
@@ -129,7 +91,6 @@ Status XRankEngine::OpenWalLocked() {
 }
 
 Status XRankEngine::ReplayWalLocked(LiveState* state) {
-  const UpdateMetrics& metrics = UpdateMetrics::Get();
   const std::string path = options_.disk_dir + "/" + storage::kWalFileName;
   XRANK_ASSIGN_OR_RETURN(storage::LogReadResult read,
                          storage::ReadLogFile(path, /*allow_torn_tail=*/true));
@@ -137,14 +98,10 @@ Status XRankEngine::ReplayWalLocked(LiveState* state) {
     // The only legal tear: a crash mid-append. Everything before it is
     // intact; cut the file back to the last record boundary.
     XRANK_RETURN_NOT_OK(storage::TruncateLogFile(path, read.valid_bytes));
-    wal_dropped_bytes_.fetch_add(read.dropped_bytes,
-                                 std::memory_order_relaxed);
-    metrics.wal_dropped_bytes->Increment(read.dropped_bytes);
+    wal_dropped_bytes_.Increment(read.dropped_bytes);
   }
   if (read.records.empty()) return Status::OK();
-  wal_replayed_records_.fetch_add(read.records.size(),
-                                  std::memory_order_relaxed);
-  metrics.wal_replayed->Increment(read.records.size());
+  wal_replayed_records_.Increment(read.records.size());
 
   std::vector<std::pair<uint64_t, uint64_t>> covered;
   for (const auto& segment : state->segments) {
@@ -238,8 +195,7 @@ Status XRankEngine::AppendWalLocked(const storage::LogRecord& record) {
     return appended;
   }
   wal_records_.push_back(record);
-  wal_appends_.fetch_add(1, std::memory_order_relaxed);
-  UpdateMetrics::Get().wal_appends->Increment();
+  wal_appends_.Increment();
   return Status::OK();
 }
 
@@ -290,7 +246,6 @@ Status XRankEngine::AddDocument(std::string_view uri,
       xml::ParseDocument(xml_text, std::string(uri)));
   (void)parsed;
 
-  const UpdateMetrics& metrics = UpdateMetrics::Get();
   std::unique_lock<std::mutex> lock(update_mutex_);
   if (options_.background_maintenance && !maintenance_thread_.joinable()) {
     maintenance_thread_ = std::thread(&XRankEngine::MaintenanceLoop, this);
@@ -312,8 +267,7 @@ Status XRankEngine::AddDocument(std::string_view uri,
     if (!waited) {
       waited = true;
       wait_timer.Reset();
-      backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-      metrics.backpressure_waits->Increment();
+      backpressure_waits_.Increment();
     }
     RequestMaintenance();
     backpressure_cv_.wait(lock, [&] {
@@ -327,10 +281,8 @@ Status XRankEngine::AddDocument(std::string_view uri,
     }
   }
   if (waited) {
-    uint64_t waited_us =
-        static_cast<uint64_t>(wait_timer.ElapsedSeconds() * 1e6);
-    backpressure_us_total_.fetch_add(waited_us, std::memory_order_relaxed);
-    metrics.backpressure_us->Observe(waited_us);
+    backpressure_us_->Observe(
+        static_cast<uint64_t>(wait_timer.ElapsedSeconds() * 1e6));
   }
 
   auto state = Snapshot();
@@ -376,7 +328,7 @@ Status XRankEngine::AddDocument(std::string_view uri,
   if (retired != nullptr && block_cache_ != nullptr) {
     block_cache_->EraseFile(retired->built.file->file_id());
   }
-  metrics.add_documents->Increment();
+  add_documents_->Increment();
   if (request_flush) {
     if (options_.background_maintenance) {
       RequestMaintenance();
@@ -446,7 +398,7 @@ Status XRankEngine::DeleteDocument(std::string_view uri) {
   // tombstoned document stop being looked up — no cache sweep needed.
   next->content_seq = state->content_seq + 1;
   Publish(std::move(next));
-  UpdateMetrics::Get().delete_documents->Increment();
+  delete_documents_->Increment();
   return Status::OK();
 }
 
@@ -455,11 +407,64 @@ Status XRankEngine::Flush() {
   return FlushLocked();
 }
 
+Result<std::shared_ptr<index::LiveSegment>> XRankEngine::WriteSegmentLocked(
+    std::vector<storage::LogRecord> sources, uint32_t doc_base,
+    const std::string& failpoint, index::SegmentManifestEntry* entry) {
+  const std::string name =
+      SegmentBaseName(sources.front().seq, sources.back().seq);
+  const std::string index_path = options_.disk_dir + "/" + name + ".xrank";
+  const std::string docs_path = options_.disk_dir + "/" + name + ".docs";
+  XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
+                         storage::PageFile::CreateOnDisk(index_path + ".tmp"));
+  XRANK_ASSIGN_OR_RETURN(
+      std::shared_ptr<index::LiveSegment> segment,
+      index::BuildLiveSegment(std::move(sources), doc_base, SegmentOptions(),
+                              std::move(file)));
+  {
+    XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::LogWriter> docs,
+                           storage::LogWriter::Open(docs_path + ".tmp",
+                                                    /*truncate=*/true));
+    for (const storage::LogRecord& record : segment->sources) {
+      XRANK_RETURN_NOT_OK(docs->Append(record));
+    }
+    XRANK_RETURN_NOT_OK(docs->Sync());
+  }
+  XRANK_RETURN_NOT_OK(segment->built.file->Sync());
+  // Crash window: temp files only — the committed segments still serve and
+  // reopen replays the WAL, nothing lost.
+  auto& failpoints = fail::FailPoints::Instance();
+  if (auto hit = failpoints.Evaluate(failpoint + ".before_rename")) {
+    fail::DieIfCrashRequested(hit);
+    return Status::IOError("injected crash at " + failpoint +
+                           ".before_rename: temp files written, nothing "
+                           "new committed");
+  }
+  // The name can collide with a committed segment's (a re-flush after a
+  // crash, or compacting a single segment in place); rename replaces it
+  // atomically and an already-open old page file stays readable.
+  XRANK_RETURN_NOT_OK(index::RenameFile(index_path + ".tmp", index_path));
+  XRANK_RETURN_NOT_OK(index::RenameFile(docs_path + ".tmp", docs_path));
+
+  entry->index.file = name + ".xrank";
+  entry->index.kind = index::IndexKind::kDil;
+  entry->index.page_count = segment->built.file->page_count();
+  entry->index.format = segment->built.lexicon.format_spec();
+  XRANK_ASSIGN_OR_RETURN(entry->index.crc,
+                         index::ChecksumPageFile(*segment->built.file));
+  entry->docs_file = name + ".docs";
+  XRANK_ASSIGN_OR_RETURN(auto docs_sum, storage::ChecksumFile(docs_path));
+  entry->docs_bytes = docs_sum.first;
+  entry->docs_crc = docs_sum.second;
+  entry->doc_base = segment->doc_base;
+  entry->doc_count = segment->doc_count();
+  entry->first_seq = segment->first_seq;
+  entry->last_seq = segment->last_seq;
+  return segment;
+}
+
 Status XRankEngine::FlushLocked() {
   auto state = Snapshot();
   if (state->delta == nullptr) return Status::OK();
-  const UpdateMetrics& metrics = UpdateMetrics::Get();
-  auto& failpoints = fail::FailPoints::Instance();
   std::shared_ptr<const index::LiveSegment> flushed;
   Status wal_status;
 
@@ -467,62 +472,19 @@ Status XRankEngine::FlushLocked() {
     // In-memory engines: the delta already is a self-contained segment.
     flushed = state->delta;
   } else {
-    const index::LiveSegment& delta = *state->delta;
-    const std::string& dir = options_.disk_dir;
-    const std::string name = SegmentBaseName(delta.first_seq, delta.last_seq);
-    const std::string index_tmp = dir + "/" + name + ".xrank.tmp";
-    const std::string docs_tmp = dir + "/" + name + ".docs.tmp";
-    const std::string index_final = dir + "/" + name + ".xrank";
-    const std::string docs_final = dir + "/" + name + ".docs";
-
     // Rebuild the delta's index into an on-disk page file (same sources,
     // same per-document ranks — bitwise the same postings).
-    XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
-                           storage::PageFile::CreateOnDisk(index_tmp));
+    index::SegmentManifestEntry entry;
     XRANK_ASSIGN_OR_RETURN(
         std::shared_ptr<index::LiveSegment> segment,
-        index::BuildLiveSegment(delta.sources, delta.doc_base,
-                                SegmentOptions(), std::move(file)));
-    {
-      XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::LogWriter> docs,
-                             storage::LogWriter::Open(docs_tmp,
-                                                      /*truncate=*/true));
-      for (const storage::LogRecord& record : segment->sources) {
-        XRANK_RETURN_NOT_OK(docs->Append(record));
-      }
-      XRANK_RETURN_NOT_OK(docs->Sync());
-    }
-    XRANK_RETURN_NOT_OK(segment->built.file->Sync());
-    // Crash window: temp files only — reopen replays the WAL, nothing lost.
-    if (auto hit = failpoints.Evaluate("segment_flush.before_rename")) {
-      fail::DieIfCrashRequested(hit);
-      return Status::IOError(
-          "injected crash before segment rename: temp files written, "
-          "nothing committed");
-    }
-    XRANK_RETURN_NOT_OK(index::RenameFile(index_tmp, index_final));
-    XRANK_RETURN_NOT_OK(index::RenameFile(docs_tmp, docs_final));
-
-    index::SegmentManifestEntry entry;
-    entry.index.file = name + ".xrank";
-    entry.index.kind = index::IndexKind::kDil;
-    entry.index.page_count = segment->built.file->page_count();
-    entry.index.format = segment->built.lexicon.format_spec();
-    XRANK_ASSIGN_OR_RETURN(entry.index.crc,
-                           index::ChecksumPageFile(*segment->built.file));
-    entry.docs_file = name + ".docs";
-    XRANK_ASSIGN_OR_RETURN(auto docs_sum, storage::ChecksumFile(docs_final));
-    entry.docs_bytes = docs_sum.first;
-    entry.docs_crc = docs_sum.second;
-    entry.doc_base = segment->doc_base;
-    entry.doc_count = segment->doc_count();
-    entry.first_seq = segment->first_seq;
-    entry.last_seq = segment->last_seq;
+        WriteSegmentLocked(state->delta->sources, state->delta->doc_base,
+                           "segment_flush", &entry));
 
     // Crash window: files renamed but no MANIFEST — reopen ignores the
     // stray files, replays the WAL, and the next flush re-renames over
     // them (same name, same content).
-    if (auto hit = failpoints.Evaluate("segment_flush.before_manifest")) {
+    if (auto hit = fail::FailPoints::Instance().Evaluate(
+            "segment_flush.before_manifest")) {
       fail::DieIfCrashRequested(hit);
       return Status::IOError(
           "injected crash before segment MANIFEST commit: segment files "
@@ -530,7 +492,8 @@ Status XRankEngine::FlushLocked() {
     }
     index::Manifest next_manifest = manifest_;
     next_manifest.segments.push_back(std::move(entry));
-    XRANK_RETURN_NOT_OK(index::WriteManifestFile(dir, next_manifest));
+    XRANK_RETURN_NOT_OK(
+        index::WriteManifestFile(options_.disk_dir, next_manifest));
     manifest_ = std::move(next_manifest);
 
     // Crash window: segment committed, WAL still holds the covered adds —
@@ -551,8 +514,7 @@ Status XRankEngine::FlushLocked() {
   if (retired != flushed && block_cache_ != nullptr) {
     block_cache_->EraseFile(retired->built.file->file_id());
   }
-  flushes_.fetch_add(1, std::memory_order_relaxed);
-  metrics.flushes->Increment();
+  flushes_.Increment();
   backpressure_cv_.notify_all();
   return wal_status;
 }
@@ -565,8 +527,6 @@ Status XRankEngine::CompactSegments() {
 Status XRankEngine::CompactSegmentsLocked() {
   auto state = Snapshot();
   if (state->segments.empty()) return Status::OK();
-  const UpdateMetrics& metrics = UpdateMetrics::Get();
-  auto& failpoints = fail::FailPoints::Instance();
   const std::set<uint32_t>& tombstones = *state->tombstones;
 
   std::vector<storage::LogRecord> merged;
@@ -586,72 +546,20 @@ Status XRankEngine::CompactSegmentsLocked() {
 
   const uint32_t doc_base = base_doc_count_;
   std::shared_ptr<const index::LiveSegment> compacted;
+  // Stays empty (file names included) when every document was dropped.
   index::SegmentManifestEntry entry;
-  std::string new_index_name;
-  std::string new_docs_name;
 
   if (!merged.empty()) {
     if (options_.disk_dir.empty()) {
       XRANK_ASSIGN_OR_RETURN(
-          std::shared_ptr<index::LiveSegment> segment,
+          compacted,
           index::BuildLiveSegment(std::move(merged), doc_base,
                                   SegmentOptions(),
                                   storage::PageFile::CreateInMemory()));
-      compacted = std::move(segment);
     } else {
-      const std::string& dir = options_.disk_dir;
-      const std::string name = SegmentBaseName(merged.front().seq,
-                                               merged.back().seq);
-      const std::string index_tmp = dir + "/" + name + ".xrank.tmp";
-      const std::string docs_tmp = dir + "/" + name + ".docs.tmp";
-      new_index_name = name + ".xrank";
-      new_docs_name = name + ".docs";
-      XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::PageFile> file,
-                             storage::PageFile::CreateOnDisk(index_tmp));
-      XRANK_ASSIGN_OR_RETURN(
-          std::shared_ptr<index::LiveSegment> segment,
-          index::BuildLiveSegment(std::move(merged), doc_base,
-                                  SegmentOptions(), std::move(file)));
-      {
-        XRANK_ASSIGN_OR_RETURN(std::unique_ptr<storage::LogWriter> docs,
-                               storage::LogWriter::Open(docs_tmp,
-                                                        /*truncate=*/true));
-        for (const storage::LogRecord& record : segment->sources) {
-          XRANK_RETURN_NOT_OK(docs->Append(record));
-        }
-        XRANK_RETURN_NOT_OK(docs->Sync());
-      }
-      XRANK_RETURN_NOT_OK(segment->built.file->Sync());
-      // Crash window: temp files only; the committed segments still serve.
-      if (auto hit = failpoints.Evaluate("segment_compact.before_rename")) {
-        fail::DieIfCrashRequested(hit);
-        return Status::IOError(
-            "injected crash before compaction rename: temp files written, "
-            "old segments still committed");
-      }
-      // The merged name can collide with a retired segment's (compacting a
-      // single segment in place); rename replaces it atomically and the
-      // already-open old page file stays readable until the swap.
-      XRANK_RETURN_NOT_OK(
-          index::RenameFile(index_tmp, dir + "/" + new_index_name));
-      XRANK_RETURN_NOT_OK(
-          index::RenameFile(docs_tmp, dir + "/" + new_docs_name));
-      entry.index.file = new_index_name;
-      entry.index.kind = index::IndexKind::kDil;
-      entry.index.page_count = segment->built.file->page_count();
-      entry.index.format = segment->built.lexicon.format_spec();
-      XRANK_ASSIGN_OR_RETURN(entry.index.crc,
-                             index::ChecksumPageFile(*segment->built.file));
-      entry.docs_file = new_docs_name;
-      XRANK_ASSIGN_OR_RETURN(auto docs_sum,
-                             storage::ChecksumFile(dir + "/" + new_docs_name));
-      entry.docs_bytes = docs_sum.first;
-      entry.docs_crc = docs_sum.second;
-      entry.doc_base = segment->doc_base;
-      entry.doc_count = segment->doc_count();
-      entry.first_seq = segment->first_seq;
-      entry.last_seq = segment->last_seq;
-      compacted = std::move(segment);
+      XRANK_ASSIGN_OR_RETURN(compacted,
+                             WriteSegmentLocked(std::move(merged), doc_base,
+                                                "segment_compact", &entry));
     }
   }
 
@@ -661,7 +569,8 @@ Status XRankEngine::CompactSegmentsLocked() {
     // segments — reopen serves the old ones (their files are untouched
     // unless the merged name replaced one 1:1, in which case the content
     // is identical by construction).
-    if (auto hit = failpoints.Evaluate("segment_compact.before_manifest")) {
+    if (auto hit = fail::FailPoints::Instance().Evaluate(
+            "segment_compact.before_manifest")) {
       fail::DieIfCrashRequested(hit);
       return Status::IOError(
           "injected crash before compaction MANIFEST commit: merged files "
@@ -677,11 +586,11 @@ Status XRankEngine::CompactSegmentsLocked() {
     manifest_ = std::move(next_manifest);
     // Retired segment files: best-effort unlink after the commit point.
     for (const index::SegmentManifestEntry& old_entry : retired_entries) {
-      if (old_entry.index.file != new_index_name) {
+      if (old_entry.index.file != entry.index.file) {
         std::remove(
             (options_.disk_dir + "/" + old_entry.index.file).c_str());
       }
-      if (old_entry.docs_file != new_docs_name) {
+      if (old_entry.docs_file != entry.docs_file) {
         std::remove((options_.disk_dir + "/" + old_entry.docs_file).c_str());
       }
     }
@@ -742,8 +651,7 @@ Status XRankEngine::CompactSegmentsLocked() {
       block_cache_->EraseFile(retired_delta->built.file->file_id());
     }
   }
-  compactions_.fetch_add(1, std::memory_order_relaxed);
-  metrics.compactions->Increment();
+  compactions_.Increment();
   return wal_status;
 }
 
@@ -878,17 +786,12 @@ size_t XRankEngine::deleted_document_count() const {
 XRankEngine::UpdateCounters XRankEngine::update_counters() const {
   auto state = Snapshot();
   UpdateCounters counters;
-  counters.wal_appends = wal_appends_.load(std::memory_order_relaxed);
-  counters.wal_replayed_records =
-      wal_replayed_records_.load(std::memory_order_relaxed);
-  counters.wal_dropped_bytes =
-      wal_dropped_bytes_.load(std::memory_order_relaxed);
-  counters.flushes = flushes_.load(std::memory_order_relaxed);
-  counters.compactions = compactions_.load(std::memory_order_relaxed);
-  counters.backpressure_waits =
-      backpressure_waits_.load(std::memory_order_relaxed);
-  counters.backpressure_us_total =
-      backpressure_us_total_.load(std::memory_order_relaxed);
+  counters.wal_appends = wal_appends_.value();
+  counters.wal_replayed_records = wal_replayed_records_.value();
+  counters.wal_dropped_bytes = wal_dropped_bytes_.value();
+  counters.flushes = flushes_.value();
+  counters.compactions = compactions_.value();
+  counters.backpressure_waits = backpressure_waits_.value();
   counters.segment_count = state->segments.size();
   counters.delta_documents =
       state->delta != nullptr ? state->delta->doc_count() : 0;

@@ -11,13 +11,6 @@ dewey::DeweyId RebaseUp(const dewey::DeweyId& local, uint32_t doc_base) {
   return dewey::DeweyId(std::move(components));
 }
 
-dewey::DeweyId RebaseDown(const dewey::DeweyId& global, uint32_t doc_base) {
-  if (doc_base == 0) return global;
-  std::vector<uint32_t> components = global.components();
-  components[0] -= doc_base;
-  return dewey::DeweyId(std::move(components));
-}
-
 RangeFanOut::RangeFanOut(const query::QueryOptions& query_options,
                          std::string label)
     : caller_(query_options),

@@ -19,10 +19,9 @@ namespace xrank::core {
 
 // The document id is the first Dewey component (paper Section 4.5), so a
 // corpus split into contiguous doc-id ranges (an engine's live segments, a
-// router's shards) answers range by range under local ids, which rebase by
-// the range's first document id.
+// router's shards) answers range by range under local ids, which rebase up
+// by the range's first document id.
 dewey::DeweyId RebaseUp(const dewey::DeweyId& local, uint32_t doc_base);
-dewey::DeweyId RebaseDown(const dewey::DeweyId& global, uint32_t doc_base);
 
 // The one executor that fans a top-k query out over doc-id ranges: the
 // engine's live segments and delta, and the router's shards.

@@ -21,11 +21,7 @@ size_t ResolveShardCount(size_t capacity_entries, size_t num_shards) {
 }  // namespace
 
 ResultCache::ResultCache(size_t capacity_entries, size_t num_shards)
-    : registry_hits_(
-          metrics::Registry::Instance().GetCounter("result_cache.hits")),
-      registry_lookups_(
-          metrics::Registry::Instance().GetCounter("result_cache.lookups")),
-      registry_insertions_(metrics::Registry::Instance().GetCounter(
+    : insertions_(metrics::Registry::Instance().GetCounter(
           "result_cache.insertions")) {
   XRANK_CHECK(capacity_entries > 0, "ResultCache capacity must be positive");
   size_t shards = ResolveShardCount(capacity_entries, num_shards);
@@ -57,22 +53,20 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
 }
 
 bool ResultCache::Lookup(const std::string& key, EngineResponse* out) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  registry_lookups_->Increment();
+  lookups_.Increment();
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) return false;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   *out = it->second->second;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  registry_hits_->Increment();
+  hits_.Increment();
   return true;
 }
 
 void ResultCache::Insert(const std::string& key,
                          const EngineResponse& response) {
-  registry_insertions_->Increment();
+  insertions_->Increment();
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);

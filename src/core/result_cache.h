@@ -1,7 +1,6 @@
 #ifndef XRANK_CORE_RESULT_CACHE_H_
 #define XRANK_CORE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -54,10 +53,8 @@ class ResultCache {
   // Drops every entry (writer-side wholesale invalidation).
   void Clear();
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t lookups() const { return lookups_.value(); }
   size_t shard_count() const { return shards_.size(); }
   size_t cached_entries() const;
 
@@ -76,12 +73,11 @@ class ResultCache {
 
   size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> lookups_{0};
-  // Process-wide aggregates mirroring the per-cache atomics above.
-  metrics::Counter* registry_hits_;
-  metrics::Counter* registry_lookups_;
-  metrics::Counter* registry_insertions_;
+  // Per-cache counts, linked to the result_cache.* registry series.
+  metrics::Counter hits_{"result_cache.hits"};
+  metrics::Counter lookups_{"result_cache.lookups"};
+  // Registry-only series.
+  metrics::Counter* const insertions_;
 };
 
 }  // namespace xrank::core

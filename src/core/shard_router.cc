@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/crc32.h"
-#include "common/metrics.h"
 #include "common/safe_strerror.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -24,36 +23,6 @@ namespace xrank::core {
 namespace {
 
 constexpr char kShardingHeader[] = "xrank-sharding v1";
-
-// Router-level metrics series, registered once (same pattern as the
-// engine's query.* series in core/engine_query.cc).
-struct RouterMetrics {
-  metrics::Counter* queries = nullptr;
-  metrics::Counter* shard_queries = nullptr;
-  metrics::Counter* errors = nullptr;
-  metrics::Counter* partial = nullptr;
-  metrics::Counter* deadline_exceeded = nullptr;
-  metrics::Counter* shards_skipped = nullptr;
-  metrics::Counter* theta_raises = nullptr;
-  metrics::Histogram* query_us = nullptr;
-
-  static const RouterMetrics& Get() {
-    static const RouterMetrics* instance = [] {
-      auto* rm = new RouterMetrics();
-      metrics::Registry& registry = metrics::Registry::Instance();
-      rm->queries = registry.GetCounter("router.queries");
-      rm->shard_queries = registry.GetCounter("router.shard_queries");
-      rm->errors = registry.GetCounter("router.errors");
-      rm->partial = registry.GetCounter("router.partial");
-      rm->deadline_exceeded = registry.GetCounter("router.deadline_exceeded");
-      rm->shards_skipped = registry.GetCounter("router.shards_skipped");
-      rm->theta_raises = registry.GetCounter("router.theta_raises");
-      rm->query_us = registry.GetHistogram("router.query_us");
-      return rm;
-    }();
-    return *instance;
-  }
-};
 
 // One SHARDING field, no wider than uint32_t.
 Result<uint32_t> ParseField(std::string_view token, std::string_view what) {
@@ -357,18 +326,9 @@ Result<EngineResponse> ShardRouter::Query(
     std::string_view query_text, size_t m, index::IndexKind kind,
     const query::QueryOptions& query_options,
     std::vector<query::QueryStats>* per_shard_stats) {
-  std::vector<std::string> keywords;
-  {
-    query::ScopedSpan span(query_options.trace, "parse");
-    uint32_t position = 0;
-    for (index::Analyzer::Token& token :
-         analyzer_.Tokenize(query_text, &position)) {
-      keywords.push_back(std::move(token.term));
-    }
-  }
-  if (keywords.empty()) {
-    return Status::InvalidArgument("query contains no keywords");
-  }
+  XRANK_ASSIGN_OR_RETURN(
+      std::vector<std::string> keywords,
+      ParseQueryText(analyzer_, query_text, query_options.trace));
   return QueryKeywords(keywords, m, kind, query_options, per_shard_stats);
 }
 
@@ -383,10 +343,8 @@ Result<EngineResponse> ShardRouter::QueryKeywords(
     const query::QueryOptions& query_options,
     std::vector<query::QueryStats>* per_shard_stats) {
   WallTimer wall;
-  const RouterMetrics& rm = RouterMetrics::Get();
   const size_t n = shards_.size();
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  rm.queries->Increment();
+  queries_.Increment();
 
   EngineResponse response;
   query::QueryStats& stats = response.stats;
@@ -406,23 +364,18 @@ Result<EngineResponse> ShardRouter::QueryKeywords(
       &stats, pool_.get(), &scatter_mutex_);
 
   const uint64_t raises = fan_out.threshold()->raises();
-  theta_raises_.fetch_add(raises, std::memory_order_relaxed);
-  rm.theta_raises->Increment(raises);
+  theta_raises_.Increment(raises);
   uint64_t skipped = 0;
   for (const RangeFanOut::Range& range : fan_out.ranges()) {
     if (range.skipped) ++skipped;
   }
-  shard_queries_.fetch_add(n - skipped, std::memory_order_relaxed);
-  rm.shard_queries->Increment(n - skipped);
-  shards_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  rm.shards_skipped->Increment(skipped);
+  shard_queries_.Increment(n - skipped);
+  shards_skipped_.Increment(skipped);
   if (!scattered.ok()) {
     if (scattered.code() == StatusCode::kDeadlineExceeded) {
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      rm.deadline_exceeded->Increment();
+      deadline_exceeded_.Increment();
     } else {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      rm.errors->Increment();
+      errors_.Increment();
     }
     return scattered;
   }
@@ -463,10 +416,7 @@ Result<EngineResponse> ShardRouter::QueryKeywords(
             });
   if (response.results.size() > m) response.results.resize(m);
 
-  if (stats.partial) {
-    partial_results_.fetch_add(1, std::memory_order_relaxed);
-    rm.partial->Increment();
-  }
+  if (stats.partial) partial_results_.Increment();
   if (query_options.trace != nullptr) {
     query_options.trace->AddAnnotation("shards", std::to_string(n));
     query_options.trace->AddAnnotation("theta_raises",
@@ -476,7 +426,7 @@ Result<EngineResponse> ShardRouter::QueryKeywords(
     }
   }
   stats.wall_ms = wall.ElapsedSeconds() * 1e3;
-  rm.query_us->Observe(static_cast<uint64_t>(stats.wall_ms * 1e3));
+  query_us_->Observe(static_cast<uint64_t>(stats.wall_ms * 1e3));
   return response;
 }
 
@@ -530,14 +480,13 @@ XRankEngine::ServingCounters ShardRouter::serving_counters(
 
 ShardRouter::RouterCounters ShardRouter::router_counters() const {
   RouterCounters counters;
-  counters.queries = queries_.load(std::memory_order_relaxed);
-  counters.shard_queries = shard_queries_.load(std::memory_order_relaxed);
-  counters.errors = errors_.load(std::memory_order_relaxed);
-  counters.partial_results = partial_results_.load(std::memory_order_relaxed);
-  counters.deadline_exceeded =
-      deadline_exceeded_.load(std::memory_order_relaxed);
-  counters.shards_skipped = shards_skipped_.load(std::memory_order_relaxed);
-  counters.theta_raises = theta_raises_.load(std::memory_order_relaxed);
+  counters.queries = queries_.value();
+  counters.shard_queries = shard_queries_.value();
+  counters.errors = errors_.value();
+  counters.partial_results = partial_results_.value();
+  counters.deadline_exceeded = deadline_exceeded_.value();
+  counters.shards_skipped = shards_skipped_.value();
+  counters.theta_raises = theta_raises_.value();
   return counters;
 }
 

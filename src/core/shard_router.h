@@ -1,7 +1,6 @@
 #ifndef XRANK_CORE_SHARD_ROUTER_H_
 #define XRANK_CORE_SHARD_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -9,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
@@ -102,8 +102,8 @@ struct ShardRouterOptions {
 // Partitioning invariant: shard i owns the contiguous global document-id
 // range [doc_base, doc_base + doc_count); Dewey ids rebase between the
 // shard-local and global spaces by adding/subtracting doc_base to the
-// first component (RebaseUp/RebaseDown in core/fan_out.h, as for the
-// engine's live segments).
+// first component (RebaseUp in core/fan_out.h, as for the engine's live
+// segments).
 // ElemRank is computed ONCE over the global graph and sliced per shard
 // (see EngineOptions::precomputed_elem_ranks), so every shard scores
 // exactly as the monolithic engine would and the gathered top-k is
@@ -125,8 +125,8 @@ class ShardRouter {
   // Re-opens a committed sharded root: reads and validates SHARDING,
   // re-derives the global graph and ElemRank from `documents` (the same
   // corpus, in the same order, as the Build), and opens each shard
-  // directory — every shard validates its own MANIFEST (and re-checksums
-  // its files under EngineOptions::verify_on_open).
+  // directory — every shard validates its own MANIFEST and re-checksums
+  // its files.
   static Result<std::unique_ptr<ShardRouter>> Open(
       std::vector<xml::Document> documents, const ShardRouterOptions& options);
 
@@ -173,13 +173,12 @@ class ShardRouter {
   size_t shard_count() const { return shards_.size(); }
   const ShardDescriptor& shard(size_t i) const { return manifest_.shards[i]; }
   XRankEngine& shard_engine(size_t i) { return *shards_[i].engine; }
-  const ShardingManifest& sharding_manifest() const { return manifest_; }
 
   // Fleet-wide serving counters: the sum of every shard's.
   XRankEngine::ServingCounters serving_counters(index::IndexKind kind) const;
 
-  // Router-level observability (also mirrored into the metrics registry
-  // as router.* series).
+  // Router-level observability: the router's own counts, each linked to
+  // its router.* registry series.
   struct RouterCounters {
     uint64_t queries = 0;
     uint64_t shard_queries = 0;      // per-shard fan-out calls issued
@@ -216,13 +215,16 @@ class ShardRouter {
   // take turns scattering.
   std::mutex scatter_mutex_;
 
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> shard_queries_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> partial_results_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> shards_skipped_{0};
-  std::atomic<uint64_t> theta_raises_{0};
+  metrics::Counter queries_{"router.queries"};
+  metrics::Counter shard_queries_{"router.shard_queries"};
+  metrics::Counter errors_{"router.errors"};
+  metrics::Counter partial_results_{"router.partial"};
+  metrics::Counter deadline_exceeded_{"router.deadline_exceeded"};
+  metrics::Counter shards_skipped_{"router.shards_skipped"};
+  metrics::Counter theta_raises_{"router.theta_raises"};
+  // Registry-only series.
+  metrics::Histogram* const query_us_ =
+      metrics::Registry::Instance().GetHistogram("router.query_us");
 };
 
 }  // namespace xrank::core

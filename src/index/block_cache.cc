@@ -19,17 +19,8 @@ size_t ResolveShardCount(size_t capacity_bytes, size_t num_shards) {
 }  // namespace
 
 BlockCache::BlockCache(size_t capacity_bytes, size_t num_shards)
-    : registry_hits_(
-          metrics::Registry::Instance().GetCounter("block_cache.hits")),
-      registry_misses_(
-          metrics::Registry::Instance().GetCounter("block_cache.misses")),
-      registry_insertions_(
-          metrics::Registry::Instance().GetCounter("block_cache.insertions")),
-      registry_evictions_(
-          metrics::Registry::Instance().GetCounter("block_cache.evictions")),
-      registry_bytes_(
-          metrics::Registry::Instance().GetGauge("block_cache.bytes")),
-      registry_invalidations_(metrics::Registry::Instance().GetCounter(
+    : bytes_(metrics::Registry::Instance().GetGauge("block_cache.bytes")),
+      segment_invalidations_(metrics::Registry::Instance().GetCounter(
           "cache.segment_invalidations")) {
   size_t shards = ResolveShardCount(capacity_bytes, num_shards);
   shard_capacity_bytes_ = capacity_bytes / shards;
@@ -53,21 +44,19 @@ BlockCache::Shard& BlockCache::ShardFor(const Key& key) {
 }
 
 BlockCache::BlockPtr BlockCache::Lookup(const Key& key) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
   if (shard_capacity_bytes_ == 0) {
-    registry_misses_->Increment();
+    misses_.Increment();
     return nullptr;
   }
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    registry_misses_->Increment();
+    misses_.Increment();
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  registry_hits_->Increment();
+  hits_.Increment();
   return it->second->block;
 }
 
@@ -108,19 +97,15 @@ void BlockCache::Insert(const Key& key, BlockPtr block) {
       bytes_delta += static_cast<int64_t>(charge);
     }
   }
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  registry_insertions_->Increment();
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    registry_evictions_->Increment(evicted);
-  }
-  registry_bytes_->Add(bytes_delta);
+  insertions_.Increment();
+  if (evicted > 0) evictions_.Increment(evicted);
+  bytes_->Add(bytes_delta);
 }
 
 void BlockCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    registry_bytes_->Add(-static_cast<int64_t>(shard->charged_bytes));
+    bytes_->Add(-static_cast<int64_t>(shard->charged_bytes));
     shard->charged_bytes = 0;
     shard->lru.clear();
     shard->index.clear();
@@ -137,13 +122,13 @@ size_t BlockCache::EraseFile(uint64_t file_id) {
         continue;
       }
       shard->charged_bytes -= it->charge;
-      registry_bytes_->Add(-static_cast<int64_t>(it->charge));
+      bytes_->Add(-static_cast<int64_t>(it->charge));
       shard->index.erase(it->key);
       it = shard->lru.erase(it);
       ++erased;
     }
   }
-  if (erased > 0) registry_invalidations_->Increment(erased);
+  if (erased > 0) segment_invalidations_->Increment(erased);
   return erased;
 }
 

@@ -1,7 +1,6 @@
 #ifndef XRANK_INDEX_BLOCK_CACHE_H_
 #define XRANK_INDEX_BLOCK_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -74,14 +73,10 @@ class BlockCache {
   // postings' inline and heap (positions) storage.
   static size_t BlockCharge(const Block& block);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t lookups() const { return lookups_.load(std::memory_order_relaxed); }
-  uint64_t insertions() const {
-    return insertions_.load(std::memory_order_relaxed);
-  }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t lookups() const { return hits_.value() + misses_.value(); }
+  uint64_t insertions() const { return insertions_.value(); }
+  uint64_t evictions() const { return evictions_.value(); }
   size_t shard_count() const { return shards_.size(); }
   size_t cached_blocks() const;
   size_t charged_bytes() const;
@@ -114,17 +109,14 @@ class BlockCache {
 
   size_t shard_capacity_bytes_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> lookups_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> evictions_{0};
-  // Process-wide aggregates mirroring the per-cache atomics above.
-  metrics::Counter* registry_hits_;
-  metrics::Counter* registry_misses_;
-  metrics::Counter* registry_insertions_;
-  metrics::Counter* registry_evictions_;
-  metrics::Gauge* registry_bytes_;
-  metrics::Counter* registry_invalidations_;
+  // Per-cache counts, linked to the block_cache.* registry series.
+  metrics::Counter hits_{"block_cache.hits"};
+  metrics::Counter misses_{"block_cache.misses"};
+  metrics::Counter insertions_{"block_cache.insertions"};
+  metrics::Counter evictions_{"block_cache.evictions"};
+  // Registry-only series.
+  metrics::Gauge* const bytes_;
+  metrics::Counter* const segment_invalidations_;
 };
 
 }  // namespace xrank::index

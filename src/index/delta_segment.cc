@@ -9,6 +9,10 @@ namespace xrank::index {
 
 namespace {
 
+// Buffer pool pages of each segment's index; segments are small, so a few
+// hundred pages cover them.
+constexpr size_t kSegmentPoolPages = 256;
+
 // Parses every source body. Local document i is sources[i]; the record's
 // uri becomes the document uri (graph-level link resolution and result
 // decoration both read it).
@@ -98,8 +102,7 @@ Status CheckSeqOrder(const std::vector<storage::LogRecord>& sources) {
 void AttachPool(LiveSegment* segment, const LiveSegmentOptions& options) {
   segment->cost_model = std::make_unique<storage::CostModel>(options.cost);
   segment->pool = std::make_unique<storage::BufferPool>(
-      segment->built.file.get(), options.buffer_pool_pages,
-      segment->cost_model.get(), options.buffer_pool_shards);
+      segment->built.file.get(), kSegmentPoolPages, segment->cost_model.get());
 }
 
 }  // namespace
@@ -144,10 +147,8 @@ Result<std::shared_ptr<LiveSegment>> BuildLiveSegment(
 
 Result<std::shared_ptr<LiveSegment>> OpenLiveSegment(
     const std::string& dir, const SegmentManifestEntry& entry,
-    const LiveSegmentOptions& options, bool verify) {
-  if (verify) {
-    XRANK_RETURN_NOT_OK(VerifySegmentEntry(dir, entry));
-  }
+    const LiveSegmentOptions& options) {
+  XRANK_RETURN_NOT_OK(VerifySegmentEntry(dir, entry));
   std::string docs_path = dir + "/" + entry.docs_file;
   // A committed docs file is never appended to after its MANIFEST commit,
   // so any damage — including a "torn tail" — is real corruption.

@@ -27,9 +27,6 @@ struct LiveSegmentOptions {
   ExtractionOptions extraction;
   BuildOptions build;
   storage::CostModelOptions cost;
-  // Segments are small; a few hundred pool pages cover them.
-  size_t buffer_pool_pages = 256;
-  size_t buffer_pool_shards = 0;
 };
 
 // One segment of the live-update path (LSM-style index maintenance): a
@@ -73,9 +70,6 @@ struct LiveSegment {
   uint32_t doc_count() const {
     return static_cast<uint32_t>(sources.size());
   }
-  bool ContainsGlobalDoc(uint32_t global_doc) const {
-    return global_doc >= doc_base && global_doc - doc_base < doc_count();
-  }
   // Local index of the document with this URI, if present.
   std::optional<uint32_t> FindUri(std::string_view uri) const;
 };
@@ -94,11 +88,11 @@ Result<std::shared_ptr<LiveSegment>> BuildLiveSegment(
 // Reopens a flushed segment committed in the MANIFEST: reads the `.docs`
 // source log (refusing any damage — a committed docs file never has a legal
 // torn tail), re-derives the graph and per-document ranks in memory, and
-// opens the committed index page file as-is. With `verify`, both files are
-// checksummed against the manifest entry first.
+// opens the committed index page file as-is. Both files are checksummed
+// against the manifest entry first.
 Result<std::shared_ptr<LiveSegment>> OpenLiveSegment(
     const std::string& dir, const SegmentManifestEntry& entry,
-    const LiveSegmentOptions& options, bool verify);
+    const LiveSegmentOptions& options);
 
 }  // namespace xrank::index
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "query/scoring.h"
+#include "storage/cost_model.h"
 
 namespace xrank::query {
 
@@ -126,6 +127,34 @@ inline void MergeQueryStats(QueryStats* into, const QueryStats& from) {
   into->random_reads += from.random_reads;
   into->io_cost += from.io_cost;
   into->partial = into->partial || from.partial;
+}
+
+// A cost model's read counters at one instant. Every processor snapshots
+// its pool's model as a query starts and FillIoStats reports the
+// difference as it ends; a null model (a pool without accounting) reports
+// nothing.
+struct CostSnapshot {
+  uint64_t sequential = 0;
+  uint64_t random = 0;
+  double cost = 0.0;
+};
+
+inline CostSnapshot TakeSnapshot(const storage::CostModel* model) {
+  CostSnapshot snap;
+  if (model != nullptr) {
+    snap.sequential = model->sequential_reads();
+    snap.random = model->random_reads();
+    snap.cost = model->TotalCost();
+  }
+  return snap;
+}
+
+inline void FillIoStats(const storage::CostModel* model,
+                        const CostSnapshot& before, QueryStats* stats) {
+  if (model == nullptr) return;
+  stats->sequential_reads = model->sequential_reads() - before.sequential;
+  stats->random_reads = model->random_reads() - before.random;
+  stats->io_cost = model->TotalCost() - before.cost;
 }
 
 }  // namespace xrank::query

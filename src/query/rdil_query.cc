@@ -12,34 +12,6 @@
 
 namespace xrank::query {
 
-namespace {
-
-struct CostSnapshot {
-  uint64_t sequential = 0;
-  uint64_t random = 0;
-  double cost = 0.0;
-};
-
-CostSnapshot TakeSnapshot(const storage::CostModel* model) {
-  CostSnapshot snap;
-  if (model != nullptr) {
-    snap.sequential = model->sequential_reads();
-    snap.random = model->random_reads();
-    snap.cost = model->TotalCost();
-  }
-  return snap;
-}
-
-void FillIoStats(const storage::CostModel* model, const CostSnapshot& before,
-                 QueryStats* stats) {
-  if (model == nullptr) return;
-  stats->sequential_reads = model->sequential_reads() - before.sequential;
-  stats->random_reads = model->random_reads() - before.random;
-  stats->io_cost = model->TotalCost() - before.cost;
-}
-
-}  // namespace
-
 RdilQueryProcessor::RdilQueryProcessor(storage::BufferPool* pool,
                                        const index::Lexicon* lexicon,
                                        const ScoringOptions& scoring)

@@ -26,10 +26,7 @@ BufferPool::BufferPool(PageFile* file, size_t capacity_pages,
                        CostModel* cost_model, size_t num_shards)
     : file_(file),
       capacity_(capacity_pages),
-      cost_model_(cost_model),
-      registry_hits_(metrics::Registry::Instance().GetCounter("pool.hits")),
-      registry_misses_(
-          metrics::Registry::Instance().GetCounter("pool.misses")) {
+      cost_model_(cost_model) {
   XRANK_CHECK(file != nullptr, "BufferPool needs a file");
   XRANK_CHECK(capacity_pages > 0, "BufferPool capacity must be positive");
   size_t shards = ResolveShardCount(capacity_pages, num_shards);
@@ -65,15 +62,13 @@ Status BufferPool::Read(PageId page, Page* out) {
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(page);
   if (it != shard.index.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    registry_hits_->Increment();
+    hits_.Increment();
     Frame& frame = shard.frames[it->second];
     frame.referenced = true;
     *out = frame.data;
     return Status::OK();
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  registry_misses_->Increment();
+  misses_.Increment();
   if (cost_model_ != nullptr) cost_model_->RecordRead(page);
   XRANK_RETURN_NOT_OK(file_->Read(page, out));
   size_t slot = ClaimFrame(&shard);

@@ -1,7 +1,6 @@
 #ifndef XRANK_STORAGE_BUFFER_POOL_H_
 #define XRANK_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -46,8 +45,8 @@ class BufferPool {
   // Evicts everything — the next read of any page is a physical read.
   void DropCache();
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t misses() const { return misses_.value(); }
   size_t cached_pages() const;
   size_t shard_count() const { return shards_.size(); }
   size_t capacity_pages() const { return capacity_; }
@@ -80,12 +79,10 @@ class BufferPool {
   size_t shard_capacity_;
   CostModel* cost_model_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  // Process-wide aggregates; the member atomics above stay the per-pool
-  // view that ServingCounters attributes to one index.
-  metrics::Counter* registry_hits_;
-  metrics::Counter* registry_misses_;
+  // The per-pool view that ServingCounters attributes to one index, linked
+  // to the process-wide pool.* series.
+  metrics::Counter hits_{"pool.hits"};
+  metrics::Counter misses_{"pool.misses"};
 };
 
 }  // namespace xrank::storage

@@ -1,7 +1,6 @@
 #ifndef XRANK_STORAGE_COST_MODEL_H_
 #define XRANK_STORAGE_COST_MODEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -30,12 +29,7 @@ struct CostModelOptions {
 // bit-for-bit.
 class CostModel {
  public:
-  explicit CostModel(CostModelOptions options = {})
-      : options_(options),
-        io_sequential_(
-            metrics::Registry::Instance().GetCounter("io.sequential_reads")),
-        io_random_(
-            metrics::Registry::Instance().GetCounter("io.random_reads")) {}
+  explicit CostModel(CostModelOptions options = {}) : options_(options) {}
 
   // Records a physical page read. A read is sequential if it extends one of
   // the recently active scan streams (page == stream tail + 1); this models
@@ -45,15 +39,13 @@ class CostModel {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t i = 0; i < stream_count_; ++i) {
       if (page == streams_[i] + 1) {
-        sequential_reads_.fetch_add(1, std::memory_order_relaxed);
-        io_sequential_->Increment();
+        sequential_reads_.Increment();
         streams_[i] = page;
         MoveToFront(i);
         return;
       }
     }
-    random_reads_.fetch_add(1, std::memory_order_relaxed);
-    io_random_->Increment();
+    random_reads_.Increment();
     // Start (or replace the coldest) stream at this position.
     if (stream_count_ < kMaxStreams) ++stream_count_;
     for (size_t i = stream_count_; i-- > 1;) streams_[i] = streams_[i - 1];
@@ -62,8 +54,8 @@ class CostModel {
 
   void Reset() {
     std::lock_guard<std::mutex> lock(mutex_);
-    sequential_reads_.store(0, std::memory_order_relaxed);
-    random_reads_.store(0, std::memory_order_relaxed);
+    sequential_reads_.Reset();
+    random_reads_.Reset();
     stream_count_ = 0;
   }
 
@@ -77,12 +69,8 @@ class CostModel {
     stream_count_ = 0;
   }
 
-  uint64_t sequential_reads() const {
-    return sequential_reads_.load(std::memory_order_relaxed);
-  }
-  uint64_t random_reads() const {
-    return random_reads_.load(std::memory_order_relaxed);
-  }
+  uint64_t sequential_reads() const { return sequential_reads_.value(); }
+  uint64_t random_reads() const { return random_reads_.value(); }
   uint64_t total_reads() const { return sequential_reads() + random_reads(); }
 
   // Weighted cost in abstract units (sequential page reads).
@@ -106,14 +94,12 @@ class CostModel {
   }
 
   CostModelOptions options_;
-  // Process-wide registry aggregates alongside the per-model counters
-  // (which benches diff per query). Reset() clears only the per-model view;
-  // registry counters are monotonic for the process lifetime.
-  metrics::Counter* io_sequential_;
-  metrics::Counter* io_random_;
   std::mutex mutex_;
-  std::atomic<uint64_t> sequential_reads_{0};
-  std::atomic<uint64_t> random_reads_{0};
+  // Per-model counts (which benches diff per query), linked to the io.*
+  // registry series. Reset() clears only the per-model view; the registry
+  // series are monotonic for the process lifetime.
+  metrics::Counter sequential_reads_{"io.sequential_reads"};
+  metrics::Counter random_reads_{"io.random_reads"};
   PageId streams_[kMaxStreams] = {};
   size_t stream_count_ = 0;
 };

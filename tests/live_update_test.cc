@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "core/engine.h"
 #include "index/manifest.h"
 #include "storage/wal.h"
@@ -116,6 +117,28 @@ void ExpectSameResults(const EngineResponse& actual,
               expected.results[i].document_uri)
         << label;
   }
+}
+
+// Every monotonic update counter moved exactly as its update.* registry
+// series did between the two snapshots.
+void ExpectUpdateSeriesMatch(const XRankEngine::UpdateCounters& before,
+                             const XRankEngine::UpdateCounters& after,
+                             const metrics::RegistrySnapshot& series_before,
+                             const metrics::RegistrySnapshot& series_after) {
+  auto series = [&](const char* name) {
+    return series_after.counter(name) - series_before.counter(name);
+  };
+  EXPECT_EQ(after.wal_appends - before.wal_appends,
+            series("update.wal_appends"));
+  EXPECT_EQ(after.wal_replayed_records - before.wal_replayed_records,
+            series("update.wal_replayed_records"));
+  EXPECT_EQ(after.wal_dropped_bytes - before.wal_dropped_bytes,
+            series("update.wal_dropped_bytes"));
+  EXPECT_EQ(after.flushes - before.flushes, series("update.flushes"));
+  EXPECT_EQ(after.compactions - before.compactions,
+            series("update.compactions"));
+  EXPECT_EQ(after.backpressure_waits - before.backpressure_waits,
+            series("update.backpressure_waits"));
 }
 
 class LiveUpdateTest : public ::testing::Test {
@@ -234,6 +257,10 @@ TEST_F(LiveUpdateTest, SegmentsStartWithTheBudgetTheBaseLeft) {
 TEST_F(LiveUpdateTest, FlushAndCompactionPreserveResults) {
   auto engine = XRankEngine::Build(BaseCollection(), InlineOptions());
   ASSERT_TRUE(engine.ok());
+  const XRankEngine::UpdateCounters counters_before =
+      (*engine)->update_counters();
+  const metrics::RegistrySnapshot series_before =
+      metrics::Registry::Instance().Snapshot();
   for (int i = 1; i <= 4; ++i) {
     ASSERT_TRUE((*engine)->AddDocument(LiveUri(i), LiveXml(i)).ok());
   }
@@ -273,6 +300,12 @@ TEST_F(LiveUpdateTest, FlushAndCompactionPreserveResults) {
     ASSERT_TRUE(response.ok());
     ExpectSameResults(*response, with_six.at(kind), "after compaction");
   }
+  const XRankEngine::UpdateCounters counters_after =
+      (*engine)->update_counters();
+  EXPECT_EQ(counters_after.flushes - counters_before.flushes, 2u);
+  EXPECT_EQ(counters_after.compactions - counters_before.compactions, 1u);
+  ExpectUpdateSeriesMatch(counters_before, counters_after, series_before,
+                          metrics::Registry::Instance().Snapshot());
 }
 
 TEST_F(LiveUpdateTest, CompactionDropsTombstonedLiveDocuments) {
@@ -407,6 +440,8 @@ TEST_F(LiveUpdateTest, TornWalTailIsTruncatedOnReopen) {
     std::fwrite(&length, sizeof(length), 1, f);
     std::fclose(f);
   }
+  const metrics::RegistrySnapshot series_before =
+      metrics::Registry::Instance().Snapshot();
   auto reopened = XRankEngine::Open(BaseCollection(), DiskOptions(dir));
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_GT((*reopened)->update_counters().wal_dropped_bytes, 0u);
@@ -416,6 +451,11 @@ TEST_F(LiveUpdateTest, TornWalTailIsTruncatedOnReopen) {
   EXPECT_GT(CountDocResults(*response, LiveUri(1)), 0u);
   // The truncated log accepts appends again.
   EXPECT_TRUE((*reopened)->AddDocument(LiveUri(2), LiveXml(2)).ok());
+  // The reopened engine's counts started at zero and moved with the
+  // update.* series: the dropped tail, the replayed record, one append.
+  ExpectUpdateSeriesMatch(XRankEngine::UpdateCounters{},
+                          (*reopened)->update_counters(), series_before,
+                          metrics::Registry::Instance().Snapshot());
 }
 
 TEST_F(LiveUpdateTest, FailedWalAppendIsNotAcknowledgedAndHeals) {

@@ -68,6 +68,23 @@ TEST(MetricsTest, CounterBasics) {
   EXPECT_EQ(Registry::Instance().GetCounter("test.counter_basics"), c);
   c->Reset();
   EXPECT_EQ(c->value(), 0u);
+
+  // Instances linked to one series keep their own counts; the series holds
+  // their sum, and resetting an instance (as CostModel::Reset does) leaves
+  // the series alone.
+  Counter* series = Registry::Instance().GetCounter("test.counter_linked");
+  Counter first("test.counter_linked");
+  Counter second("test.counter_linked");
+  first.Increment(3);
+  second.Increment();
+  second.Increment(5);
+  EXPECT_EQ(first.value(), 3u);
+  EXPECT_EQ(second.value(), 6u);
+  EXPECT_EQ(series->value(), 9u);
+  first.Reset();
+  EXPECT_EQ(first.value(), 0u);
+  EXPECT_EQ(second.value(), 6u);
+  EXPECT_EQ(series->value(), 9u);
 }
 
 TEST(MetricsTest, GaugeBasics) {
@@ -141,7 +158,10 @@ TEST(MetricsTest, ConcurrentIncrementStress) {
   Counter* c = Registry::Instance().GetCounter("test.stress_counter");
   Gauge* g = Registry::Instance().GetGauge("test.stress_gauge");
   Histogram* h = Registry::Instance().GetHistogram("test.stress_hist");
+  Counter* series = Registry::Instance().GetCounter("test.stress_linked");
+  Counter linked("test.stress_linked");
   c->Reset();
+  series->Reset();
   g->Reset();
   h->Reset();
 
@@ -153,6 +173,7 @@ TEST(MetricsTest, ConcurrentIncrementStress) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         c->Increment();
+        linked.Increment();
         g->Add(1);
         h->Observe(static_cast<uint64_t>((t * kPerThread + i) % 5000));
       }
@@ -161,6 +182,8 @@ TEST(MetricsTest, ConcurrentIncrementStress) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(c->value(), static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(linked.value(), static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(series->value(), static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(g->value(), static_cast<int64_t>(kThreads) * kPerThread);
   EXPECT_EQ(h->count(), static_cast<uint64_t>(kThreads) * kPerThread);
   auto snapshot = h->TakeSnapshot();

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/metrics.h"
 #include "core/engine.h"
 #include "core/shard_router.h"
 #include "datagen/dblp_gen.h"
@@ -387,6 +388,8 @@ TEST(ShardRouterStatsTest, MergedStatsAreTheSumOfShardStats) {
   ASSERT_TRUE(router.ok()) << router.status();
 
   const auto quad = MakeCorpus().planted.low_correlation[0];
+  const metrics::RegistrySnapshot series_before =
+      metrics::Registry::Instance().Snapshot();
   std::vector<QueryStats> per_shard;
   auto response = (*router)->QueryKeywords({quad[0], quad[1]}, 10,
                                            IndexKind::kHdil, QueryOptions{},
@@ -419,6 +422,19 @@ TEST(ShardRouterStatsTest, MergedStatsAreTheSumOfShardStats) {
   EXPECT_EQ(counters.queries, 1u);
   EXPECT_EQ(counters.shard_queries, 4u);
   EXPECT_EQ(counters.errors, 0u);
+  // The router's counts started at zero and moved with its router.* series.
+  const metrics::RegistrySnapshot series_after =
+      metrics::Registry::Instance().Snapshot();
+  auto series = [&](const char* name) {
+    return series_after.counter(name) - series_before.counter(name);
+  };
+  EXPECT_EQ(counters.queries, series("router.queries"));
+  EXPECT_EQ(counters.shard_queries, series("router.shard_queries"));
+  EXPECT_EQ(counters.errors, series("router.errors"));
+  EXPECT_EQ(counters.partial_results, series("router.partial"));
+  EXPECT_EQ(counters.deadline_exceeded, series("router.deadline_exceeded"));
+  EXPECT_EQ(counters.shards_skipped, series("router.shards_skipped"));
+  EXPECT_EQ(counters.theta_raises, series("router.theta_raises"));
 
   // θ-forwarded scatters bypass every shard's result cache — a truncated
   // per-shard top-k must never be cached (or served) as that shard's own.

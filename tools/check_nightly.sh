@@ -11,6 +11,9 @@
 #      BENCH_*.json baselines within a relative tolerance. Wall-clock
 #      reports (bench_scaling) are host-dependent, so they are checked
 #      for schema only: every baseline metric key must still be produced.
+#      A report's metrics-registry block is checked for names only: every
+#      counter, gauge and histogram series in the baseline must still be
+#      registered, and no unbaselined one may appear.
 #      Fresh reports are left in the build directory for artifact upload.
 #
 #   tools/check_nightly.sh [build-dir]
@@ -66,9 +69,31 @@ HOST_DEPENDENT = ("wall_ms", "seconds", "qps", "speedup", "throughput_x")
 failures = 0
 for name, compare_values in REPORTS:
     with open(name) as f:
-        baseline = json.load(f)["metrics"]
+        baseline_report = json.load(f)
     with open(os.path.join(build_dir, name)) as f:
-        fresh = json.load(f)["metrics"]
+        fresh_report = json.load(f)
+    # Registry series names, both directions; values are host noise. A
+    # renamed or lost series would silently break every reader of it.
+    if "registry" in baseline_report:
+        fresh_registry = fresh_report.get("registry", {})
+        names = 0
+        for kind in ("counters", "gauges", "histograms"):
+            base_names = set(baseline_report["registry"].get(kind, {}))
+            fresh_names = set(fresh_registry.get(kind, {}))
+            names += len(base_names)
+            for series in sorted(base_names - fresh_names):
+                print(f"check_nightly: FAIL — {name}: registry {kind[:-1]} "
+                      f"'{series}' missing from fresh report")
+                failures += 1
+            for series in sorted(fresh_names - base_names):
+                print(f"check_nightly: FAIL — {name}: fresh registry "
+                      f"{kind[:-1]} '{series}' has no committed baseline "
+                      f"(regenerate {name})")
+                failures += 1
+        print(f"check_nightly: {name}: {names} baseline registry names "
+              f"checked")
+    baseline = baseline_report["metrics"]
+    fresh = fresh_report["metrics"]
     missing = sorted(set(baseline) - set(fresh))
     for key in missing:
         print(f"check_nightly: FAIL — {name}: baseline metric "
