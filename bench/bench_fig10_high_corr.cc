@@ -10,9 +10,12 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xrank;
   using namespace xrank::bench;
+  JsonReport report("fig10_high_corr");
+  argc = report.ParseFlag(argc, argv);
+  (void)argc;
 
   datagen::DblpOptions gen = BenchQueryPerfOptions();
   datagen::Corpus corpus = datagen::GenerateDblp(gen);
@@ -39,7 +42,8 @@ int main() {
       index::IndexKind::kDil, index::IndexKind::kRdil,
       index::IndexKind::kHdil};
   for (index::IndexKind kind : kinds) {
-    std::printf("%-12s", std::string(index::IndexKindName(kind)).c_str());
+    std::string kind_name(index::IndexKindName(kind));
+    std::printf("%-12s", kind_name.c_str());
     std::string wall;
     for (size_t keywords = 1; keywords <= 4; ++keywords) {
       datagen::WorkloadOptions workload;
@@ -51,6 +55,12 @@ int main() {
       AveragedStats stats = RunQuerySet(engine.get(), queries, kTopM, kind);
       std::printf(" %12.1f", stats.io_cost);
       wall += StringPrintf(" %7.2f", stats.wall_ms);
+      std::string prefix = kind_name + "/kw=" + std::to_string(keywords);
+      report.Add(prefix + "/io_cost", stats.io_cost);
+      if (kind == index::IndexKind::kHdil) {
+        report.Add(prefix + "/switched", static_cast<double>(stats.switched));
+      }
+      report.Add(prefix + "/wall_ms", stats.wall_ms);
     }
     std::printf("   %s\n", wall.c_str());
   }
@@ -59,5 +69,5 @@ int main() {
       "\nExpected shape (paper Fig. 10): RDIL lowest, HDIL tracking RDIL,\n"
       "DIL flat-but-higher (full scans), Naive-ID > DIL and Naive-Rank >\n"
       "RDIL from ancestor-replicated lists.\n");
-  return 0;
+  return report.Write() ? 0 : 1;
 }

@@ -10,9 +10,12 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xrank;
   using namespace xrank::bench;
+  JsonReport report("fig11_low_corr");
+  argc = report.ParseFlag(argc, argv);
+  (void)argc;
 
   datagen::DblpOptions gen = BenchQueryPerfOptions();
   datagen::Corpus corpus = datagen::GenerateDblp(gen);
@@ -36,7 +39,8 @@ int main() {
                                     index::IndexKind::kRdil,
                                     index::IndexKind::kHdil};
   for (index::IndexKind kind : kinds) {
-    std::printf("%-12s", std::string(index::IndexKindName(kind)).c_str());
+    std::string kind_name(index::IndexKindName(kind));
+    std::printf("%-12s", kind_name.c_str());
     std::string wall;
     std::string switches;
     for (size_t keywords = 1; keywords <= 4; ++keywords) {
@@ -49,9 +53,13 @@ int main() {
       AveragedStats stats = RunQuerySet(engine.get(), queries, kTopM, kind);
       std::printf(" %12.1f", stats.io_cost);
       wall += StringPrintf(" %7.2f", stats.wall_ms);
+      std::string prefix = kind_name + "/kw=" + std::to_string(keywords);
+      report.Add(prefix + "/io_cost", stats.io_cost);
       if (kind == index::IndexKind::kHdil) {
         switches += StringPrintf(" %zu/%zu", stats.switched, stats.queries);
+        report.Add(prefix + "/switched", static_cast<double>(stats.switched));
       }
+      report.Add(prefix + "/wall_ms", stats.wall_ms);
     }
     std::printf("   %s   %s\n", wall.c_str(), switches.c_str());
   }
@@ -61,5 +69,5 @@ int main() {
       "rank orders; with 2+ uncorrelated keywords RDIL pays for failed\n"
       "random probes while DIL's sequential scan wins; HDIL switches to DIL\n"
       "and tracks it with a small startup overhead.\n");
-  return 0;
+  return report.Write() ? 0 : 1;
 }

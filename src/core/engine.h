@@ -22,7 +22,6 @@
 #include "index/hdil_index.h"
 #include "index/index_builder.h"
 #include "index/manifest.h"
-#include "query/hdil_query.h"
 #include "query/query.h"
 #include "rank/elem_rank.h"
 #include "storage/buffer_pool.h"
@@ -52,7 +51,6 @@ struct EngineOptions {
   index::ExtractionOptions extraction;
   index::HdilOptions hdil;
   query::ScoringOptions scoring;
-  query::HdilStrategyOptions hdil_strategy;
 
   // Which physical indexes to build. HDIL is the paper's recommended
   // structure and the engine default.

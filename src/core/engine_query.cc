@@ -15,6 +15,7 @@
 #include "core/fan_out.h"
 #include "core/result_cache.h"
 #include "query/dil_query.h"
+#include "query/hdil_query.h"
 #include "query/naive_query.h"
 #include "query/rdil_query.h"
 
@@ -360,7 +361,6 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
       }
       case index::IndexKind::kHdil: {
         query::HdilQueryProcessor processor(pool, lexicon, options_.scoring,
-                                            options_.hdil_strategy,
                                             block_cache_.get());
         return processor.Execute(normalized, fetch_m, exec_options);
       }
@@ -391,8 +391,8 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
   query::QueryResponse response = std::move(executed).value();
   query::QueryStats stats = std::move(response.stats);
   // The segments prune against the base's fetch_m-th best rank, the θ an
-  // attached base scan would end on. Attaching would cost the base scan a
-  // k-th-rank walk per candidate.
+  // attached base scan would end on: they run after the base, so attaching
+  // would give them the same bound.
   if (fan_out.has_value() && response.results.size() >= fetch_m) {
     fan_out->threshold()->Raise(response.results[fetch_m - 1].rank);
   }

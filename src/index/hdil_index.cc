@@ -63,14 +63,7 @@ Status EncodeHdilShard(
         static_cast<size_t>(options.rank_fraction *
                             static_cast<double>(postings.size())));
     keep = std::min(keep, postings.size());
-    std::vector<Posting> rank_prefix = postings;
-    std::sort(rank_prefix.begin(), rank_prefix.end(),
-              [](const Posting& a, const Posting& b) {
-                if (a.elem_rank != b.elem_rank) {
-                  return a.elem_rank > b.elem_rank;
-                }
-                return a.id < b.id;
-              });
+    std::vector<const Posting*> rank_prefix = SortByRank(postings);
     rank_prefix.resize(keep);
 
     // Phase 2: the rank-ordered prefix list (raw IDs: rank order destroys
@@ -78,8 +71,8 @@ Status EncodeHdilShard(
     PostingFormat rank_format = format;
     rank_format.delta_encode_ids = false;
     PostingListWriter rank_writer(out->rank_scratch.get(), rank_format);
-    for (const Posting& posting : rank_prefix) {
-      XRANK_RETURN_NOT_OK(rank_writer.Add(posting).status());
+    for (const Posting* posting : rank_prefix) {
+      XRANK_RETURN_NOT_OK(rank_writer.Add(*posting).status());
     }
     XRANK_ASSIGN_OR_RETURN(ListExtent rank_extent, rank_writer.Finish());
     out->rank_extents.push_back(rank_extent);

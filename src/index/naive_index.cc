@@ -179,22 +179,11 @@ Result<BuiltIndex> BuildNaiveRankIndex(
   std::vector<StagedHash> staged;
 
   for (const auto& [term, postings] : naive_postings) {
-    std::vector<const Posting*> by_rank;
-    by_rank.reserve(postings.size());
-    for (const Posting& posting : postings) by_rank.push_back(&posting);
-    std::sort(by_rank.begin(), by_rank.end(),
-              [](const Posting* a, const Posting* b) {
-                if (a->elem_rank != b->elem_rank) {
-                  return a->elem_rank > b->elem_rank;
-                }
-                return a->id < b->id;
-              });
-
     PostingListWriter writer(file.get(), format);
     StagedHash stage;
     stage.term = term;
     stage.entries.reserve(postings.size());
-    for (const Posting* posting : by_rank) {
+    for (const Posting* posting : SortByRank(postings)) {
       XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(*posting));
       stage.entries.emplace_back(posting->id.component(0),
                                  EncodePostingLocation(loc));

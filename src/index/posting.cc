@@ -201,6 +201,20 @@ Result<bool> PostingListCursor::Next(Posting* out) {
   }
 }
 
+std::vector<const Posting*> SortByRank(const std::vector<Posting>& postings) {
+  std::vector<const Posting*> by_rank;
+  by_rank.reserve(postings.size());
+  for (const Posting& posting : postings) by_rank.push_back(&posting);
+  std::sort(by_rank.begin(), by_rank.end(),
+            [](const Posting* a, const Posting* b) {
+              if (a->elem_rank != b->elem_rank) {
+                return a->elem_rank > b->elem_rank;
+              }
+              return a->id < b->id;
+            });
+  return by_rank;
+}
+
 Result<Posting> ReadPostingAt(storage::BufferPool* pool,
                               const ListExtent& extent, PostingLocation loc,
                               const PostingFormat& format) {

@@ -64,6 +64,11 @@ class PostingListWriter {
   double max_doc_sum_ = 0.0;
 };
 
+// The order of the rank-ordered lists (RDIL, HDIL's rank prefix,
+// Naive-Rank): ElemRank descending, ties broken by Dewey id so builds are
+// deterministic. Returns pointers into `postings` in that order.
+std::vector<const Posting*> SortByRank(const std::vector<Posting>& postings);
+
 class BlockCache;
 
 // Sequential cursor over a list's page run (through the buffer pool, so

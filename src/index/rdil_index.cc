@@ -28,23 +28,10 @@ Status EncodeRdilShard(
   out->tree_entries.reserve(end - begin);
   for (size_t t = begin; t < end; ++t) {
     const std::vector<Posting>& postings = terms[t]->second;
-    // Sort by descending ElemRank; ties broken by Dewey ID so builds are
-    // deterministic.
-    std::vector<const Posting*> by_rank;
-    by_rank.reserve(postings.size());
-    for (const Posting& posting : postings) by_rank.push_back(&posting);
-    std::sort(by_rank.begin(), by_rank.end(),
-              [](const Posting* a, const Posting* b) {
-                if (a->elem_rank != b->elem_rank) {
-                  return a->elem_rank > b->elem_rank;
-                }
-                return a->id < b->id;
-              });
-
     PostingListWriter writer(out->scratch.get(), format);
     std::vector<std::pair<dewey::DeweyId, uint64_t>> entries;
     entries.reserve(postings.size());
-    for (const Posting* posting : by_rank) {
+    for (const Posting* posting : SortByRank(postings)) {
       XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(*posting));
       entries.emplace_back(posting->id, EncodePostingLocation(loc));
     }

@@ -1,13 +1,12 @@
 #include "query/naive_query.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/timer.h"
 #include "index/naive_index.h"
 #include "query/proximity.h"
 #include "query/result_heap.h"
+#include "query/threshold_scan.h"
 #include "query/trace.h"
 
 namespace xrank::query {
@@ -43,42 +42,28 @@ NaiveIdQueryProcessor::NaiveIdQueryProcessor(storage::BufferPool* pool,
 Result<QueryResponse> NaiveIdQueryProcessor::Execute(
     const std::vector<std::string>& keywords, size_t m,
     const QueryOptions& options) {
-  if (keywords.empty()) {
-    return Status::InvalidArgument("query has no keywords");
-  }
-  if (scoring_.semantics == QuerySemantics::kDisjunctive) {
-    return Status::Unimplemented(
-        "disjunctive queries are evaluated via DIL (the threshold algorithm "
-        "here assumes conjunctive semantics, paper Section 4.3)");
-  }
   WallTimer timer;
   CostSnapshot before = TakeSnapshot(pool_->cost_model());
   QueryResponse response;
   QueryTrace* trace = options.trace;
-  size_t n = keywords.size();
-
-  std::vector<const index::TermInfo*> infos(n);
-  {
-    ScopedSpan span(trace, "lexicon");
-    for (size_t k = 0; k < n; ++k) {
-      infos[k] = lexicon_->Find(keywords[k]);
-      if (infos[k] == nullptr) {
-        response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
-        return response;
-      }
-    }
+  std::vector<const index::TermInfo*> infos;
+  XRANK_RETURN_NOT_OK(
+      FindEveryTerm(*lexicon_, keywords, scoring_, trace, &infos));
+  if (infos.empty()) {
+    response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
+    return response;
   }
+  const size_t n = infos.size();
   std::vector<index::PostingListCursor> cursors;
   cursors.reserve(n);
   {
     ScopedSpan span(trace, "cursor_open");
-    for (size_t k = 0; k < n; ++k) {
-      cursors.emplace_back(
-          pool_, infos[k]->list,
-          lexicon_->ListFormat(/*delta_encode_ids=*/false));
+    for (const index::TermInfo* info : infos) {
+      cursors.emplace_back(pool_, info->list,
+                           lexicon_->ListFormat(/*delta_encode_ids=*/false));
     }
   }
-  std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
+  std::vector<QueryTrace::TermStats> terms(n);
 
   TopKAccumulator accumulator(m);
   if (options.shared_threshold != nullptr) {
@@ -86,15 +71,17 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
   }
   std::vector<index::Posting> current(n);
   std::vector<bool> live(n, false);
-  ScopedSpan merge_span(trace, "merge");
-  for (size_t k = 0; k < n; ++k) {
+  auto advance = [&](size_t k) -> Status {
     XRANK_ASSIGN_OR_RETURN(bool has, cursors[k].Next(&current[k]));
     live[k] = has;
     if (has) {
       ++response.stats.postings_scanned;
-      if (trace != nullptr) ++term_stats[k].postings_read;
+      ++terms[k].postings_read;
     }
-  }
+    return Status::OK();
+  };
+  ScopedSpan merge_span(trace, "merge");
+  for (size_t k = 0; k < n; ++k) XRANK_RETURN_NOT_OK(advance(k));
 
   // Equality merge join on the element ordinal: advance the smallest; when
   // all heads agree the element contains every keyword.
@@ -106,9 +93,7 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
       response.stats.partial = true;
       break;
     }
-    bool any_dead = false;
-    for (size_t k = 0; k < n; ++k) any_dead = any_dead || !live[k];
-    if (any_dead) break;
+    if (std::find(live.begin(), live.end(), false) != live.end()) break;
 
     uint32_t max_ordinal = 0;
     bool all_equal = true;
@@ -123,24 +108,12 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
     }
     if (all_equal) {
       accumulator.Add(current[0].id, NaiveScore(current, scoring_));
-      for (size_t k = 0; k < n; ++k) {
-        XRANK_ASSIGN_OR_RETURN(bool has, cursors[k].Next(&current[k]));
-        live[k] = has;
-        if (has) {
-          ++response.stats.postings_scanned;
-          if (trace != nullptr) ++term_stats[k].postings_read;
-        }
-      }
+      for (size_t k = 0; k < n; ++k) XRANK_RETURN_NOT_OK(advance(k));
       continue;
     }
     for (size_t k = 0; k < n; ++k) {
       while (live[k] && current[k].id.component(0) < max_ordinal) {
-        XRANK_ASSIGN_OR_RETURN(bool has, cursors[k].Next(&current[k]));
-        live[k] = has;
-        if (has) {
-          ++response.stats.postings_scanned;
-          if (trace != nullptr) ++term_stats[k].postings_read;
-        }
+        XRANK_RETURN_NOT_OK(advance(k));
       }
     }
   }
@@ -150,13 +123,7 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
     ScopedSpan span(trace, "rank");
     response.results = accumulator.TakeTop();
   }
-  if (trace != nullptr) {
-    for (size_t k = 0; k < n; ++k) {
-      term_stats[k].term = keywords[k];
-      term_stats[k].codec = std::string(lexicon_->codec_name());
-      trace->AddTermStats(std::move(term_stats[k]));
-    }
-  }
+  AddTermRows(trace, keywords, lexicon_->codec_name(), std::move(terms));
   response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
   FillIoStats(pool_->cost_model(), before, &response.stats);
   return response;
@@ -170,144 +137,58 @@ NaiveRankQueryProcessor::NaiveRankQueryProcessor(
 Result<QueryResponse> NaiveRankQueryProcessor::Execute(
     const std::vector<std::string>& keywords, size_t m,
     const QueryOptions& options) {
-  if (keywords.empty()) {
-    return Status::InvalidArgument("query has no keywords");
-  }
-  if (scoring_.semantics == QuerySemantics::kDisjunctive) {
-    return Status::Unimplemented(
-        "disjunctive queries are evaluated via DIL (the threshold algorithm "
-        "here assumes conjunctive semantics, paper Section 4.3)");
-  }
   WallTimer timer;
   CostSnapshot before = TakeSnapshot(pool_->cost_model());
   QueryResponse response;
-  QueryTrace* trace = options.trace;
-  size_t n = keywords.size();
-
-  std::vector<const index::TermInfo*> infos(n);
-  {
-    ScopedSpan span(trace, "lexicon");
-    for (size_t k = 0; k < n; ++k) {
-      infos[k] = lexicon_->Find(keywords[k]);
-      if (infos[k] == nullptr) {
-        response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
-        return response;
-      }
-    }
+  std::vector<const index::TermInfo*> infos;
+  XRANK_RETURN_NOT_OK(
+      FindEveryTerm(*lexicon_, keywords, scoring_, options.trace, &infos));
+  if (infos.empty()) {
+    response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
+    return response;
   }
+  const size_t n = infos.size();
+  const index::PostingFormat format =
+      lexicon_->ListFormat(/*delta_encode_ids=*/false);
   std::vector<index::PostingListCursor> cursors;
   cursors.reserve(n);
   {
-    ScopedSpan span(trace, "cursor_open");
-    for (size_t k = 0; k < n; ++k) {
-      cursors.emplace_back(
-          pool_, infos[k]->list,
-          lexicon_->ListFormat(/*delta_encode_ids=*/false));
+    ScopedSpan span(options.trace, "cursor_open");
+    for (const index::TermInfo* info : infos) {
+      cursors.emplace_back(pool_, info->list, format);
     }
   }
-  std::vector<QueryTrace::TermStats> term_stats(trace != nullptr ? n : 0);
+  ThresholdScan scan(std::move(cursors), m, options,
+                     ThresholdScan::DryList::kSkip, &response);
 
-  TopKAccumulator accumulator(m);
-  if (options.shared_threshold != nullptr) {
-    accumulator.AttachShared(options.shared_threshold);
-  }
-  ScopedSpan merge_span(trace, "merge");
-  QueryDeadline deadline(options);
-  std::vector<double> last_rank(n, std::numeric_limits<double>::infinity());
-  std::vector<bool> exhausted(n, false);
-  size_t next_list = 0;
-  bool done = false;
-
-  while (!done) {
-    Status tick = deadline.Check();
-    if (!tick.ok()) {
-      if (!options.allow_partial_results) return tick;
-      response.stats.partial = true;
-      break;
-    }
-    size_t k = n;
-    for (size_t step = 0; step < n; ++step) {
-      size_t candidate = (next_list + step) % n;
-      if (!exhausted[candidate]) {
-        k = candidate;
-        break;
-      }
-    }
-    if (k == n) break;
-    next_list = (k + 1) % n;
-
-    index::Posting entry;
-    XRANK_ASSIGN_OR_RETURN(bool has, cursors[k].Next(&entry));
-    if (!has) {
-      exhausted[k] = true;
-      continue;
-    }
-    ++response.stats.postings_scanned;
-    ++response.stats.rounds;
-    if (trace != nullptr) ++term_stats[k].postings_read;
-    last_rank[k] = entry.elem_rank;
-
-    if (!accumulator.Contains(entry.id)) {
-      // Probe the other keywords' hash indexes for the same element ID —
-      // no common-ancestor inference is needed because ancestors are
-      // explicitly replicated (Section 5.1).
-      uint32_t ordinal = entry.id.component(0);
-      std::vector<index::Posting> postings(n);
-      postings[k] = entry;
-      bool in_all = true;
-      for (size_t j = 0; j < n && in_all; ++j) {
-        if (j == k) continue;
-        ++response.stats.hash_probes;
-        if (trace != nullptr) ++term_stats[j].hash_probes;
-        XRANK_ASSIGN_OR_RETURN(
-            std::optional<index::PostingLocation> loc,
-            index::HashIndexLookup(pool_, *infos[j], ordinal));
-        if (!loc.has_value()) {
-          in_all = false;
-          break;
-        }
-        XRANK_ASSIGN_OR_RETURN(
-            postings[j],
-            index::ReadPostingAt(
-                pool_, infos[j]->list, *loc,
-                lexicon_->ListFormat(/*delta_encode_ids=*/false)));
-        ++response.stats.postings_scanned;
-        if (trace != nullptr) ++term_stats[j].postings_read;
-      }
-      if (in_all) {
-        accumulator.Add(entry.id, NaiveScore(postings, scoring_));
-      } else {
-        accumulator.MarkSeen(entry.id);
-      }
-    }
-
-    double threshold = 0.0;
-    bool bounded = true;
+  // Probes the other keywords' hash indexes for the entry's element — no
+  // common-ancestor inference is needed because ancestors are explicitly
+  // replicated (Section 5.1).
+  auto evaluate = [&](size_t k, const index::Posting& entry) -> Status {
+    if (!scan.FirstVisit(entry.id)) return Status::OK();
+    uint32_t ordinal = entry.id.component(0);
+    std::vector<index::Posting> postings(n);
+    postings[k] = entry;
     for (size_t j = 0; j < n; ++j) {
-      if (std::isinf(last_rank[j])) {
-        bounded = false;
-        break;
-      }
-      threshold += last_rank[j];
+      if (j == k) continue;
+      ++response.stats.hash_probes;
+      ++scan.term(j).hash_probes;
+      XRANK_ASSIGN_OR_RETURN(
+          std::optional<index::PostingLocation> loc,
+          index::HashIndexLookup(pool_, *infos[j], ordinal));
+      if (!loc.has_value()) return Status::OK();
+      XRANK_ASSIGN_OR_RETURN(
+          postings[j], index::ReadPostingAt(pool_, infos[j]->list, *loc,
+                                            format));
+      ++response.stats.postings_scanned;
+      ++scan.term(j).postings_read;
     }
-    if (bounded && accumulator.CountAtLeast(threshold) >= m) {
-      done = true;
-      response.stats.threshold_terminated = true;
-    }
-  }
-
-  merge_span.End();
-  {
-    ScopedSpan span(trace, "rank");
-    response.results = accumulator.TakeTop();
-  }
-  if (trace != nullptr) {
-    for (size_t k = 0; k < n; ++k) {
-      term_stats[k].term = keywords[k];
-      term_stats[k].codec = std::string(lexicon_->codec_name());
-      trace->AddTermStats(std::move(term_stats[k]));
-    }
-  }
+    scan.AddResult(entry.id, NaiveScore(postings, scoring_));
+    return Status::OK();
+  };
+  XRANK_RETURN_NOT_OK(scan.Run(evaluate).status());
+  scan.RecordTerms(keywords, lexicon_->codec_name());
+  scan.TakeTop();
   response.stats.wall_ms = timer.ElapsedSeconds() * 1e3;
   FillIoStats(pool_->cost_model(), before, &response.stats);
   return response;

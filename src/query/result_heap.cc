@@ -1,49 +1,48 @@
 #include "query/result_heap.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 namespace xrank::query {
 
-bool TopKAccumulator::Add(const dewey::DeweyId& id, double rank) {
-  seen_[id] = true;
+void TopKAccumulator::Add(const dewey::DeweyId& id, double rank) {
   auto [it, inserted] = ranks_by_id_.emplace(id, rank);
-  if (inserted) {
-    ranks_desc_.insert(rank);
-    if (shared_ != nullptr) shared_->Raise(LocalKthRank());
-    return true;
-  }
-  if (rank > it->second) {
-    ranks_desc_.erase(ranks_desc_.find(it->second));
-    ranks_desc_.insert(rank);
+  if (!inserted) {
+    if (rank <= it->second) return;
+    // A candidate among the m best leaves its old rank's place to the new
+    // one; the others compete like a new candidate.
+    auto held = top_ranks_.find(it->second);
+    if (held != top_ranks_.end()) top_ranks_.erase(held);
     it->second = rank;
-    if (shared_ != nullptr) shared_->Raise(LocalKthRank());
   }
-  return false;
+  OfferRank(rank);
+  if (shared_ != nullptr) shared_->Raise(LocalKthRank());
 }
 
-void TopKAccumulator::MarkSeen(const dewey::DeweyId& id) { seen_[id] = true; }
-
-bool TopKAccumulator::Contains(const dewey::DeweyId& id) const {
-  return seen_.find(id) != seen_.end();
+void TopKAccumulator::OfferRank(double rank) {
+  if (top_ranks_.size() < m_) {
+    top_ranks_.insert(rank);
+  } else if (m_ > 0 && rank > *top_ranks_.rbegin()) {
+    top_ranks_.erase(std::prev(top_ranks_.end()));
+    top_ranks_.insert(rank);
+  }
 }
 
 size_t TopKAccumulator::CountAtLeast(double threshold) const {
   size_t count = 0;
-  for (double rank : ranks_desc_) {
-    if (rank < threshold || count >= m_) break;
+  for (double rank : top_ranks_) {
+    if (rank < threshold) break;
     ++count;
   }
   return count;
 }
 
 double TopKAccumulator::LocalKthRank() const {
-  if (m_ == 0 || ranks_desc_.size() < m_) {
+  if (m_ == 0 || top_ranks_.size() < m_) {
     return -std::numeric_limits<double>::infinity();
   }
-  auto it = ranks_desc_.begin();
-  std::advance(it, m_ - 1);
-  return *it;
+  return *top_ranks_.rbegin();
 }
 
 double TopKAccumulator::KthRank() const {

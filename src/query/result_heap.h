@@ -62,12 +62,13 @@ class SharedTopKThreshold {
   std::atomic<uint64_t> raises_{0};
 };
 
-// Accumulates query-result candidates and answers the two questions the
-// algorithms ask: "have we already evaluated this element?" (RDIL line 18)
-// and "do at least m candidates beat the current threshold?" (the TA
-// stopping condition, RDIL lines 26-28). Keeps every candidate — the paper
-// sizes the heap "greater than m" because low-ranked candidates can enter
-// the final top-m once the threshold drops.
+// Accumulates query-result candidates and answers the question the
+// threshold algorithm asks: "do at least m candidates beat the current
+// threshold?" (the TA stopping condition, RDIL lines 26-28), and the
+// pruning merges' "what is the m-th best rank?". Keeps every candidate —
+// the paper sizes the heap "greater than m" because low-ranked candidates
+// can enter the final top-m once the threshold drops — but only the m
+// best ranks are kept ordered, so both questions read at most m entries.
 class TopKAccumulator {
  public:
   explicit TopKAccumulator(size_t m) : m_(m) {}
@@ -79,17 +80,10 @@ class TopKAccumulator {
   // Null (the default) detaches at zero cost.
   void AttachShared(SharedTopKThreshold* shared) { shared_ = shared; }
 
-  // Records a candidate. Returns true if the id was not seen before; a
-  // repeated id keeps the higher rank.
-  bool Add(const dewey::DeweyId& id, double rank);
+  // Records a candidate; a repeated id keeps the higher rank.
+  void Add(const dewey::DeweyId& id, double rank);
 
-  // Marks an id as evaluated without giving it a rank (an element probed
-  // and rejected must not be verified again).
-  void MarkSeen(const dewey::DeweyId& id);
-
-  bool Contains(const dewey::DeweyId& id) const;
-
-  // Number of candidates with rank >= threshold, capped at m (early exit).
+  // Number of candidates with rank >= threshold, capped at m.
   size_t CountAtLeast(double threshold) const;
 
   // Rank of the current m-th best candidate — the block-max pruning
@@ -98,7 +92,6 @@ class TopKAccumulator {
   // pruning until the heap is full).
   double KthRank() const;
 
-  size_t candidate_count() const { return ranks_by_id_.size(); }
   size_t m() const { return m_; }
 
   // The top min(m, candidates) results, rank-descending (ties by id so
@@ -108,12 +101,14 @@ class TopKAccumulator {
  private:
   // Local m-th-best rank, ignoring any shared floor (-inf until m ranked).
   double LocalKthRank() const;
+  // Enters a rank into top_ranks_, dropping the lowest once m are held.
+  void OfferRank(double rank);
 
   size_t m_;
   SharedTopKThreshold* shared_ = nullptr;
   std::unordered_map<dewey::DeweyId, double, dewey::DeweyIdHash> ranks_by_id_;
-  std::unordered_map<dewey::DeweyId, bool, dewey::DeweyIdHash> seen_;
-  std::multiset<double, std::greater<double>> ranks_desc_;
+  // The m highest ranks in ranks_by_id_, highest first.
+  std::multiset<double, std::greater<double>> top_ranks_;
 };
 
 }  // namespace xrank::query

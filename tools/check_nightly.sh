@@ -6,9 +6,12 @@
 #      different hits of each failpoint every night instead of the single
 #      fixed-seed pass the PR pipeline runs.
 #   2. Bench baseline diff: the deterministic benchmark reports —
-#      bench_table1_space (index bytes) and bench_topk_sweep (cost-model
-#      I/O units) — are regenerated and compared against the committed
-#      BENCH_*.json baselines within a relative tolerance. Wall-clock
+#      bench_table1_space (index bytes), bench_topk_sweep (cost-model
+#      I/O units) and bench_fig10_high_corr / bench_fig11_low_corr
+#      (Figures 10 and 11: cost-model units and HDIL switch counts) — are
+#      regenerated and compared against the committed BENCH_*.json
+#      baselines, the first two within a relative tolerance and the
+#      figures exactly (the cost model is deterministic). Wall-clock
 #      reports (bench_scaling) are host-dependent, so they are checked
 #      for schema only: every baseline metric key must still be produced.
 #      A report's metrics-registry block is checked for names only: every
@@ -20,8 +23,9 @@
 #
 # Environment:
 #   XRANK_NIGHTLY_RECOVERY_RUNS  randomized-seed recovery passes (default 5)
-#   XRANK_NIGHTLY_TOLERANCE      allowed relative drift for deterministic
-#                                metrics (default 0.25)
+#   XRANK_NIGHTLY_TOLERANCE      allowed relative drift for the
+#                                table1_space and topk_sweep metrics
+#                                (default 0.25)
 
 set -euo pipefail
 
@@ -42,12 +46,17 @@ done
 echo "=== bench baseline diff ==="
 cmake -B "$DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$DIR" -j "$(nproc)" --target bench_table1_space \
-  --target bench_topk_sweep --target bench_scaling
+  --target bench_topk_sweep --target bench_scaling \
+  --target bench_fig10_high_corr --target bench_fig11_low_corr
 
 "$DIR/bench/bench_table1_space" \
   --json "$DIR/BENCH_table1_space.json" > /dev/null
 "$DIR/bench/bench_topk_sweep" --json "$DIR/BENCH_disjunctive.json" > /dev/null
 "$DIR/bench/bench_scaling" --json "$DIR/BENCH_scaling.json" > /dev/null
+"$DIR/bench/bench_fig10_high_corr" \
+  --json "$DIR/BENCH_fig10_high_corr.json" > /dev/null
+"$DIR/bench/bench_fig11_low_corr" \
+  --json "$DIR/BENCH_fig11_low_corr.json" > /dev/null
 
 python3 - "$TOLERANCE" "$DIR" <<'EOF'
 import json, os, sys
@@ -55,19 +64,23 @@ import json, os, sys
 tolerance = float(sys.argv[1])
 build_dir = sys.argv[2]
 
-# (baseline, compare values?) — table1_space and topk_sweep report
-# deterministic quantities (bytes, cost-model units); scaling reports
-# wall-clock, so only its metric schema is compared. Time-based keys
-# inside otherwise-deterministic reports are host noise: schema only.
+# (baseline, compare values?, relative tolerance) — table1_space and
+# topk_sweep report deterministic quantities (bytes, cost-model units);
+# the figure benches report cost-model units and HDIL switch counts, which
+# must match exactly; scaling reports wall-clock, so only its metric schema
+# is compared. Time-based keys inside otherwise-deterministic reports are
+# host noise: schema only.
 REPORTS = [
-    ("BENCH_table1_space.json", True),
-    ("BENCH_disjunctive.json", True),
-    ("BENCH_scaling.json", False),
+    ("BENCH_table1_space.json", True, tolerance),
+    ("BENCH_disjunctive.json", True, tolerance),
+    ("BENCH_fig10_high_corr.json", True, 0.0),
+    ("BENCH_fig11_low_corr.json", True, 0.0),
+    ("BENCH_scaling.json", False, tolerance),
 ]
 HOST_DEPENDENT = ("wall_ms", "seconds", "qps", "speedup", "throughput_x")
 
 failures = 0
-for name, compare_values in REPORTS:
+for name, compare_values, report_tolerance in REPORTS:
     with open(name) as f:
         baseline_report = json.load(f)
     with open(os.path.join(build_dir, name)) as f:
@@ -118,11 +131,11 @@ for name, compare_values in REPORTS:
                    for s in HOST_DEPENDENT):
                 continue
             new = fresh[key]
-            bound = tolerance * max(abs(base), 1e-9)
+            bound = report_tolerance * max(abs(base), 1e-9)
             if abs(new - base) > bound:
                 print(f"check_nightly: FAIL — {name}: '{key}' drifted "
                       f"{base:.6g} -> {new:.6g} "
-                      f"(tolerance {tolerance:.0%})")
+                      f"(tolerance {report_tolerance:.0%})")
                 failures += 1
                 drifted += 1
     mode = "values" if compare_values else "schema"
