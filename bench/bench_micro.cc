@@ -125,7 +125,8 @@ BENCHMARK(BM_BtreeSeekCeil)->Arg(1000)->Arg(100000);
 
 void BM_PostingListScan(benchmark::State& state) {
   auto file = storage::PageFile::CreateInMemory();
-  index::PostingListWriter writer(file.get(), true);
+  const index::PostingFormat format = index::DefaultPostingFormat(true);
+  index::PostingListWriter writer(file.get(), format);
   auto ids = MakeIds(10000, 6);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -139,7 +140,7 @@ void BM_PostingListScan(benchmark::State& state) {
   auto extent = writer.Finish();
   storage::BufferPool pool(file.get(), 4096, nullptr);
   for (auto _ : state) {
-    index::PostingListCursor cursor(&pool, *extent, true);
+    index::PostingListCursor cursor(&pool, *extent, format);
     index::Posting posting;
     size_t count = 0;
     while (*cursor.Next(&posting)) ++count;
@@ -304,7 +305,7 @@ SkewedIndex* GetSkewedIndex() {
     const char* terms[] = {"hot", "cold"};
     for (uint32_t t = 0; t < 2; ++t) {
       index::PostingListWriter writer(out->file.get(),
-                                      /*delta_encode_ids=*/true);
+                                      index::DefaultPostingFormat(true));
       for (uint32_t d = 0; d < kDocs; ++d) {
         index::Posting posting;
         posting.id = dewey::DeweyId{d, 1};
@@ -328,16 +329,17 @@ SkewedIndex* GetSkewedIndex() {
   return index;
 }
 
-void RunTopkMerge(benchmark::State& state, bool use_skip_blocks,
-                  bool use_pruning, index::BlockCache* cache) {
+void RunTopkMerge(benchmark::State& state, query::MergeAlgorithm algorithm,
+                  index::BlockCache* cache) {
   SkewedIndex* idx = GetSkewedIndex();
   query::DilQueryProcessor processor(idx->pool.get(), &idx->lexicon,
-                                     query::ScoringOptions{}, use_skip_blocks,
-                                     cache, use_pruning);
+                                     query::ScoringOptions{}, cache);
   std::vector<std::string> keywords = {"hot", "cold"};
+  query::QueryOptions options;
+  options.algorithm = algorithm;
   uint64_t postings = 0;
   for (auto _ : state) {
-    auto response = processor.Execute(keywords, 10);
+    auto response = processor.Execute(keywords, 10, options);
     if (!response.ok()) {
       state.SkipWithError(response.status().ToString().c_str());
       return;
@@ -349,35 +351,32 @@ void RunTopkMerge(benchmark::State& state, bool use_skip_blocks,
 }
 
 void BM_TopkMergeExhaustive(benchmark::State& state) {
-  RunTopkMerge(state, /*use_skip_blocks=*/false, /*use_pruning=*/false,
-               nullptr);
+  RunTopkMerge(state, query::MergeAlgorithm::kExhaustive, nullptr);
 }
 BENCHMARK(BM_TopkMergeExhaustive);
 
+// The conjunctive default: the DAAT merge with block-max pruning.
 void BM_TopkMergePruned(benchmark::State& state) {
-  RunTopkMerge(state, /*use_skip_blocks=*/true, /*use_pruning=*/true,
-               nullptr);
+  RunTopkMerge(state, query::MergeAlgorithm::kAuto, nullptr);
 }
 BENCHMARK(BM_TopkMergePruned);
 
 void BM_TopkMergePrunedCached(benchmark::State& state) {
   static index::BlockCache* cache = new index::BlockCache(32u << 20);
-  RunTopkMerge(state, /*use_skip_blocks=*/true, /*use_pruning=*/true, cache);
+  RunTopkMerge(state, query::MergeAlgorithm::kAuto, cache);
 }
 BENCHMARK(BM_TopkMergePrunedCached);
 
 // Disjunctive top-k over the same skewed corpus: the exhaustive merge must
-// consume both full lists; MaxScore / WAND / block-max WAND prune on the
-// score bounds instead. check_perf.sh gates the pruned rows against the
+// consume both full lists; MaxScore and block-max WAND prune on the score
+// bounds instead. check_perf.sh gates the pruned rows against the
 // exhaustive baseline.
 void RunDisjunctiveTopk(benchmark::State& state,
-                        query::MergeAlgorithm algorithm,
-                        bool use_skip_blocks) {
+                        query::MergeAlgorithm algorithm) {
   SkewedIndex* idx = GetSkewedIndex();
   query::ScoringOptions scoring;
   scoring.semantics = query::QuerySemantics::kDisjunctive;
-  query::DilQueryProcessor processor(idx->pool.get(), &idx->lexicon, scoring,
-                                     use_skip_blocks);
+  query::DilQueryProcessor processor(idx->pool.get(), &idx->lexicon, scoring);
   std::vector<std::string> keywords = {"hot", "cold"};
   query::QueryOptions options;
   options.algorithm = algorithm;
@@ -395,20 +394,17 @@ void RunDisjunctiveTopk(benchmark::State& state,
 }
 
 void BM_TopkDisjunctiveExhaustive(benchmark::State& state) {
-  RunDisjunctiveTopk(state, query::MergeAlgorithm::kExhaustive,
-                     /*use_skip_blocks=*/false);
+  RunDisjunctiveTopk(state, query::MergeAlgorithm::kExhaustive);
 }
 BENCHMARK(BM_TopkDisjunctiveExhaustive);
 
 void BM_TopkDisjunctiveMaxScore(benchmark::State& state) {
-  RunDisjunctiveTopk(state, query::MergeAlgorithm::kMaxScore,
-                     /*use_skip_blocks=*/true);
+  RunDisjunctiveTopk(state, query::MergeAlgorithm::kMaxScore);
 }
 BENCHMARK(BM_TopkDisjunctiveMaxScore);
 
 void BM_TopkDisjunctiveBmw(benchmark::State& state) {
-  RunDisjunctiveTopk(state, query::MergeAlgorithm::kBlockMaxWand,
-                     /*use_skip_blocks=*/true);
+  RunDisjunctiveTopk(state, query::MergeAlgorithm::kBlockMaxWand);
 }
 BENCHMARK(BM_TopkDisjunctiveBmw);
 

@@ -351,7 +351,6 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
     switch (kind) {
       case index::IndexKind::kDil: {
         query::DilQueryProcessor processor(pool, lexicon, options_.scoring,
-                                           /*use_skip_blocks=*/true,
                                            block_cache_.get());
         return processor.Execute(normalized, fetch_m, exec_options);
       }
@@ -433,7 +432,7 @@ Result<EngineResponse> XRankEngine::QueryKeywordsSnapshot(
             -> Result<query::QueryStats> {
           query::DilQueryProcessor processor(
               scans[i]->pool.get(), &scans[i]->built.lexicon,
-              options_.scoring, /*use_skip_blocks=*/true, block_cache_.get());
+              options_.scoring, block_cache_.get());
           XRANK_ASSIGN_OR_RETURN(
               query::QueryResponse segment_response,
               processor.Execute(normalized, fetch_m, segment_options));

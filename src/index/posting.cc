@@ -18,10 +18,6 @@ PostingListWriter::PostingListWriter(storage::PageFile* file,
   encoder_ = format_.codec->NewEncoder(format_);
 }
 
-PostingListWriter::PostingListWriter(storage::PageFile* file,
-                                     bool delta_encode_ids)
-    : PostingListWriter(file, DefaultPostingFormat(delta_encode_ids)) {}
-
 namespace {
 // VBMW pages are whole physical pages, so an early close costs real space;
 // never close a page with fewer postings than this, no matter the waste.
@@ -127,11 +123,6 @@ PostingListCursor::PostingListCursor(storage::BufferPool* pool,
   XRANK_CHECK(format_.codec != nullptr, "posting format has no codec");
 }
 
-PostingListCursor::PostingListCursor(storage::BufferPool* pool,
-                                     const ListExtent& extent,
-                                     bool delta_encode_ids)
-    : PostingListCursor(pool, extent, DefaultPostingFormat(delta_encode_ids)) {}
-
 bool PostingListCursor::AtEnd() const {
   if (page_index_ >= extent_.page_count) return true;
   if (page_index_ == extent_.page_count - 1 && page_loaded_ &&
@@ -230,13 +221,6 @@ Result<Posting> ReadPostingAt(storage::BufferPool* pool,
     return Status::OutOfRange("posting slot out of page bounds");
   }
   return std::move(block[loc.slot]);
-}
-
-Result<Posting> ReadPostingAt(storage::BufferPool* pool,
-                              const ListExtent& extent, PostingLocation loc,
-                              bool delta_encode_ids) {
-  return ReadPostingAt(pool, extent, loc,
-                       DefaultPostingFormat(delta_encode_ids));
 }
 
 }  // namespace xrank::index

@@ -23,8 +23,6 @@ namespace xrank::index {
 class PostingListWriter {
  public:
   PostingListWriter(storage::PageFile* file, const PostingFormat& format);
-  // Legacy convenience: the varint compatibility baseline.
-  PostingListWriter(storage::PageFile* file, bool delta_encode_ids);
 
   // Returns the location the posting was placed at.
   Result<PostingLocation> Add(const Posting& posting);
@@ -79,9 +77,6 @@ class PostingListCursor {
  public:
   PostingListCursor(storage::BufferPool* pool, const ListExtent& extent,
                     const PostingFormat& format);
-  // Legacy convenience: the varint compatibility baseline.
-  PostingListCursor(storage::BufferPool* pool, const ListExtent& extent,
-                    bool delta_encode_ids);
 
   // Attaches a decoded-block cache: a cache hit serves every posting of the
   // page without touching the buffer pool or the decoder; a miss decodes
@@ -129,9 +124,6 @@ class PostingListCursor {
 Result<Posting> ReadPostingAt(storage::BufferPool* pool,
                               const ListExtent& extent, PostingLocation loc,
                               const PostingFormat& format);
-Result<Posting> ReadPostingAt(storage::BufferPool* pool,
-                              const ListExtent& extent, PostingLocation loc,
-                              bool delta_encode_ids);
 
 }  // namespace xrank::index
 

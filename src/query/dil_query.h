@@ -14,33 +14,22 @@ namespace xrank::query {
 
 // Single-pass DIL evaluation (paper Figure 5): merges the keyword inverted
 // lists in Dewey-ID order through the Dewey stack, computing the most
-// specific results and their ranks in one scan of each list. Under
-// conjunctive semantics the merge is document-at-a-time: whenever one list
-// has no posting for a document the others are skipped past it via the
-// lists' skip-block descriptors, which changes which pages are read but not
-// the produced results or their ranks (results never span documents).
-// Disjunctive (and, on request, conjunctive) queries run one of the safe
-// dynamic-pruning strategies — MaxScore, WAND, block-max WAND (see
-// query/disjunctive_merge.h) — chosen by QueryOptions::algorithm; all of
-// them return bitwise the same results as the exhaustive merge.
+// specific results and their ranks in one scan of each list. The merge is
+// chosen per query (QueryOptions::algorithm) from query/dil_merge.h:
+// conjunctive queries default to the document-at-a-time merge, which skips
+// documents missing a keyword and, under max aggregation, page runs whose
+// rank bounds cannot reach the top-k; disjunctive queries default to
+// block-max WAND or MaxScore; kExhaustive runs the full merge of Figure 5.
+// All of them return bitwise the same results.
 class DilQueryProcessor {
  public:
   // `pool` must wrap a DIL (or HDIL — the full lists are format-compatible)
-  // index file; `lexicon` describes it. Both are borrowed.
-  // `use_skip_blocks` == false forces the exhaustive merge for every
-  // semantics and algorithm request (the oracle configuration for
-  // correctness tests).
-  // `block_cache` (optional, borrowed) serves decoded posting pages.
-  // `use_block_max_pruning` == false disables the block-max top-k pruning
-  // on top of document skipping; pruning additionally requires scoring
-  // options it is sound under (see SupportsBlockMaxPruning) and is a pure
-  // I/O optimization — results are identical either way.
+  // index file; `lexicon` describes it. Both are borrowed. `block_cache`
+  // (optional, borrowed) serves decoded posting pages.
   DilQueryProcessor(storage::BufferPool* pool,
                     const index::Lexicon* lexicon,
                     const ScoringOptions& scoring,
-                    bool use_skip_blocks = true,
-                    index::BlockCache* block_cache = nullptr,
-                    bool use_block_max_pruning = true);
+                    index::BlockCache* block_cache = nullptr);
 
   // Keywords must already be analyzer-normalized. A keyword missing from
   // the lexicon yields an empty result (conjunctive semantics).
@@ -60,9 +49,7 @@ class DilQueryProcessor {
   storage::BufferPool* pool_;
   const index::Lexicon* lexicon_;
   ScoringOptions scoring_;
-  bool use_skip_blocks_;
   index::BlockCache* block_cache_;
-  bool use_block_max_pruning_;
 };
 
 }  // namespace xrank::query

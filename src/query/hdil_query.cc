@@ -87,8 +87,7 @@ HdilQueryProcessor::HdilQueryProcessor(storage::BufferPool* pool,
 Result<QueryResponse> HdilQueryProcessor::ExecuteDil(
     const std::vector<std::string>& keywords, size_t m,
     const QueryOptions& options, QueryDeadline* deadline) {
-  DilQueryProcessor dil(pool_, lexicon_, scoring_, /*use_skip_blocks=*/true,
-                        block_cache_);
+  DilQueryProcessor dil(pool_, lexicon_, scoring_, block_cache_);
   return dil.Execute(keywords, m, options, deadline);
 }
 
@@ -184,15 +183,9 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
     XRANK_ASSIGN_OR_RETURN(QueryResponse dil_response,
                            ExecuteDil(keywords, m, options, scan.deadline()));
     response.results = std::move(dil_response.results);
-    response.stats.postings_scanned += dil_response.stats.postings_scanned;
-    response.stats.pages_skipped += dil_response.stats.pages_skipped;
-    response.stats.blocks_pruned += dil_response.stats.blocks_pruned;
-    response.stats.docs_skipped += dil_response.stats.docs_skipped;
-    response.stats.pivot_advances += dil_response.stats.pivot_advances;
-    response.stats.block_cache_hits += dil_response.stats.block_cache_hits;
+    MergeQueryStats(&response.stats, dil_response.stats);
     response.stats.algorithm = dil_response.stats.algorithm;
     response.stats.switched_to_dil = true;
-    response.stats.partial = dil_response.stats.partial;
   } else {
     scan.TakeTop();
   }

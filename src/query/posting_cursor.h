@@ -2,53 +2,85 @@
 #define XRANK_QUERY_POSTING_CURSOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/result.h"
 #include "index/lexicon.h"
 #include "index/posting.h"
 #include "query/deadline.h"
+#include "query/scoring.h"
 #include "storage/buffer_pool.h"
 
 namespace xrank::query {
 
-// Forward cursor over one term's Dewey-ordered inverted list, with
-// document-granularity skipping. Wraps the sequential PostingListCursor and
-// the list's build-time skip-block descriptors (one (first Dewey ID, page
-// index) pair per list page, TermInfo::skips): when the Dewey-stack merge
-// establishes that no result can start before document `d`, the cursor
-// binary-searches the descriptors and re-enters the list at the first page
-// that can contain `d`, never decoding the pages in between.
+// List-level upper bound on the term's contribution to any one element's
+// overall rank (its keyword rank r̂, before the cross-term sum): under max
+// aggregation the max over the per-page block maxima; under sum aggregation
+// the serialized TermInfo::max_doc_rank (largest per-document rank sum —
+// subtree occurrences are a subset of the document's and every decay
+// power is <= 1). Returns +infinity when no sound bound is available —
+// missing descriptors, a pre-field index, or corrupted (non-finite) values
+// — so pruning simply never fires instead of dropping results.
+double TermScoreBound(const index::TermInfo& info,
+                      const ScoringOptions& scoring);
+
+// Forward cursor over one query term's Dewey-ordered inverted list: the
+// one cursor every DIL merge (query/dil_merge.h) runs on. It holds the
+// current posting, the term's slot in the query and its list-level score
+// bound, and adds document-granularity skipping over the sequential
+// PostingListCursor through the list's build-time skip-block descriptors
+// (one (first Dewey ID, page index, block maximum) entry per list page,
+// TermInfo::skips): once a merge has proved that no result can start
+// before document `d`, the cursor binary-searches the descriptors and
+// re-enters the list at the first page that can contain `d`, never
+// decoding the pages in between.
 //
-// Skipping a document is result-preserving whenever the caller has proved
-// the document cannot matter. Under conjunctive semantics that proof is
+// Skipping a document is result-preserving whenever the merge has proved
+// the document cannot matter. Under conjunctive semantics that proof can be
 // structural — document ids are the first Dewey component, so every result
 // (depth >= 1) and all of its rank contributions lie within a single
 // document, and a document missing any query keyword can contribute
-// nothing. Under disjunctive semantics the proof is score-based: the
-// MaxScore/BMW algorithms (query/disjunctive_merge.h) only skip documents
-// whose rank upper bound stays below the current k-th result. Exhaustive
-// disjunctive evaluation constructs with `use_skip_blocks == false`.
+// nothing. Otherwise the proof is score-based: the pruned merges only skip
+// documents whose rank upper bound stays below the current k-th result.
+// The exhaustive merge never skips.
 class PostingCursor {
  public:
+  // doc() of an exhausted cursor, so exhausted cursors sort last.
+  static constexpr uint32_t kNoDocument =
+      std::numeric_limits<uint32_t>::max();
+
   // `pool`, `lexicon` and `info` are borrowed and must outlive the cursor.
   // The list is `info->list` (Dewey order with delta-encoded IDs, the
   // DIL/HDIL full-list format), decoded with the lexicon's posting codec;
   // skip descriptors are `info->skips` and may be empty, in which case
-  // SkipToDocument degrades to a linear scan. `block_cache` (optional,
-  // borrowed) serves decoded pages without re-running the codec.
+  // SkipTo degrades to a linear scan and no page bound is available.
+  // `term` is the keyword's slot in the query; the list bound is
+  // TermScoreBound(*info, scoring). `block_cache` (optional, borrowed)
+  // serves decoded pages without re-running the codec.
   PostingCursor(storage::BufferPool* pool, const index::Lexicon* lexicon,
-                const index::TermInfo* info, bool use_skip_blocks,
+                const index::TermInfo* info, size_t term,
+                const ScoringOptions& scoring,
                 index::BlockCache* block_cache = nullptr);
 
-  // Reads the next posting in list order; returns false at end of list.
-  Result<bool> Next(index::Posting* out);
+  // Moves to the next posting in list order (the first one, on a fresh
+  // cursor); live() turns false at the end of the list.
+  Status Next();
 
-  // Advances to the first posting whose document id (first Dewey component)
+  // Moves to the first posting whose document id (first Dewey component)
   // is >= `doc`, discarding everything before it without feeding it to the
-  // merge. Returns false if the list has no such posting. Forward-only:
-  // `doc` must be >= the document id last returned.
-  Result<bool> SkipToDocument(uint32_t doc, index::Posting* out);
+  // merge; live() turns false if the list has no such posting.
+  // Forward-only: `doc` must be >= the current document id.
+  Status SkipTo(uint32_t doc);
+
+  bool live() const { return live_; }
+  // Document id of the current posting; kNoDocument once exhausted.
+  uint32_t doc() const {
+    return live_ ? current_.id.document_id() : kNoDocument;
+  }
+  const index::Posting& current() const { return current_; }
+  size_t term() const { return term_; }
+  double score_bound() const { return score_bound_; }
 
   // --- block-max pruning (see DESIGN.md section 11) ---
   //
@@ -60,9 +92,9 @@ class PostingCursor {
   // whole run when the sum cannot beat the current k-th result.
   struct RankBound {
     double bound = 0.0;
-    // First document id NOT covered by the run (UINT32_MAX when the run
+    // First document id NOT covered by the run (kNoDocument when the run
     // extends to the end of the list).
-    uint32_t next_doc = UINT32_MAX;
+    uint32_t next_doc = kNoDocument;
     // Index one past the run's last skip descriptor (ExtendBound state).
     size_t end_index = 0;
     // False when the list has no skip descriptors (no bound available).
@@ -76,7 +108,7 @@ class PostingCursor {
 
   // Widens the run by one page, raising `bound` to include it and advancing
   // `next_doc` past the documents the wider run now fully covers. No-op at
-  // end of list (next_doc stays UINT32_MAX).
+  // end of list (next_doc stays kNoDocument).
   void ExtendBound(RankBound* bound) const;
 
   // Block maximum of the page ExtendBound would add next — what `bound`
@@ -90,21 +122,25 @@ class PostingCursor {
   // Pages served from the decoded-block cache (0 without a cache).
   uint64_t block_cache_hits() const { return cursor_.block_cache_hits(); }
 
-  // List entries decoded through this cursor, including those discarded by
-  // SkipToDocument's tail scan (per-term trace counter).
+  // List entries decoded through this cursor, including those SkipTo's
+  // tail scan discarded (per-term trace counter).
   uint64_t postings_read() const { return postings_read_; }
 
   const index::ListExtent& extent() const { return cursor_.extent(); }
   uint32_t current_page_index() const { return cursor_.current_page_index(); }
 
-  // Attaches a cooperative budget: SkipToDocument's linear tail scan — the
-  // only unbounded loop inside the cursor — checks it per posting and
-  // aborts with DeadlineExceeded on expiry. Borrowed; may be null.
+  // Attaches a cooperative budget: SkipTo's linear tail scan — the only
+  // unbounded loop inside the cursor — checks it per posting and aborts
+  // with DeadlineExceeded on expiry. Borrowed; may be null.
   void set_deadline(QueryDeadline* deadline) { deadline_ = deadline; }
 
  private:
   index::PostingListCursor cursor_;
-  const std::vector<index::SkipEntry>* skips_;  // null = skipping disabled
+  const std::vector<index::SkipEntry>* skips_;
+  size_t term_;
+  double score_bound_;
+  index::Posting current_;
+  bool live_ = false;
   QueryDeadline* deadline_ = nullptr;
   uint64_t pages_skipped_ = 0;
   uint64_t postings_read_ = 0;

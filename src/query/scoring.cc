@@ -22,11 +22,6 @@ double CombineRanks(const std::vector<double>& keyword_ranks,
   return sum * proximity;
 }
 
-bool SupportsBlockMaxPruning(const ScoringOptions& options) {
-  return options.semantics == QuerySemantics::kConjunctive &&
-         options.aggregation == RankAggregation::kMax && options.decay <= 1.0;
-}
-
 bool SupportsScorePruning(const ScoringOptions& options) {
   return options.decay <= 1.0;
 }

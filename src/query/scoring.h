@@ -50,19 +50,10 @@ struct RankedResult {
 double AggregateRank(RankAggregation aggregation, double existing,
                      double incoming);
 
-// Whether block-max pruning yields a sound upper bound under these scoring
-// options. The bound Σ_k max-page-ElemRank(k) dominates the true overall
-// rank only when (a) semantics are conjunctive (disjunctive results must
-// surface documents the bound would prune), (b) per-keyword aggregation is
-// max — under sum, N occurrences can exceed any single block maximum — and
-// (c) decay ≤ 1, so every decay^(t-1) factor and the proximity factor
-// (always ≤ 1) only shrink the score. See DESIGN.md section 11.
-bool SupportsBlockMaxPruning(const ScoringOptions& options);
-
-// Soundness of the *disjunctive* pruning bounds (MaxScore / BMW in
-// query/disjunctive_merge.h), which — unlike the conjunctive run-widening
-// path above — need no conjunctive gate: they bound each document
-// individually, never assuming a missing keyword zeroes the score.
+// Soundness of the pruning bounds of the DIL merges (query/dil_merge.h).
+// Every bound covers one document's elements under either semantics: it
+// never assumes that a missing keyword zeroes the score. See DESIGN.md
+// sections 11 and 13.
 //
 // SupportsScorePruning: list-level upper bounds exist for *both*
 // aggregations — max over the per-page block maxima under max aggregation,
@@ -73,9 +64,12 @@ bool SupportsScorePruning(const ScoringOptions& options);
 
 // SupportsBlockMaxBounds: per-page maxima bound an element's keyword rank
 // only under max aggregation (under sum, N in-page occurrences can exceed
-// any single block maximum). Gates BMW's block refinement and the
-// block-level tightening inside MaxScore; when false, BMW degrades to
-// MaxScore, which then uses list-level bounds only.
+// any single block maximum) and decay <= 1, so every decay^(t-1) factor
+// and the proximity factor (always <= 1) only shrink the score. Gates the
+// conjunctive merge's block-max pruning, BMW and the block-level
+// tightening inside MaxScore; when false, the conjunctive merge only skips
+// documents missing a keyword, and BMW degrades to MaxScore, which then
+// uses list-level bounds only.
 bool SupportsBlockMaxBounds(const ScoringOptions& options);
 
 // Overall rank = Σ keyword ranks × proximity (paper Section 2.3.2.2).

@@ -194,8 +194,7 @@ TEST(CorruptionTest, CorruptSkipDescriptorsDoNotCrashSkipMerge) {
     }
     storage::BufferPool pool(built.file.get(), 64, nullptr);
     query::DilQueryProcessor processor(&pool, &scrambled,
-                                       query::ScoringOptions{},
-                                       /*use_skip_blocks=*/true);
+                                       query::ScoringOptions{});
     auto response = processor.Execute({"xql", "language"}, 5);
     (void)response;  // ok() either way; just must not crash or hang
   }

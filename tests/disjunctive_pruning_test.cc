@@ -23,10 +23,10 @@
 #include "index/codec.h"
 #include "index/lexicon.h"
 #include "index/posting.h"
+#include "query/dil_merge.h"
 #include "query/dil_query.h"
-#include "query/disjunctive_merge.h"
 #include "query/hdil_query.h"
-#include "query/scored_cursor.h"
+#include "query/posting_cursor.h"
 #include "query/scoring.h"
 #include "storage/buffer_pool.h"
 #include "storage/cost_model.h"
@@ -42,6 +42,7 @@ using query::MergeAlgorithm;
 using query::QueryOptions;
 using query::ScoringOptions;
 using testutil::BuildIndexedCorpus;
+using testutil::Exhaustive;
 
 constexpr MergeAlgorithm kPrunedAlgorithms[] = {
     MergeAlgorithm::kMaxScore, MergeAlgorithm::kBlockMaxWand};
@@ -109,8 +110,7 @@ TEST_P(DisjunctivePruningTest, PrunedTopKMatchesExhaustiveOracle) {
 
   query::DilQueryProcessor oracle(corpus->pool(IndexKind::kDil),
                                   corpus->lexicon(IndexKind::kDil),
-                                  Disjunctive(),
-                                  /*use_skip_blocks=*/false);
+                                  Disjunctive());
   query::DilQueryProcessor pruned(corpus->pool(IndexKind::kDil),
                                   corpus->lexicon(IndexKind::kDil),
                                   Disjunctive());
@@ -122,7 +122,7 @@ TEST_P(DisjunctivePruningTest, PrunedTopKMatchesExhaustiveOracle) {
     std::vector<std::string> keywords(chosen.begin(), chosen.end());
 
     for (size_t m : {1u, 3u, 10u, 100u}) {
-      auto expected = oracle.Execute(keywords, m);
+      auto expected = oracle.Execute(keywords, m, Exhaustive());
       ASSERT_TRUE(expected.ok()) << expected.status();
       EXPECT_EQ(expected->stats.algorithm, "exhaustive");
       for (MergeAlgorithm algorithm : kPrunedAlgorithms) {
@@ -151,8 +151,7 @@ TEST_P(DisjunctivePruningTest, MixedModeConjunctiveMatchesOracle) {
 
   query::DilQueryProcessor oracle(corpus->pool(IndexKind::kDil),
                                   corpus->lexicon(IndexKind::kDil),
-                                  ScoringOptions{},
-                                  /*use_skip_blocks=*/false);
+                                  ScoringOptions{});
   query::DilQueryProcessor pruned(corpus->pool(IndexKind::kDil),
                                   corpus->lexicon(IndexKind::kDil),
                                   ScoringOptions{});
@@ -163,7 +162,7 @@ TEST_P(DisjunctivePruningTest, MixedModeConjunctiveMatchesOracle) {
     while (chosen.size() < nk) chosen.insert(vocab.Word(rng.Uniform(8)));
     std::vector<std::string> keywords(chosen.begin(), chosen.end());
     for (size_t m : {1u, 10u}) {
-      auto expected = oracle.Execute(keywords, m);
+      auto expected = oracle.Execute(keywords, m, Exhaustive());
       ASSERT_TRUE(expected.ok()) << expected.status();
       for (MergeAlgorithm algorithm : kPrunedAlgorithms) {
         QueryOptions options;
@@ -179,35 +178,32 @@ TEST_P(DisjunctivePruningTest, MixedModeConjunctiveMatchesOracle) {
   }
 }
 
-// A pruned-algorithm request on a processor that cannot run it (built
-// without block-max pruning) degrades to the conjunctive DAAT skip path —
-// the next-fastest exact strategy — not silently to the exhaustive merge;
-// the stats label reports what actually ran.
+// A pruned-algorithm request that cannot run (with decay > 1 no score
+// bound is sound) degrades to the conjunctive DAAT skip path — the
+// next-fastest exact strategy — not silently to the exhaustive merge; the
+// stats label reports what actually ran.
 TEST_P(DisjunctivePruningTest, UnavailablePrunedRequestFallsBackToDaat) {
   auto corpus = BuildIndexedCorpus(RandomCorpus(GetParam() + 8500, 8));
   datagen::Vocabulary vocab(8);
   Random rng(GetParam() * 41 + 13);
 
+  ScoringOptions growing;
+  growing.decay = 1.5;  // decay amplifies deep scores: no sound bound
   query::DilQueryProcessor oracle(corpus->pool(IndexKind::kDil),
-                                  corpus->lexicon(IndexKind::kDil),
-                                  ScoringOptions{},
-                                  /*use_skip_blocks=*/false);
-  query::DilQueryProcessor skip_only(corpus->pool(IndexKind::kDil),
+                                  corpus->lexicon(IndexKind::kDil), growing);
+  query::DilQueryProcessor unbounded(corpus->pool(IndexKind::kDil),
                                      corpus->lexicon(IndexKind::kDil),
-                                     ScoringOptions{},
-                                     /*use_skip_blocks=*/true,
-                                     /*block_cache=*/nullptr,
-                                     /*use_block_max_pruning=*/false);
+                                     growing);
   for (int trial = 0; trial < 3; ++trial) {
     std::set<std::string> chosen;
     while (chosen.size() < 2) chosen.insert(vocab.Word(rng.Uniform(8)));
     std::vector<std::string> keywords(chosen.begin(), chosen.end());
-    auto expected = oracle.Execute(keywords, 10);
+    auto expected = oracle.Execute(keywords, 10, Exhaustive());
     ASSERT_TRUE(expected.ok()) << expected.status();
     for (MergeAlgorithm algorithm : kPrunedAlgorithms) {
       QueryOptions options;
       options.algorithm = algorithm;
-      auto got = skip_only.Execute(keywords, 10, options);
+      auto got = unbounded.Execute(keywords, 10, options);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(got->stats.algorithm, "daat")
           << MergeAlgorithmName(algorithm);
@@ -216,9 +212,7 @@ TEST_P(DisjunctivePruningTest, UnavailablePrunedRequestFallsBackToDaat) {
                                    MergeAlgorithmName(algorithm));
     }
     // An explicit exhaustive request still forces the oracle merge.
-    QueryOptions exhaustive;
-    exhaustive.algorithm = MergeAlgorithm::kExhaustive;
-    auto forced = skip_only.Execute(keywords, 10, exhaustive);
+    auto forced = unbounded.Execute(keywords, 10, Exhaustive());
     ASSERT_TRUE(forced.ok()) << forced.status();
     EXPECT_EQ(forced->stats.algorithm, "exhaustive");
   }
@@ -232,8 +226,7 @@ TEST_P(DisjunctivePruningTest, HdilDelegatesDisjunctiveQueries) {
 
   query::DilQueryProcessor oracle(corpus->pool(IndexKind::kDil),
                                   corpus->lexicon(IndexKind::kDil),
-                                  Disjunctive(),
-                                  /*use_skip_blocks=*/false);
+                                  Disjunctive());
   query::HdilQueryProcessor hdil(corpus->pool(IndexKind::kHdil),
                                  corpus->lexicon(IndexKind::kHdil),
                                  Disjunctive());
@@ -242,7 +235,7 @@ TEST_P(DisjunctivePruningTest, HdilDelegatesDisjunctiveQueries) {
     std::set<std::string> chosen;
     while (chosen.size() < nk) chosen.insert(vocab.Word(rng.Uniform(8)));
     std::vector<std::string> keywords(chosen.begin(), chosen.end());
-    auto expected = oracle.Execute(keywords, 10);
+    auto expected = oracle.Execute(keywords, 10, Exhaustive());
     auto got = hdil.Execute(keywords, 10);
     ASSERT_TRUE(expected.ok()) << expected.status();
     ASSERT_TRUE(got.ok()) << got.status();
@@ -300,8 +293,7 @@ TEST_P(DisjunctiveCodecPruningTest, PrunedTopKMatchesExhaustiveOracle) {
       scoring.aggregation = aggregation;
       query::DilQueryProcessor oracle(corpus->pool(IndexKind::kDil),
                                       corpus->lexicon(IndexKind::kDil),
-                                      scoring,
-                                      /*use_skip_blocks=*/false);
+                                      scoring);
       query::DilQueryProcessor pruned(corpus->pool(IndexKind::kDil),
                                       corpus->lexicon(IndexKind::kDil),
                                       scoring);
@@ -312,7 +304,7 @@ TEST_P(DisjunctiveCodecPruningTest, PrunedTopKMatchesExhaustiveOracle) {
         std::vector<std::string> keywords(chosen.begin(), chosen.end());
 
         for (size_t m : {1u, 3u, 100u}) {
-          auto expected = oracle.Execute(keywords, m);
+          auto expected = oracle.Execute(keywords, m, Exhaustive());
           ASSERT_TRUE(expected.ok()) << expected.status();
           for (MergeAlgorithm algorithm : kPrunedAlgorithms) {
             QueryOptions options;
@@ -395,9 +387,8 @@ TEST(DisjunctiveSkewTest, MaxScoreAndBmwPruneOnSkewedRanks) {
   query::DilQueryProcessor pruned(idx.pool.get(), &idx.lexicon,
                                   Disjunctive());
   query::DilQueryProcessor exhaustive(idx.pool.get(), &idx.lexicon,
-                                      Disjunctive(),
-                                      /*use_skip_blocks=*/false);
-  auto slow = exhaustive.Execute(keywords, 10);
+                                      Disjunctive());
+  auto slow = exhaustive.Execute(keywords, 10, Exhaustive());
   ASSERT_TRUE(slow.ok()) << slow.status();
   ASSERT_EQ(slow->results.size(), 10u);
 
@@ -487,9 +478,8 @@ TEST(DisjunctiveSkewTest, SumAggregationUsesListBoundsAndDegradesBmw) {
   ASSERT_FALSE(query::SupportsBlockMaxBounds(scoring));
 
   query::DilQueryProcessor pruned(idx.pool.get(), &idx.lexicon, scoring);
-  query::DilQueryProcessor exhaustive(idx.pool.get(), &idx.lexicon, scoring,
-                                      /*use_skip_blocks=*/false);
-  auto slow = exhaustive.Execute(keywords, 10);
+  query::DilQueryProcessor exhaustive(idx.pool.get(), &idx.lexicon, scoring);
+  auto slow = exhaustive.Execute(keywords, 10, Exhaustive());
   ASSERT_TRUE(slow.ok()) << slow.status();
 
   QueryOptions bmw;
@@ -532,18 +522,16 @@ TEST(DisjunctiveSkewTest, CorruptedBoundsDegradeToNoPrune) {
   }
 
   query::DilQueryProcessor exhaustive(idx.pool.get(), &idx.lexicon,
-                                      Disjunctive(),
-                                      /*use_skip_blocks=*/false);
-  auto slow = exhaustive.Execute(keywords, 10);
+                                      Disjunctive());
+  auto slow = exhaustive.Execute(keywords, 10, Exhaustive());
   ASSERT_TRUE(slow.ok()) << slow.status();
 
   for (query::RankAggregation aggregation :
        {query::RankAggregation::kMax, query::RankAggregation::kSum}) {
     ScoringOptions scoring = Disjunctive();
     scoring.aggregation = aggregation;
-    query::DilQueryProcessor oracle(idx.pool.get(), &idx.lexicon, scoring,
-                                    /*use_skip_blocks=*/false);
-    auto expected = oracle.Execute(keywords, 10);
+    query::DilQueryProcessor oracle(idx.pool.get(), &idx.lexicon, scoring);
+    auto expected = oracle.Execute(keywords, 10, Exhaustive());
     ASSERT_TRUE(expected.ok()) << expected.status();
     query::DilQueryProcessor processor(idx.pool.get(), &damaged, scoring);
     for (MergeAlgorithm algorithm : kPrunedAlgorithms) {
@@ -608,11 +596,10 @@ TEST(VbmwBlockTest, LambdaProducesMorePagesAndStaysExact) {
 
   std::vector<std::string> keywords = {"hot", "cold"};
   query::DilQueryProcessor oracle(vbmw.pool.get(), &vbmw.lexicon,
-                                  Disjunctive(),
-                                  /*use_skip_blocks=*/false);
+                                  Disjunctive());
   query::DilQueryProcessor pruned(vbmw.pool.get(), &vbmw.lexicon,
                                   Disjunctive());
-  auto slow = oracle.Execute(keywords, 10);
+  auto slow = oracle.Execute(keywords, 10, Exhaustive());
   ASSERT_TRUE(slow.ok()) << slow.status();
   for (MergeAlgorithm algorithm : kPrunedAlgorithms) {
     QueryOptions options;
@@ -704,7 +691,8 @@ TEST(MaxDocRankTest, WriterTracksPerDocumentSums) {
     posting.positions = {1};
     postings.push_back(std::move(posting));
   }
-  index::PostingListWriter writer(file.get(), /*delta_encode_ids=*/true);
+  index::PostingListWriter writer(
+      file.get(), index::DefaultPostingFormat(/*delta_encode_ids=*/true));
   for (const index::Posting& posting : postings) {
     ASSERT_TRUE(writer.Add(posting).ok());
   }

@@ -85,7 +85,8 @@ TEST_P(PostingRoundTripTest, CursorReturnsAllPostings) {
   EXPECT_EQ(fixture.extent.entry_count, postings.size());
   EXPECT_GT(fixture.extent.page_count, 1u);
 
-  PostingListCursor cursor(fixture.pool.get(), fixture.extent, delta);
+  PostingListCursor cursor(fixture.pool.get(), fixture.extent,
+                           DefaultPostingFormat(delta));
   Posting posting;
   for (size_t i = 0; i < postings.size(); ++i) {
     auto has = cursor.Next(&posting);
@@ -106,14 +107,15 @@ TEST_P(PostingRoundTripTest, RandomAccessBySlot) {
   fixture.Write(postings, delta);
   for (size_t i = 0; i < postings.size(); i += 37) {
     auto posting = ReadPostingAt(fixture.pool.get(), fixture.extent,
-                                 fixture.locations[i], delta);
+                                 fixture.locations[i],
+                                 DefaultPostingFormat(delta));
     ASSERT_TRUE(posting.ok()) << posting.status();
     EXPECT_EQ(*posting, postings[i]);
   }
   // Out-of-range access fails.
   EXPECT_FALSE(ReadPostingAt(fixture.pool.get(), fixture.extent,
                              PostingLocation{fixture.extent.page_count, 0},
-                             delta)
+                             DefaultPostingFormat(delta))
                    .ok());
 }
 
@@ -226,7 +228,8 @@ TEST(PostingListTest, SeekToPageStartsAtPageBoundary) {
   size_t first_on_page1 = 0;
   while (fixture.locations[first_on_page1].page_index != 1) ++first_on_page1;
 
-  PostingListCursor cursor(fixture.pool.get(), fixture.extent, true);
+  PostingListCursor cursor(fixture.pool.get(), fixture.extent,
+                           DefaultPostingFormat(true));
   ASSERT_TRUE(cursor.SeekToPage(1).ok());
   Posting posting;
   auto has = cursor.Next(&posting);
@@ -262,13 +265,14 @@ TEST(PostingListTest, PositionCapTruncates) {
     huge.positions.push_back(p * 3);
   }
   ListFixture fixture;
-  PostingListWriter writer(fixture.file.get(), true);
+  PostingListWriter writer(fixture.file.get(), DefaultPostingFormat(true));
   ASSERT_TRUE(writer.Add(huge).ok());
   auto extent = writer.Finish();
   ASSERT_TRUE(extent.ok());
   fixture.pool =
       std::make_unique<storage::BufferPool>(fixture.file.get(), 16, nullptr);
-  PostingListCursor cursor(fixture.pool.get(), *extent, true);
+  PostingListCursor cursor(fixture.pool.get(), *extent,
+                           DefaultPostingFormat(true));
   Posting read;
   auto has = cursor.Next(&read);
   ASSERT_TRUE(has.ok());
@@ -282,7 +286,8 @@ TEST(PostingListTest, EmptyList) {
   fixture.Write({}, true);
   EXPECT_EQ(fixture.extent.entry_count, 0u);
   EXPECT_EQ(fixture.extent.page_count, 0u);
-  PostingListCursor cursor(fixture.pool.get(), fixture.extent, true);
+  PostingListCursor cursor(fixture.pool.get(), fixture.extent,
+                           DefaultPostingFormat(true));
   Posting posting;
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());

@@ -37,6 +37,7 @@ namespace {
 using index::IndexKind;
 using query::ScoringOptions;
 using testutil::BuildIndexedCorpus;
+using testutil::Exhaustive;
 
 // Same adversarial regime as semantics_property_test: a tiny vocabulary so
 // keywords co-occur heavily and documents legitimately tie.
@@ -96,25 +97,13 @@ TEST_P(PruningPropertyTest, PrunedTopKMatchesExhaustiveOracle) {
 
   query::DilQueryProcessor exhaustive(corpus->pool(IndexKind::kDil),
                                       corpus->lexicon(IndexKind::kDil),
-                                      ScoringOptions{},
-                                      /*use_skip_blocks=*/false);
-  query::DilQueryProcessor skip_only(corpus->pool(IndexKind::kDil),
-                                     corpus->lexicon(IndexKind::kDil),
-                                     ScoringOptions{},
-                                     /*use_skip_blocks=*/true,
-                                     /*block_cache=*/nullptr,
-                                     /*use_block_max_pruning=*/false);
+                                      ScoringOptions{});
   query::DilQueryProcessor pruned(corpus->pool(IndexKind::kDil),
                                   corpus->lexicon(IndexKind::kDil),
-                                  ScoringOptions{},
-                                  /*use_skip_blocks=*/true,
-                                  /*block_cache=*/nullptr,
-                                  /*use_block_max_pruning=*/true);
+                                  ScoringOptions{});
   query::DilQueryProcessor pruned_cached(corpus->pool(IndexKind::kDil),
                                          corpus->lexicon(IndexKind::kDil),
-                                         ScoringOptions{},
-                                         /*use_skip_blocks=*/true, &cache,
-                                         /*use_block_max_pruning=*/true);
+                                         ScoringOptions{}, &cache);
 
   for (int trial = 0; trial < 8; ++trial) {
     size_t nk = 1 + rng.Uniform(3);
@@ -123,9 +112,9 @@ TEST_P(PruningPropertyTest, PrunedTopKMatchesExhaustiveOracle) {
     std::vector<std::string> keywords(chosen.begin(), chosen.end());
 
     for (size_t m : {1u, 3u, 10u, 100u}) {
-      auto oracle = exhaustive.Execute(keywords, m);
+      auto oracle = exhaustive.Execute(keywords, m, Exhaustive());
       ASSERT_TRUE(oracle.ok()) << oracle.status();
-      for (auto* processor : {&skip_only, &pruned, &pruned_cached}) {
+      for (auto* processor : {&pruned, &pruned_cached}) {
         auto got = processor->Execute(keywords, m);
         ASSERT_TRUE(got.ok()) << got.status();
         ExpectIdenticalResponses(*got, *oracle,
@@ -195,9 +184,8 @@ std::string CodecParamName(
 class CodecPruningPropertyTest : public ::testing::TestWithParam<CodecParam> {
 };
 
-// The pruned-vs-exhaustive and skip-vs-exhaustive oracles must hold under
-// every registered codec. All processors read the same index, so answers
-// compare bitwise.
+// The pruned-vs-exhaustive oracle must hold under every registered codec.
+// All processors read the same index, so answers compare bitwise.
 TEST_P(CodecPruningPropertyTest, PrunedTopKMatchesExhaustiveOracle) {
   index::BuildOptions build;
   build.format = GetParam().spec;
@@ -211,20 +199,10 @@ TEST_P(CodecPruningPropertyTest, PrunedTopKMatchesExhaustiveOracle) {
 
     query::DilQueryProcessor exhaustive(corpus->pool(IndexKind::kDil),
                                         corpus->lexicon(IndexKind::kDil),
-                                        ScoringOptions{},
-                                        /*use_skip_blocks=*/false);
-    query::DilQueryProcessor skip_only(corpus->pool(IndexKind::kDil),
-                                       corpus->lexicon(IndexKind::kDil),
-                                       ScoringOptions{},
-                                       /*use_skip_blocks=*/true,
-                                       /*block_cache=*/nullptr,
-                                       /*use_block_max_pruning=*/false);
+                                        ScoringOptions{});
     query::DilQueryProcessor pruned(corpus->pool(IndexKind::kDil),
                                     corpus->lexicon(IndexKind::kDil),
-                                    ScoringOptions{},
-                                    /*use_skip_blocks=*/true,
-                                    /*block_cache=*/nullptr,
-                                    /*use_block_max_pruning=*/true);
+                                    ScoringOptions{});
     for (int trial = 0; trial < 4; ++trial) {
       size_t nk = 1 + rng.Uniform(3);
       std::set<std::string> chosen;
@@ -232,16 +210,14 @@ TEST_P(CodecPruningPropertyTest, PrunedTopKMatchesExhaustiveOracle) {
       std::vector<std::string> keywords(chosen.begin(), chosen.end());
 
       for (size_t m : {1u, 3u, 100u}) {
-        auto oracle = exhaustive.Execute(keywords, m);
+        auto oracle = exhaustive.Execute(keywords, m, Exhaustive());
         ASSERT_TRUE(oracle.ok()) << oracle.status();
-        for (auto* processor : {&skip_only, &pruned}) {
-          auto got = processor->Execute(keywords, m);
-          ASSERT_TRUE(got.ok()) << got.status();
-          ExpectIdenticalResponses(*got, *oracle,
-                                   std::string(GetParam().label) +
-                                       " m=" + std::to_string(m) +
-                                       " kw=" + keywords[0]);
-        }
+        auto got = pruned.Execute(keywords, m);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ExpectIdenticalResponses(*got, *oracle,
+                                 std::string(GetParam().label) +
+                                     " m=" + std::to_string(m) +
+                                     " kw=" + keywords[0]);
       }
     }
   }
@@ -258,8 +234,7 @@ TEST_P(CodecPruningPropertyTest, HdilMatchesDilOracle) {
 
   query::DilQueryProcessor oracle(corpus->pool(IndexKind::kDil),
                                   corpus->lexicon(IndexKind::kDil),
-                                  ScoringOptions{},
-                                  /*use_skip_blocks=*/false);
+                                  ScoringOptions{});
   query::HdilQueryProcessor hdil(corpus->pool(IndexKind::kHdil),
                                  corpus->lexicon(IndexKind::kHdil),
                                  ScoringOptions{});
@@ -269,7 +244,7 @@ TEST_P(CodecPruningPropertyTest, HdilMatchesDilOracle) {
     while (chosen.size() < nk) chosen.insert(vocab.Word(rng.Uniform(8)));
     std::vector<std::string> keywords(chosen.begin(), chosen.end());
     for (size_t m : {3u, 25u}) {
-      auto a = oracle.Execute(keywords, m);
+      auto a = oracle.Execute(keywords, m, Exhaustive());
       auto b = hdil.Execute(keywords, m);
       ASSERT_TRUE(a.ok()) << a.status();
       ASSERT_TRUE(b.ok()) << b.status();
@@ -346,10 +321,9 @@ TEST(PruningTest, PrunesBlocksOnSkewedRanksAndMatchesOracle) {
   query::DilQueryProcessor pruned(idx.pool.get(), &idx.lexicon,
                                   ScoringOptions{});
   query::DilQueryProcessor exhaustive(idx.pool.get(), &idx.lexicon,
-                                      ScoringOptions{},
-                                      /*use_skip_blocks=*/false);
+                                      ScoringOptions{});
   auto fast = pruned.Execute(keywords, 10);
-  auto slow = exhaustive.Execute(keywords, 10);
+  auto slow = exhaustive.Execute(keywords, 10, Exhaustive());
   ASSERT_TRUE(fast.ok()) << fast.status();
   ASSERT_TRUE(slow.ok()) << slow.status();
 
@@ -373,10 +347,9 @@ TEST_P(SkewedCodecPruningTest, PrunesAndMatchesOracle) {
   query::DilQueryProcessor pruned(idx.pool.get(), &idx.lexicon,
                                   ScoringOptions{});
   query::DilQueryProcessor exhaustive(idx.pool.get(), &idx.lexicon,
-                                      ScoringOptions{},
-                                      /*use_skip_blocks=*/false);
+                                      ScoringOptions{});
   auto fast = pruned.Execute(keywords, 10);
-  auto slow = exhaustive.Execute(keywords, 10);
+  auto slow = exhaustive.Execute(keywords, 10, Exhaustive());
   ASSERT_TRUE(fast.ok()) << fast.status();
   ASSERT_TRUE(slow.ok()) << slow.status();
   ASSERT_EQ(fast->results.size(), 10u);
@@ -397,14 +370,13 @@ TEST(PruningTest, SumAggregationDisablesPruningButStaysCorrect) {
   std::vector<std::string> keywords = {"hot", "cold"};
   ScoringOptions sum_options;
   sum_options.aggregation = query::RankAggregation::kSum;
-  ASSERT_FALSE(query::SupportsBlockMaxPruning(sum_options));
+  ASSERT_FALSE(query::SupportsBlockMaxBounds(sum_options));
 
   query::DilQueryProcessor pruned(idx.pool.get(), &idx.lexicon, sum_options);
   query::DilQueryProcessor exhaustive(idx.pool.get(), &idx.lexicon,
-                                      sum_options,
-                                      /*use_skip_blocks=*/false);
+                                      sum_options);
   auto fast = pruned.Execute(keywords, 10);
-  auto slow = exhaustive.Execute(keywords, 10);
+  auto slow = exhaustive.Execute(keywords, 10, Exhaustive());
   ASSERT_TRUE(fast.ok() && slow.ok());
   ExpectIdenticalResponses(*fast, *slow, "sum");
   EXPECT_EQ(fast->stats.blocks_pruned, 0u);
@@ -418,8 +390,7 @@ TEST(BlockCacheTest, RepeatedQueryHitsCacheWithIdenticalResults) {
   std::vector<std::string> keywords = {"hot", "cold"};
 
   query::DilQueryProcessor processor(idx.pool.get(), &idx.lexicon,
-                                     ScoringOptions{},
-                                     /*use_skip_blocks=*/true, &cache);
+                                     ScoringOptions{}, &cache);
   auto first = processor.Execute(keywords, 10);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(first->stats.block_cache_hits, 0u);

@@ -110,8 +110,8 @@ TEST(HashIndexTest, LookupFindsAllAndOnlyMembers) {
     EXPECT_EQ(loc->has_value(), members.count(ordinal) > 0) << ordinal;
     if (loc->has_value()) {
       // The located posting is really this element's.
-      auto posting =
-          index::ReadPostingAt(pool, info->list, **loc, false);
+      auto posting = index::ReadPostingAt(
+          pool, info->list, **loc, index::DefaultPostingFormat(false));
       ASSERT_TRUE(posting.ok());
       EXPECT_EQ(posting->id.component(0), ordinal);
     }

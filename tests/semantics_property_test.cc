@@ -22,6 +22,7 @@ namespace {
 using index::IndexKind;
 using query::ScoringOptions;
 using testutil::BuildIndexedCorpus;
+using testutil::Exhaustive;
 using testutil::IndexedCorpus;
 
 // Generates a random small corpus with a tiny vocabulary (lots of keyword
@@ -215,12 +216,10 @@ TEST_P(SemanticsPropertyTest, SkipMergeMatchesExhaustiveMerge) {
 
   query::DilQueryProcessor skipping(corpus->pool(IndexKind::kDil),
                                     corpus->lexicon(IndexKind::kDil),
-                                    ScoringOptions{},
-                                    /*use_skip_blocks=*/true);
+                                    ScoringOptions{});
   query::DilQueryProcessor exhaustive(corpus->pool(IndexKind::kDil),
                                       corpus->lexicon(IndexKind::kDil),
-                                      ScoringOptions{},
-                                      /*use_skip_blocks=*/false);
+                                      ScoringOptions{});
   for (int trial = 0; trial < 8; ++trial) {
     size_t nk = 1 + rng.Uniform(3);
     std::set<std::string> chosen;
@@ -229,7 +228,7 @@ TEST_P(SemanticsPropertyTest, SkipMergeMatchesExhaustiveMerge) {
 
     for (size_t m : {3u, 10000u}) {
       auto fast = skipping.Execute(keywords, m);
-      auto slow = exhaustive.Execute(keywords, m);
+      auto slow = exhaustive.Execute(keywords, m, Exhaustive());
       ASSERT_TRUE(fast.ok() && slow.ok());
       ASSERT_EQ(fast->results.size(), slow->results.size())
           << "keywords: " << keywords[0] << " m=" << m;
@@ -262,15 +261,13 @@ TEST(SkipBlockTest, SkipsPagesOnSparseConjunctiveQuery) {
 
   query::DilQueryProcessor skipping(corpus->pool(IndexKind::kDil),
                                     corpus->lexicon(IndexKind::kDil),
-                                    ScoringOptions{},
-                                    /*use_skip_blocks=*/true);
+                                    ScoringOptions{});
   query::DilQueryProcessor exhaustive(corpus->pool(IndexKind::kDil),
                                       corpus->lexicon(IndexKind::kDil),
-                                      ScoringOptions{},
-                                      /*use_skip_blocks=*/false);
+                                      ScoringOptions{});
   std::vector<std::string> keywords = {"common", "rare"};
   auto fast = skipping.Execute(keywords, 100);
-  auto slow = exhaustive.Execute(keywords, 100);
+  auto slow = exhaustive.Execute(keywords, 100, Exhaustive());
   ASSERT_TRUE(fast.ok()) << fast.status();
   ASSERT_TRUE(slow.ok()) << slow.status();
 

@@ -13,7 +13,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@ namespace xrank::query {
 namespace {
 
 using index::IndexKind;
+using testutil::ResultsDigest;
 
 struct Work {
   std::string corpus;       // a Setting's name
@@ -48,25 +48,6 @@ struct Work {
 
   bool operator==(const Work& other) const = default;
 };
-
-uint64_t ResultsDigest(const std::vector<RankedResult>& results) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  auto mix = [&hash](const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 0x100000001b3ull;
-    }
-  };
-  for (const RankedResult& result : results) {
-    std::string id = result.id.ToString();
-    mix(id.data(), id.size());
-    uint64_t bits;
-    std::memcpy(&bits, &result.rank, sizeof(bits));
-    mix(&bits, sizeof(bits));
-  }
-  return hash;
-}
 
 std::string FormatRow(const Work& w) {
   char buf[256];
@@ -323,15 +304,7 @@ TEST(ThresholdWorkTest, PlantedQueriesDoExactlyThePinnedWork) {
     }
   }
 
-  const std::vector<Work>& expected = ExpectedWork();
-  EXPECT_EQ(measured.size(), expected.size());
-  for (size_t i = 0; i < measured.size(); ++i) {
-    if (i < expected.size() && measured[i] == expected[i]) continue;
-    ADD_FAILURE() << "row " << i << " measured:\n  " << FormatRow(measured[i])
-                  << (i < expected.size()
-                          ? "\nexpected:\n  " + FormatRow(expected[i])
-                          : std::string());
-  }
+  testutil::ExpectPinnedRows(measured, ExpectedWork(), FormatRow);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +16,8 @@
 #include "index/index_builder.h"
 #include "index/naive_index.h"
 #include "index/rdil_index.h"
+#include "query/query.h"
+#include "query/scoring.h"
 #include "rank/elem_rank.h"
 #include "storage/buffer_pool.h"
 #include "xml/parser.h"
@@ -151,6 +154,53 @@ inline const char* Figure1Xml() {
 enum class RankLayout : uint32_t { kFloat32 = 0 };
 
 inline const char* RankLayoutName(RankLayout /*layout*/) { return "f32"; }
+
+// Options that run the DIL exhaustive merge (paper Figure 5), the oracle
+// every pruned merge must match result for result.
+inline query::QueryOptions Exhaustive() {
+  query::QueryOptions options;
+  options.algorithm = query::MergeAlgorithm::kExhaustive;
+  return options;
+}
+
+// FNV-1a over every result's Dewey id and the bits of its rank, in result
+// order: equal digests mean the same ids with bitwise equal ranks. The
+// work-pinning tables (ta_work_test, dil_work_test) record it per query.
+inline uint64_t ResultsDigest(
+    const std::vector<query::RankedResult>& results) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ull;
+    }
+  };
+  for (const query::RankedResult& result : results) {
+    std::string id = result.id.ToString();
+    mix(id.data(), id.size());
+    uint64_t bits;
+    std::memcpy(&bits, &result.rank, sizeof(bits));
+    mix(&bits, sizeof(bits));
+  }
+  return hash;
+}
+
+// Compares a work-pinning table row by row. On a mismatch it prints the
+// row it measured in the table's own format (`format`), so a deliberate
+// change of behaviour can re-pin it.
+template <typename Row, typename Format>
+void ExpectPinnedRows(const std::vector<Row>& measured,
+                      const std::vector<Row>& expected, Format format) {
+  EXPECT_EQ(measured.size(), expected.size());
+  for (size_t i = 0; i < measured.size(); ++i) {
+    if (i < expected.size() && measured[i] == expected[i]) continue;
+    ADD_FAILURE() << "row " << i << " measured:\n  " << format(measured[i])
+                  << (i < expected.size()
+                          ? "\nexpected:\n  " + format(expected[i])
+                          : std::string());
+  }
+}
 
 }  // namespace xrank::testutil
 
