@@ -3,6 +3,7 @@
 // XRankEngine: Build, Open, the base commit and the serving snapshot. Queries
 // are in engine_query.cc, live updates and maintenance in engine_update.cc.
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -110,13 +111,10 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Build(
   XRANK_RETURN_NOT_OK(engine->PrepareBase(documents, html_documents));
 
   // 3. Posting extraction (shared by every physical index).
-  bool need_naive = false;
-  for (index::IndexKind kind : options.indexes) {
-    need_naive = need_naive || kind == index::IndexKind::kNaiveId ||
-                 kind == index::IndexKind::kNaiveRank;
-  }
   index::ExtractionOptions extraction = options.extraction;
-  extraction.build_naive = need_naive;
+  extraction.build_naive = std::any_of(options.indexes.begin(),
+                                       options.indexes.end(),
+                                       index::UsesNaivePostings);
   XRANK_ASSIGN_OR_RETURN(
       index::ExtractionResult extracted,
       index::ExtractPostings(engine->graph_, engine->elem_ranks_, extraction));
@@ -208,7 +206,6 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
   engine->manifest_ = manifest;
 
   auto base = std::make_shared<BaseState>();
-  bool need_naive = false;
   engine->options_.indexes.clear();
   for (const index::ManifestEntry& entry : manifest.entries) {
     XRANK_RETURN_NOT_OK(index::VerifyManifestEntry(options.disk_dir, entry));
@@ -246,15 +243,14 @@ Result<std::unique_ptr<XRankEngine>> XRankEngine::Open(
     instance.pool = std::make_unique<storage::BufferPool>(
         instance.built.file.get(), options.buffer_pool_pages,
         instance.cost_model.get());
-    need_naive = need_naive || entry.kind == index::IndexKind::kNaiveId ||
-                 entry.kind == index::IndexKind::kNaiveRank;
     engine->options_.indexes.push_back(entry.kind);
     base->indexes.emplace(entry.kind, std::move(instance));
   }
 
   // Naive result IDs are element ordinals; re-derive the ordinal map from
   // the graph (it is not persisted).
-  if (need_naive) {
+  const std::vector<index::IndexKind>& kinds = engine->options_.indexes;
+  if (std::any_of(kinds.begin(), kinds.end(), index::UsesNaivePostings)) {
     index::ExtractionOptions extraction = engine->options_.extraction;
     extraction.build_naive = true;
     XRANK_ASSIGN_OR_RETURN(

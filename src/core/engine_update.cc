@@ -669,13 +669,10 @@ Status XRankEngine::CompactDeletionsLocked() {
   if (excluded.empty()) return Status::OK();
   auto& failpoints = fail::FailPoints::Instance();
 
-  bool need_naive = false;
-  for (const auto& [kind, instance] : state->base->indexes) {
-    need_naive = need_naive || kind == index::IndexKind::kNaiveId ||
-                 kind == index::IndexKind::kNaiveRank;
-  }
   index::ExtractionOptions extraction = options_.extraction;
-  extraction.build_naive = need_naive;
+  extraction.build_naive = std::any_of(options_.indexes.begin(),
+                                       options_.indexes.end(),
+                                       index::UsesNaivePostings);
   extraction.exclude_documents = std::move(excluded);
   XRANK_ASSIGN_OR_RETURN(
       index::ExtractionResult extracted,

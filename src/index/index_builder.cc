@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "storage/btree.h"
 
 namespace xrank::index {
 
@@ -27,10 +28,20 @@ std::string_view IndexKindName(IndexKind kind) {
   return "Unknown";
 }
 
+bool UsesNaivePostings(IndexKind kind) {
+  return kind == IndexKind::kNaiveId || kind == IndexKind::kNaiveRank;
+}
+
+namespace {
+
+// Resolves a BuildOptions/ExtractionOptions thread knob (0 = hardware);
+// callers refuse negative knobs first.
 size_t ResolveBuildThreads(int num_threads) {
   if (num_threads > 0) return static_cast<size_t>(num_threads);
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
+
+}  // namespace
 
 std::vector<std::pair<size_t, size_t>> PartitionByWeight(
     const std::vector<uint64_t>& weights, size_t num_shards) {
@@ -280,8 +291,7 @@ constexpr size_t kLexFormatVersionOffset = 76;
 // meaning ingest order; a non-zero id is refused at open.
 constexpr size_t kReorderIdOffset = 80;
 
-}  // namespace
-
+// Writes `blob` across fresh consecutive pages.
 Result<ListExtent> WriteBlobToPages(storage::PageFile* file,
                                     std::string_view blob) {
   ListExtent extent;
@@ -306,6 +316,10 @@ Result<ListExtent> WriteBlobToPages(storage::PageFile* file,
   return extent;
 }
 
+// Appends every page of `scratch` to `file` in order (consecutively) and
+// returns the page id in `file` where scratch page 0 landed; list extents
+// recorded against the scratch file are rebased by that offset (an empty
+// scratch copies nothing, and empty extents are never rebased).
 Result<storage::PageId> AppendScratchPages(storage::PageFile* file,
                                            const storage::PageFile& scratch) {
   storage::PageId offset = file->page_count();
@@ -321,6 +335,8 @@ Result<storage::PageId> AppendScratchPages(storage::PageFile* file,
   return offset;
 }
 
+// Serializes the lexicon into trailing pages and fills in the header page
+// (page 0, which the builder allocated first).
 Status WriteIndexTrailer(storage::PageFile* file, IndexKind kind,
                          const Lexicon& lexicon, IndexStats* stats) {
   std::string blob;
@@ -345,6 +361,8 @@ Status WriteIndexTrailer(storage::PageFile* file, IndexKind kind,
   XRANK_RETURN_NOT_OK(file->Write(0, header));
   return file->Sync();
 }
+
+}  // namespace
 
 Result<BuiltIndex> OpenIndex(std::unique_ptr<storage::PageFile> file) {
   if (file->page_count() == 0) {
@@ -399,6 +417,156 @@ Result<BuiltIndex> OpenIndex(std::unique_ptr<storage::PageFile> file) {
   }
   XRANK_ASSIGN_OR_RETURN(index.lexicon,
                          Lexicon::Deserialize(blob, spec, lex_version));
+  index.file = std::move(file);
+  return index;
+}
+
+// --------------------------------------------------------- build scaffold --
+
+Status EncodeDeweyList(const std::vector<Posting>& postings,
+                       const TermSink& sink, bool stage_separators,
+                       EncodedTerm* out) {
+  PostingListWriter writer(sink.lists, sink.dewey_format);
+  for (const Posting& posting : postings) {
+    XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(posting));
+    if (stage_separators && loc.slot == 0) {
+      out->aux.emplace_back(&posting, loc.page_index);
+    }
+  }
+  XRANK_ASSIGN_OR_RETURN(out->info.list, writer.Finish());
+  out->info.skips = writer.TakeSkips();
+  out->info.max_doc_rank = writer.max_doc_rank();
+  return Status::OK();
+}
+
+Status EncodeRankList(const std::vector<Posting>& postings,
+                      const TermSink& sink, EncodedTerm* out) {
+  // Rank order destroys prefix locality, so IDs are stored raw.
+  PostingListWriter writer(sink.lists, sink.raw_format);
+  out->aux.reserve(postings.size());
+  for (const Posting* posting : SortByRank(postings)) {
+    XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(*posting));
+    out->aux.emplace_back(posting, EncodePostingLocation(loc));
+  }
+  XRANK_ASSIGN_OR_RETURN(out->info.list, writer.Finish());
+  return Status::OK();
+}
+
+Status WriteBtree(storage::PageFile* file, storage::SharedPagePacker* packer,
+                  const AuxEntries& entries, TermInfo* info) {
+  storage::BtreeBuilder builder(file, packer);
+  for (const auto& [posting, value] : entries) {
+    XRANK_RETURN_NOT_OK(builder.Add(posting->id, value));
+  }
+  XRANK_ASSIGN_OR_RETURN(storage::BtreeBuilder::BuildStats stats,
+                         builder.Finish());
+  info->btree_root = stats.root;
+  return Status::OK();
+}
+
+namespace {
+
+// The two list runs a term may have, in file order: every `list` precedes
+// every `rank_list` (HDIL's rank prefixes).
+constexpr ListExtent TermInfo::*kListRuns[] = {&TermInfo::list,
+                                               &TermInfo::rank_list};
+
+// One worker's output for a contiguous term shard: one scratch page file
+// per list run.
+struct ShardOutput {
+  std::unique_ptr<storage::PageFile> scratch[2] = {
+      storage::PageFile::CreateInMemory(),
+      storage::PageFile::CreateInMemory()};
+  Status status = Status::OK();
+};
+
+}  // namespace
+
+Result<BuiltIndex> BuildIndexFile(IndexKind kind,
+                                  const TermPostingsMap& postings,
+                                  std::unique_ptr<storage::PageFile> file,
+                                  const BuildOptions& build,
+                                  const TermEncoder& encode,
+                                  const AuxWriter& write_aux) {
+  if (build.num_threads < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0");
+  }
+  BuiltIndex index;
+  index.kind = kind;
+  XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
+  const PostingFormat dewey_format =
+      index.lexicon.ListFormat(/*delta_encode_ids=*/true);
+  const PostingFormat raw_format =
+      index.lexicon.ListFormat(/*delta_encode_ids=*/false);
+  // Page 0 is the header, filled in by WriteIndexTrailer.
+  XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
+  if (header_page != 0) return Status::Internal("header page must be 0");
+
+  std::vector<const TermPostingsMap::value_type*> terms;
+  terms.reserve(postings.size());
+  std::vector<uint64_t> weights;
+  weights.reserve(postings.size());
+  for (const auto& entry : postings) {
+    terms.push_back(&entry);
+    weights.push_back(entry.second.size() + 1);
+  }
+  size_t num_workers = std::max<size_t>(
+      1, std::min(ResolveBuildThreads(build.num_threads), terms.size()));
+  std::vector<std::pair<size_t, size_t>> shards =
+      PartitionByWeight(weights, num_workers);
+
+  // Workers encode complete per-term page runs into scratch files; lists
+  // must occupy consecutive pages, and every location a term records is
+  // relative to its own run, so only the extents need rebasing.
+  std::vector<ShardOutput> outputs(shards.size());
+  std::vector<EncodedTerm> encoded(terms.size());
+  ThreadPool pool(static_cast<int>(num_workers));
+  pool.ParallelFor(0, shards.size(), 1, [&](size_t begin, size_t end, size_t) {
+    for (size_t s = begin; s < end; ++s) {
+      ShardOutput& out = outputs[s];
+      TermSink sink{out.scratch[0].get(), out.scratch[1].get(), dewey_format,
+                    raw_format};
+      for (size_t t = shards[s].first; t < shards[s].second && out.status.ok();
+           ++t) {
+        out.status = encode(terms[t]->second, sink, &encoded[t]);
+      }
+    }
+  });
+  for (const ShardOutput& out : outputs) XRANK_RETURN_NOT_OK(out.status);
+
+  for (size_t run = 0; run < 2; ++run) {
+    for (size_t s = 0; s < shards.size(); ++s) {
+      XRANK_ASSIGN_OR_RETURN(
+          storage::PageId offset,
+          AppendScratchPages(file.get(), *outputs[s].scratch[run]));
+      outputs[s].scratch[run].reset();
+      for (size_t t = shards[s].first; t < shards[s].second; ++t) {
+        ListExtent& extent = encoded[t].info.*kListRuns[run];
+        if (extent.page_count > 0) extent.first_page += offset;
+        // Rank prefixes count as list space (Table 1: HDIL's "Inv. List"
+        // column is slightly larger than DIL's), not as entries.
+        index.stats.list_pages += extent.page_count;
+        index.stats.list_used_bytes += extent.byte_count;
+      }
+    }
+  }
+
+  // Auxiliary structures allocate absolute page pointers, so they are
+  // written here on the coordinator, in term order.
+  uint32_t index_pages_before = file->page_count();
+  storage::SharedPagePacker packer(file.get());
+  for (size_t t = 0; t < terms.size(); ++t) {
+    EncodedTerm& term = encoded[t];
+    if (write_aux) {
+      XRANK_RETURN_NOT_OK(write_aux(file.get(), &packer, term.aux, &term.info));
+    }
+    index.stats.entry_count += term.info.list.entry_count;
+    index.lexicon.Add(terms[t]->first, std::move(term.info));
+  }
+  index.stats.index_pages = file->page_count() - index_pages_before;
+
+  XRANK_RETURN_NOT_OK(
+      WriteIndexTrailer(file.get(), kind, index.lexicon, &index.stats));
   index.file = std::move(file);
   return index;
 }

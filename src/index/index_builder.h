@@ -1,6 +1,7 @@
 #ifndef XRANK_INDEX_INDEX_BUILDER_H_
 #define XRANK_INDEX_INDEX_BUILDER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,6 +13,7 @@
 #include "index/codec.h"
 #include "index/lexicon.h"
 #include "index/posting.h"
+#include "storage/btree.h"
 #include "storage/page_file.h"
 
 namespace xrank::index {
@@ -32,6 +34,10 @@ enum class IndexKind : uint8_t {
 
 std::string_view IndexKindName(IndexKind kind);
 
+// Whether `kind` is built from ExtractionResult::naive_postings (the two
+// naive baselines) rather than from the Dewey postings.
+bool UsesNaivePostings(IndexKind kind);
+
 struct ExtractionOptions {
   AnalyzerOptions analyzer;
   // Also produce element-granularity postings with replicated ancestors
@@ -48,13 +54,14 @@ struct ExtractionOptions {
   int num_threads = 0;
 };
 
-// Threading knob shared by the physical-list builders (DIL/RDIL/HDIL).
-// Terms are partitioned into contiguous shards; each worker encodes its
-// shard's complete posting-list page runs into a scratch page file, and the
+// Options shared by the builders of all five index kinds. Terms are
+// partitioned into contiguous shards; each worker encodes its shard's
+// complete posting-list page runs into scratch page files, and the
 // coordinator splices the scratch pages back in term order — so the on-disk
-// bytes are identical to the sequential build for every thread count.
+// bytes are identical for every thread count (see BuildIndexFile).
 struct BuildOptions {
-  // 0 = hardware concurrency, 1 = sequential reference path.
+  // 0 = hardware concurrency, 1 = one shard encoded inline; negative is
+  // refused with InvalidArgument.
   int num_threads = 0;
   // Posting-page codec and page sizing for every list the build writes.
   // Recorded in the index header page and the MANIFEST; validated against
@@ -111,32 +118,78 @@ struct BuiltIndex {
   IndexStats stats;
 };
 
-// --- persistence shared by all index kinds ---
-
-// Serializes the lexicon into trailing pages and fills in the header page
-// (page 0, which the builder must have allocated first).
-Status WriteIndexTrailer(storage::PageFile* file, IndexKind kind,
-                         const Lexicon& lexicon, IndexStats* stats);
-
 // Re-opens a previously built index file of any kind.
 Result<BuiltIndex> OpenIndex(std::unique_ptr<storage::PageFile> file);
 
-// Internal helper shared by builders: writes `blob` across fresh pages.
-Result<ListExtent> WriteBlobToPages(storage::PageFile* file,
-                                    std::string_view blob);
+// --- the build scaffold behind the five Build*Index functions ---
 
-// --- helpers shared by the parallel builders ---
+// (posting, value) pairs a term encoder stages for its term's auxiliary
+// structure, keyed by the posting's ID: B+-tree entries (Dewey ID -> list
+// location or page index) or hash entries (ordinal ID -> list location).
+// The postings are the build's input, which outlives every stage. Values
+// never hold absolute page ids, so they need no rebasing after the splice.
+using AuxEntries = std::vector<std::pair<const Posting*, uint64_t>>;
 
-// Resolves a BuildOptions/ExtractionOptions thread knob (0 = hardware).
-size_t ResolveBuildThreads(int num_threads);
+// One term's output of a TermEncoder.
+struct EncodedTerm {
+  // `list` and `rank_list` are relative to the shard's scratch files (the
+  // scaffold rebases them); skips and max_doc_rank are set by the kinds
+  // that record them.
+  TermInfo info;
+  AuxEntries aux;
+};
 
-// Appends every page of `scratch` to `file` in order (consecutively) and
-// returns the page id in `file` where scratch page 0 landed; list extents
-// recorded against the scratch file are rebased by that offset. Returns 0
-// pages copied as first_page == file->page_count() (callers never rebase
-// empty extents).
-Result<storage::PageId> AppendScratchPages(storage::PageFile* file,
-                                           const storage::PageFile& scratch);
+// Where a term encoder writes: its shard's scratch files, one for the
+// `list` runs and one for the `rank_list` runs, and the index's two list
+// formats.
+struct TermSink {
+  storage::PageFile* lists;
+  storage::PageFile* rank_lists;
+  PostingFormat dewey_format;  // prefix-delta coded IDs (Dewey order)
+  PostingFormat raw_format;    // independent IDs
+};
+
+// Encodes one term's lists. Runs on a worker thread.
+using TermEncoder = std::function<Status(
+    const std::vector<Posting>& postings, const TermSink& sink,
+    EncodedTerm* out)>;
+
+// Writes one term's auxiliary structure from its staged entries and records
+// where in `info`. Runs on the coordinator, in term order.
+using AuxWriter = std::function<Status(
+    storage::PageFile* file, storage::SharedPagePacker* packer,
+    const AuxEntries& entries, TermInfo* info)>;
+
+// Builds an index file of `kind`: stamps the format, allocates the header
+// page, encodes the terms on contiguous shards balanced by posting count
+// (one ThreadPool of build.num_threads), splices every shard's `list` runs
+// and then every shard's `rank_list` runs in term order, writes each term's
+// auxiliary structure through one SharedPagePacker (when `write_aux` is
+// set) and writes the trailer. The file bytes do not depend on the thread
+// count.
+Result<BuiltIndex> BuildIndexFile(IndexKind kind,
+                                  const TermPostingsMap& postings,
+                                  std::unique_ptr<storage::PageFile> file,
+                                  const BuildOptions& build,
+                                  const TermEncoder& encode,
+                                  const AuxWriter& write_aux = nullptr);
+
+// The Dewey-ordered list of DIL and HDIL, with skips and max_doc_rank. With
+// `stage_separators`, also stages each page's (first ID, page index): the
+// entries of HDIL's sparse B+-tree.
+Status EncodeDeweyList(const std::vector<Posting>& postings,
+                       const TermSink& sink, bool stage_separators,
+                       EncodedTerm* out);
+
+// The rank-ordered list of RDIL and Naive-Rank, staging each posting's
+// (ID, location) in list order.
+Status EncodeRankList(const std::vector<Posting>& postings,
+                      const TermSink& sink, EncodedTerm* out);
+
+// The B+-tree of RDIL and HDIL over `entries` (strictly increasing keys);
+// short trees share pages through `packer` (Section 4.3.1).
+Status WriteBtree(storage::PageFile* file, storage::SharedPagePacker* packer,
+                  const AuxEntries& entries, TermInfo* info);
 
 // Splits `count` items into at most `num_shards` contiguous [begin, end)
 // ranges, balanced by the per-item weights (each shard is one worker's

@@ -22,9 +22,11 @@ namespace xrank::index {
 inline constexpr uint32_t kLexiconFormatVersion = 1;
 
 // Per-term index metadata. Which fields are populated depends on the index
-// kind: DIL uses only `list`; RDIL adds `btree_root` (dense B+-tree on Dewey
-// IDs); HDIL adds `rank_list` (rank-ordered prefix) and a sparse
-// `btree_root`; Naive-Rank uses the `hash_*` fields.
+// kind: DIL fills `list` (Dewey order), `skips` and `max_doc_rank`; HDIL
+// adds `rank_list` (rank-ordered prefix) and a sparse `btree_root`. RDIL
+// fills `list` (rank order) and a dense `btree_root` on Dewey IDs;
+// Naive-ID fills only `list`; Naive-Rank adds the `hash_*` fields. These
+// three leave `skips` empty and `max_doc_rank` at 0.
 struct TermInfo {
   ListExtent list;
   ListExtent rank_list;
@@ -46,8 +48,8 @@ struct TermInfo {
   float max_doc_rank = 0.0f;
   // Skip-block descriptors for `list` (one per page: the page's first Dewey
   // ID), in page order. Lets query cursors jump over pages whose ID range
-  // precedes the merge frontier. Empty for index kinds that never scan the
-  // Dewey-ordered list with a merge (Naive-Rank).
+  // precedes the merge frontier. Empty for index kinds whose `list` is not
+  // Dewey-ordered (RDIL, Naive-Rank) and for Naive-ID.
   std::vector<SkipEntry> skips;
 };
 

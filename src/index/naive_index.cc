@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "storage/btree.h"
-
 namespace xrank::index {
 
 namespace {
@@ -29,28 +27,23 @@ uint32_t NextPowerOfTwo(uint32_t n) {
   return p;
 }
 
-struct HashBuildResult {
-  storage::PageId first_page = storage::kInvalidPage;
-  uint32_t page_count = 0;
-  uint32_t slot_count = 0;
-  uint32_t offset = 0;
-};
-
-Result<HashBuildResult> BuildHashIndex(
-    storage::PageFile* file, storage::SharedPagePacker* packer,
-    const std::vector<std::pair<uint32_t, uint64_t>>& entries) {
-  HashBuildResult result;
-  result.slot_count = NextPowerOfTwo(std::max<uint32_t>(
+// Naive-Rank's auxiliary structure: stages the term's (ordinal, location)
+// pairs into the table in list order (probe sequences depend on it) and
+// writes it, packed onto a shared page when it fits in one.
+Status WriteHashIndex(storage::PageFile* file,
+                      storage::SharedPagePacker* packer,
+                      const AuxEntries& entries, TermInfo* info) {
+  info->hash_slot_count = NextPowerOfTwo(std::max<uint32_t>(
       4, static_cast<uint32_t>(entries.size() * 4 / 3 + 1)));
-  uint32_t mask = result.slot_count - 1;
+  uint32_t mask = info->hash_slot_count - 1;
 
-  // Stage the table in memory.
   struct Slot {
     uint32_t key = kEmptyKey;
     uint64_t value = 0;
   };
-  std::vector<Slot> slots(result.slot_count);
-  for (const auto& [key, value] : entries) {
+  std::vector<Slot> slots(info->hash_slot_count);
+  for (const auto& [posting, value] : entries) {
+    uint32_t key = posting->id.component(0);
     if (key == kEmptyKey) {
       return Status::InvalidArgument("element ordinal collides with sentinel");
     }
@@ -70,23 +63,23 @@ Result<HashBuildResult> BuildHashIndex(
     std::memcpy(base + 4, &slots[s].value, 8);
   }
 
-  if (serialized.size() <= storage::kPageSize && packer != nullptr) {
+  if (serialized.size() <= storage::kPageSize) {
     // Small table: share a page with other terms' tables (the same space
-    // optimization the paper applies to short B+-trees, Section 4.3.1).
+    // optimization the paper applies to short B+-trees, Section 4.3.1);
+    // hash_page_count stays 0.
     XRANK_ASSIGN_OR_RETURN(storage::NodeRef ref, packer->Append(serialized));
-    result.first_page = storage::NodeRefPage(ref);
-    result.offset = storage::NodeRefOffset(ref);
-    result.page_count = 0;  // shared with other tables
-    return result;
+    info->hash_first_page = storage::NodeRefPage(ref);
+    info->hash_offset = storage::NodeRefOffset(ref);
+    return Status::OK();
   }
 
-  result.page_count = static_cast<uint32_t>(
+  info->hash_page_count = static_cast<uint32_t>(
       (serialized.size() + storage::kPageSize - 1) / storage::kPageSize);
-  for (uint32_t p = 0; p < result.page_count; ++p) {
+  for (uint32_t p = 0; p < info->hash_page_count; ++p) {
     XRANK_ASSIGN_OR_RETURN(storage::PageId page, file->Allocate());
-    if (result.first_page == storage::kInvalidPage) {
-      result.first_page = page;
-    } else if (page != result.first_page + p) {
+    if (p == 0) {
+      info->hash_first_page = page;
+    } else if (page != info->hash_first_page + p) {
       return Status::Internal("hash index pages not consecutive");
     }
     storage::Page page_data{};
@@ -96,7 +89,7 @@ Result<HashBuildResult> BuildHashIndex(
                 serialized.data() + p * storage::kPageSize, chunk);
     XRANK_RETURN_NOT_OK(file->Write(page, page_data));
   }
-  return result;
+  return Status::OK();
 }
 
 }  // namespace
@@ -133,90 +126,25 @@ Result<std::optional<PostingLocation>> HashIndexLookup(
 Result<BuiltIndex> BuildNaiveIdIndex(const TermPostingsMap& naive_postings,
                                      std::unique_ptr<storage::PageFile> file,
                                      const BuildOptions& build) {
-  BuiltIndex index;
-  index.kind = IndexKind::kNaiveId;
-  XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
-  const PostingFormat format =
-      index.lexicon.ListFormat(/*delta_encode_ids=*/false);
-  XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
-  if (header_page != 0) return Status::Internal("header page must be 0");
-
-  for (const auto& [term, postings] : naive_postings) {
-    PostingListWriter writer(file.get(), format);
-    for (const Posting& posting : postings) {
-      XRANK_RETURN_NOT_OK(writer.Add(posting).status());
-    }
-    XRANK_ASSIGN_OR_RETURN(ListExtent extent, writer.Finish());
-    index.stats.list_pages += extent.page_count;
-    index.stats.list_used_bytes += extent.byte_count;
-    index.stats.entry_count += extent.entry_count;
-    TermInfo info;
-    info.list = extent;
-    index.lexicon.Add(term, info);
-  }
-
-  XRANK_RETURN_NOT_OK(WriteIndexTrailer(file.get(), IndexKind::kNaiveId,
-                                        index.lexicon, &index.stats));
-  index.file = std::move(file);
-  return index;
+  return BuildIndexFile(
+      IndexKind::kNaiveId, naive_postings, std::move(file), build,
+      [](const std::vector<Posting>& postings, const TermSink& sink,
+         EncodedTerm* out) -> Status {
+        PostingListWriter writer(sink.lists, sink.raw_format);
+        for (const Posting& posting : postings) {
+          XRANK_RETURN_NOT_OK(writer.Add(posting).status());
+        }
+        XRANK_ASSIGN_OR_RETURN(out->info.list, writer.Finish());
+        return Status::OK();
+      });
 }
 
 Result<BuiltIndex> BuildNaiveRankIndex(
     const TermPostingsMap& naive_postings,
     std::unique_ptr<storage::PageFile> file, const BuildOptions& build) {
-  BuiltIndex index;
-  index.kind = IndexKind::kNaiveRank;
-  XRANK_RETURN_NOT_OK(index.lexicon.SetFormatSpec(build.format));
-  const PostingFormat format =
-      index.lexicon.ListFormat(/*delta_encode_ids=*/false);
-  XRANK_ASSIGN_OR_RETURN(storage::PageId header_page, file->Allocate());
-  if (header_page != 0) return Status::Internal("header page must be 0");
-
-  struct StagedHash {
-    std::string term;
-    std::vector<std::pair<uint32_t, uint64_t>> entries;  // ordinal -> loc
-  };
-  std::vector<StagedHash> staged;
-
-  for (const auto& [term, postings] : naive_postings) {
-    PostingListWriter writer(file.get(), format);
-    StagedHash stage;
-    stage.term = term;
-    stage.entries.reserve(postings.size());
-    for (const Posting* posting : SortByRank(postings)) {
-      XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(*posting));
-      stage.entries.emplace_back(posting->id.component(0),
-                                 EncodePostingLocation(loc));
-    }
-    XRANK_ASSIGN_OR_RETURN(ListExtent extent, writer.Finish());
-    index.stats.list_pages += extent.page_count;
-    index.stats.list_used_bytes += extent.byte_count;
-    index.stats.entry_count += extent.entry_count;
-    TermInfo info;
-    info.list = extent;
-    index.lexicon.Add(term, info);
-    staged.push_back(std::move(stage));
-  }
-
-  uint32_t index_pages_before = file->page_count();
-  storage::SharedPagePacker packer(file.get());
-  for (StagedHash& stage : staged) {
-    XRANK_ASSIGN_OR_RETURN(
-        HashBuildResult hash,
-        BuildHashIndex(file.get(), &packer, stage.entries));
-    TermInfo info = *index.lexicon.Find(stage.term);
-    info.hash_first_page = hash.first_page;
-    info.hash_page_count = hash.page_count;
-    info.hash_slot_count = hash.slot_count;
-    info.hash_offset = hash.offset;
-    index.lexicon.Add(stage.term, info);
-  }
-  index.stats.index_pages = file->page_count() - index_pages_before;
-
-  XRANK_RETURN_NOT_OK(WriteIndexTrailer(file.get(), IndexKind::kNaiveRank,
-                                        index.lexicon, &index.stats));
-  index.file = std::move(file);
-  return index;
+  return BuildIndexFile(IndexKind::kNaiveRank, naive_postings,
+                        std::move(file), build, EncodeRankList,
+                        WriteHashIndex);
 }
 
 }  // namespace xrank::index

@@ -12,6 +12,8 @@ namespace xrank::index {
 // The two baselines of paper Section 4.1 / 5.1. Both store postings at
 // element granularity with every ancestor replicated; posting IDs are
 // single-component Dewey IDs carrying the element's global preorder ordinal.
+// Like the other kinds they are built on term shards (see BuildIndexFile);
+// the output file is byte-identical for every thread count.
 
 // Naive-ID: lists sorted by element ID; queries use an equality merge join.
 Result<BuiltIndex> BuildNaiveIdIndex(const TermPostingsMap& naive_postings,

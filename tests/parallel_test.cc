@@ -1,11 +1,11 @@
 // Tests for the parallel execution layer: the ThreadPool primitive,
-// thread-count invariance of parallel ElemRank, byte-identity of parallel
-// index construction, and thread safety of concurrent query serving.
+// thread-count invariance of parallel ElemRank, the pinned bytes of every
+// index kind's parallel build, and thread safety of concurrent query
+// serving.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "index/dil_index.h"
 #include "index/hdil_index.h"
 #include "index/index_builder.h"
+#include "index/naive_index.h"
 #include "index/rdil_index.h"
 #include "rank/elem_rank.h"
 
@@ -223,19 +224,102 @@ TEST(ParallelBuildTest, ExtractionIsThreadCountInvariant) {
   }
 }
 
-void ExpectFilesIdentical(const storage::PageFile& a,
-                          const storage::PageFile& b, const char* label) {
-  ASSERT_EQ(a.page_count(), b.page_count()) << label;
-  for (uint32_t p = 0; p < a.page_count(); ++p) {
-    storage::Page page_a, page_b;
-    ASSERT_TRUE(a.Read(p, &page_a).ok());
-    ASSERT_TRUE(b.Read(p, &page_b).ok());
-    ASSERT_EQ(std::memcmp(page_a.data.data(), page_b.data.data(),
-                          storage::kPageSize),
-              0)
-        << label << ": page " << p << " differs";
+// 64-bit FNV-1a over the page count and every page payload.
+uint64_t FileDigest(const storage::PageFile& file) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  auto mix = [&hash](const char* bytes, size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= static_cast<unsigned char>(bytes[i]);
+      hash *= 0x100000001B3ULL;
+    }
+  };
+  uint32_t pages = file.page_count();
+  mix(reinterpret_cast<const char*>(&pages), sizeof(pages));
+  for (uint32_t p = 0; p < pages; ++p) {
+    storage::Page page;
+    EXPECT_TRUE(file.Read(p, &page).ok()) << "page " << p;
+    mix(page.data.data(), storage::kPageSize);
   }
+  return hash;
 }
+
+Result<index::BuiltIndex> BuildKind(IndexKind kind,
+                                    const index::ExtractionResult& extracted,
+                                    const index::BuildOptions& build) {
+  auto file = storage::PageFile::CreateInMemory();
+  switch (kind) {
+    case IndexKind::kDil:
+      return index::BuildDilIndex(extracted.dewey_postings, std::move(file),
+                                  build);
+    case IndexKind::kRdil:
+      return index::BuildRdilIndex(extracted.dewey_postings, std::move(file),
+                                   build);
+    case IndexKind::kHdil:
+      return index::BuildHdilIndex(extracted.dewey_postings, std::move(file),
+                                   {}, build);
+    case IndexKind::kNaiveId:
+      return index::BuildNaiveIdIndex(extracted.naive_postings,
+                                      std::move(file), build);
+    case IndexKind::kNaiveRank:
+      return index::BuildNaiveRankIndex(extracted.naive_postings,
+                                        std::move(file), build);
+  }
+  return Status::InvalidArgument("unknown index kind");
+}
+
+// The digest of every kind's index file over SmallDblpGraph, per codec and
+// page layout. A build change that alters any byte, at any thread count,
+// fails here; re-record the table only with a deliberate change of the
+// index format.
+struct PinnedIndex {
+  IndexKind kind;
+  uint32_t codec_id;
+  uint32_t vbmw_lambda_milli;  // 0 = dense pages
+  uint64_t digest;
+};
+
+constexpr PinnedIndex kPinnedIndexes[] = {
+    {IndexKind::kDil, index::kPostingCodecVarint, 0,
+     0x5C959BAA7364655CULL},
+    {IndexKind::kDil, index::kPostingCodecVarint, 10,
+     0xC629ADCC61B927B8ULL},
+    {IndexKind::kDil, index::kPostingCodecBp128, 0,
+     0x095FBE03DACC5B92ULL},
+    {IndexKind::kDil, index::kPostingCodecBp128, 10,
+     0xE596C6F990A7C4C0ULL},
+    {IndexKind::kRdil, index::kPostingCodecVarint, 0,
+     0x389196484DBB810FULL},
+    {IndexKind::kRdil, index::kPostingCodecVarint, 10,
+     0xC2626F032E5786DEULL},
+    {IndexKind::kRdil, index::kPostingCodecBp128, 0,
+     0x883CEF70181A3D43ULL},
+    {IndexKind::kRdil, index::kPostingCodecBp128, 10,
+     0x2E57903552F2465BULL},
+    {IndexKind::kHdil, index::kPostingCodecVarint, 0,
+     0x631BA78A413B78D1ULL},
+    {IndexKind::kHdil, index::kPostingCodecVarint, 10,
+     0x79C788AB473132E5ULL},
+    {IndexKind::kHdil, index::kPostingCodecBp128, 0,
+     0x8AE44B0C04577CF1ULL},
+    {IndexKind::kHdil, index::kPostingCodecBp128, 10,
+     0xC13332F5CA95CC36ULL},
+    {IndexKind::kNaiveId, index::kPostingCodecVarint, 0,
+     0xE508F701FE1B1162ULL},
+    {IndexKind::kNaiveId, index::kPostingCodecVarint, 10,
+     0x67F2DC8E49FA0D87ULL},
+    {IndexKind::kNaiveId, index::kPostingCodecBp128, 0,
+     0xE35B219A32989E62ULL},
+    {IndexKind::kNaiveId, index::kPostingCodecBp128, 10,
+     0x6BB439AE4E27A33AULL},
+    {IndexKind::kNaiveRank, index::kPostingCodecVarint, 0,
+     0x0DDC2C78F3EF8745ULL},
+    {IndexKind::kNaiveRank, index::kPostingCodecVarint, 10,
+     0xFA47387B1FE1CC73ULL},
+    {IndexKind::kNaiveRank, index::kPostingCodecBp128, 0,
+     0xB2A20B27E0CC4596ULL},
+    {IndexKind::kNaiveRank, index::kPostingCodecBp128, 10,
+     0x2991A4D2EC5CEDD3ULL},
+};
 
 TEST(ParallelBuildTest, IndexFilesAreByteIdentical) {
   graph::XmlGraph graph = SmallDblpGraph();
@@ -244,38 +328,36 @@ TEST(ParallelBuildTest, IndexFilesAreByteIdentical) {
   ASSERT_TRUE(ranks.ok()) << ranks.status();
   index::ExtractionResult extracted = Extract(graph, ranks->ranks, 1);
 
-  index::BuildOptions sequential;
-  sequential.num_threads = 1;
-  for (int threads : {2, 4}) {
-    index::BuildOptions parallel;
-    parallel.num_threads = threads;
+  for (const PinnedIndex& pin : kPinnedIndexes) {
+    for (int threads : {1, 4}) {
+      index::BuildOptions build;
+      build.num_threads = threads;
+      build.format.codec_id = pin.codec_id;
+      build.format.vbmw_lambda_milli = pin.vbmw_lambda_milli;
+      auto built = BuildKind(pin.kind, extracted, build);
+      ASSERT_TRUE(built.ok()) << built.status();
+      EXPECT_EQ(FileDigest(*built->file), pin.digest)
+          << index::IndexKindName(pin.kind) << " codec " << pin.codec_id
+          << " lambda " << pin.vbmw_lambda_milli << " threads " << threads
+          << std::hex << " digest 0x" << FileDigest(*built->file);
+    }
+  }
+}
 
-    auto dil_seq = index::BuildDilIndex(extracted.dewey_postings,
-                                        storage::PageFile::CreateInMemory(),
-                                        sequential);
-    auto dil_par = index::BuildDilIndex(extracted.dewey_postings,
-                                        storage::PageFile::CreateInMemory(),
-                                        parallel);
-    ASSERT_TRUE(dil_seq.ok() && dil_par.ok());
-    ExpectFilesIdentical(*dil_seq->file, *dil_par->file, "DIL");
+TEST(ParallelBuildTest, RejectsNegativeThreadCount) {
+  graph::XmlGraph graph = SmallDblpGraph();
+  rank::ElemRankOptions rank_options;
+  auto ranks = rank::ComputeElemRank(graph, rank_options);
+  ASSERT_TRUE(ranks.ok()) << ranks.status();
+  index::ExtractionResult extracted = Extract(graph, ranks->ranks, 1);
 
-    auto rdil_seq = index::BuildRdilIndex(extracted.dewey_postings,
-                                          storage::PageFile::CreateInMemory(),
-                                          sequential);
-    auto rdil_par = index::BuildRdilIndex(extracted.dewey_postings,
-                                          storage::PageFile::CreateInMemory(),
-                                          parallel);
-    ASSERT_TRUE(rdil_seq.ok() && rdil_par.ok());
-    ExpectFilesIdentical(*rdil_seq->file, *rdil_par->file, "RDIL");
-
-    auto hdil_seq = index::BuildHdilIndex(extracted.dewey_postings,
-                                          storage::PageFile::CreateInMemory(),
-                                          {}, sequential);
-    auto hdil_par = index::BuildHdilIndex(extracted.dewey_postings,
-                                          storage::PageFile::CreateInMemory(),
-                                          {}, parallel);
-    ASSERT_TRUE(hdil_seq.ok() && hdil_par.ok());
-    ExpectFilesIdentical(*hdil_seq->file, *hdil_par->file, "HDIL");
+  index::BuildOptions build;
+  build.num_threads = -1;
+  for (IndexKind kind : {IndexKind::kDil, IndexKind::kNaiveRank}) {
+    auto built = BuildKind(kind, extracted, build);
+    ASSERT_FALSE(built.ok()) << index::IndexKindName(kind);
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument)
+        << built.status();
   }
 }
 
