@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,7 +142,7 @@ void BM_PostingListScan(benchmark::State& state) {
   storage::BufferPool pool(file.get(), 4096, nullptr);
   for (auto _ : state) {
     index::PostingListCursor cursor(&pool, *extent, format);
-    index::Posting posting;
+    index::PostingView posting;
     size_t count = 0;
     while (*cursor.Next(&posting)) ++count;
     benchmark::DoNotOptimize(count);
@@ -209,7 +210,7 @@ void BM_PostingDecode(benchmark::State& state, const char* codec_name) {
     state.SkipWithError("codec not registered");
     return;
   }
-  std::vector<index::Posting> block;
+  index::DecodedBlock block;
   for (auto _ : state) {
     size_t decoded = 0;
     for (const storage::Page& page : fixture->pages) {
@@ -254,8 +255,9 @@ void BM_MinimalWindow(benchmark::State& state) {
       list.push_back(static_cast<uint32_t>(rng.Uniform(10000)));
     }
   }
+  std::vector<std::span<const uint32_t>> spans(lists.begin(), lists.end());
   for (auto _ : state) {
-    uint32_t window = query::MinimalWindowSize(lists);
+    uint32_t window = query::MinimalWindowSize(spans);
     benchmark::DoNotOptimize(window);
   }
 }
@@ -270,13 +272,13 @@ void BM_DeweyStackMerge(benchmark::State& state) {
     size_t emitted = 0;
     query::DeweyStackMerger merger(
         2, scoring, 1,
-        [&](const query::CandidateResult&) { ++emitted; });
+        [&](const query::CandidateView&) { ++emitted; });
     for (size_t i = 0; i < ids.size(); ++i) {
       index::Posting posting;
       posting.id = ids[i];
       posting.elem_rank = 0.25f;
       posting.positions = {static_cast<uint32_t>(i)};
-      merger.Add(i & 1, posting);
+      merger.Add(i & 1, posting.view());
     }
     merger.Flush();
     benchmark::DoNotOptimize(emitted);

@@ -8,6 +8,22 @@
 
 namespace xrank::dewey {
 
+bool IdLess(IdSpan a, IdSpan b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+size_t CommonPrefixLength(IdSpan a, IdSpan b) {
+  size_t limit = std::min(a.size(), b.size());
+  size_t i = 0;
+  while (i < limit && a[i] == b[i]) ++i;
+  return i;
+}
+
+bool IsPrefix(IdSpan prefix, IdSpan id) {
+  return prefix.size() <= id.size() &&
+         std::equal(prefix.begin(), prefix.end(), id.begin());
+}
+
 Result<DeweyId> DeweyId::FromString(std::string_view text) {
   if (text.empty()) return DeweyId();
   std::vector<uint32_t> components;
@@ -56,16 +72,11 @@ DeweyId DeweyId::Child(uint32_t position) const {
 }
 
 bool DeweyId::IsPrefixOf(const DeweyId& other) const {
-  if (depth() > other.depth()) return false;
-  return std::equal(components_.begin(), components_.end(),
-                    other.components_.begin());
+  return IsPrefix(components_, other.components_);
 }
 
 size_t DeweyId::CommonPrefixLength(const DeweyId& other) const {
-  size_t limit = std::min(depth(), other.depth());
-  size_t i = 0;
-  while (i < limit && components_[i] == other.components_[i]) ++i;
-  return i;
+  return dewey::CommonPrefixLength(components_, other.components_);
 }
 
 std::strong_ordering DeweyId::operator<=>(const DeweyId& other) const {

@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +12,16 @@
 #include "common/result.h"
 
 namespace xrank::dewey {
+
+// The components of a Dewey ID, borrowed: a DeweyId's own vector or the
+// component array of a decoded posting page (index::PostingView).
+using IdSpan = std::span<const uint32_t>;
+
+// DeweyId's order and prefix relations over borrowed components, so the
+// query path compares decoded postings without building DeweyIds.
+bool IdLess(IdSpan a, IdSpan b);
+size_t CommonPrefixLength(IdSpan a, IdSpan b);
+bool IsPrefix(IdSpan prefix, IdSpan id);
 
 // A Dewey ID identifies an XML element by the path of sibling positions from
 // the document root (paper Section 4.2, Figure 3). By convention the first
@@ -32,26 +43,20 @@ class DeweyId {
   // Parses "5.0.3.0" style strings (as printed by ToString).
   static Result<DeweyId> FromString(std::string_view text);
 
+  explicit DeweyId(IdSpan components)
+      : components_(components.begin(), components.end()) {}
+
   const std::vector<uint32_t>& components() const { return components_; }
+  // Borrows the components, as std::string converts to std::string_view.
+  operator IdSpan() const { return components_; }  // NOLINT
 
-  // Replaces the components in place, reusing the vector's capacity (hot
-  // posting-decode paths rebuild IDs into recycled Posting buffers).
-  void AssignComponents(const uint32_t* data, size_t count) {
-    components_.assign(data, data + count);
+  // Replaces the components in place, reusing the vector's capacity (the
+  // top-k accumulator recycles the ids of the entries it drops).
+  // `components` must not alias this ID's own storage.
+  void AssignComponents(IdSpan components) {
+    components_.assign(components.begin(), components.end());
   }
 
-  // Replaces the components with `prefix` followed by `suffix`, in one
-  // resize — the prefix-delta decode paths stitch a shared ancestor prefix
-  // to a fresh suffix without an intermediate buffer. `prefix` and `suffix`
-  // must not alias this ID's own storage.
-  void AssignParts(const uint32_t* prefix, size_t prefix_len,
-                   const uint32_t* suffix, size_t suffix_len) {
-    components_.resize(prefix_len + suffix_len);
-    uint32_t* dst = components_.data();
-    for (size_t i = 0; i < prefix_len; ++i) dst[i] = prefix[i];
-    dst += prefix_len;
-    for (size_t i = 0; i < suffix_len; ++i) dst[i] = suffix[i];
-  }
   size_t depth() const { return components_.size(); }
   bool empty() const { return components_.empty(); }
   uint32_t component(size_t i) const { return components_[i]; }

@@ -31,12 +31,7 @@ BlockCache::BlockCache(size_t capacity_bytes, size_t num_shards)
 }
 
 size_t BlockCache::BlockCharge(const Block& block) {
-  size_t charge = sizeof(Block) + block.capacity() * sizeof(Posting);
-  for (const Posting& posting : block) {
-    charge += posting.id.components().capacity() * sizeof(uint32_t);
-    charge += posting.positions.capacity() * sizeof(uint32_t);
-  }
-  return charge;
+  return sizeof(Block) + block.ArrayBytes();
 }
 
 BlockCache::Shard& BlockCache::ShardFor(const Key& key) {

@@ -20,9 +20,10 @@ namespace xrank::index {
 // the BufferPool on the Dewey fast path — the pool caches raw page bytes,
 // this cache skips the varint + prefix-delta decode entirely for hot pages.
 //
-// Entries are immutable shared_ptr<const vector<Posting>>; a cursor can keep
-// serving from a block after it has been evicted (the shared_ptr keeps it
-// alive), so eviction never invalidates an in-flight reader.
+// Entries are immutable shared_ptr<const DecodedBlock>, each charged at its
+// arrays' bytes (DecodedBlock::ArrayBytes plus the block itself). A cursor
+// pins the block it reads, so it keeps serving views into a block that has
+// been evicted meanwhile: eviction never invalidates an in-flight reader.
 //
 // Consistency mirrors the result cache: index files are immutable after
 // build, and every writer (DeleteDocument / CompactDeletions) clears the
@@ -31,7 +32,7 @@ namespace xrank::index {
 // later file that reuses its page numbers.
 class BlockCache {
  public:
-  using Block = std::vector<Posting>;
+  using Block = DecodedBlock;
   using BlockPtr = std::shared_ptr<const Block>;
 
   struct Key {
@@ -69,8 +70,7 @@ class BlockCache {
   // promptly, not correctness.
   size_t EraseFile(uint64_t file_id);
 
-  // Approximate memory charge of a decoded block: vector headers plus the
-  // postings' inline and heap (positions) storage.
+  // Memory charge of a decoded block: the block and its arrays' capacity.
   static size_t BlockCharge(const Block& block);
 
   uint64_t hits() const { return hits_.value(); }

@@ -58,32 +58,55 @@ void EncodeVarintPosting(const Posting& posting,
   }
 }
 
-Result<Posting> DecodeVarintPosting(std::string_view data, size_t* offset,
-                                    const dewey::DeweyId* previous) {
-  Posting posting;
-  if (previous != nullptr) {
-    XRANK_ASSIGN_OR_RETURN(posting.id,
-                           dewey::DecodeDeweyIdDelta(*previous, data, offset));
-  } else {
-    XRANK_ASSIGN_OR_RETURN(posting.id, dewey::DecodeDeweyId(data, offset));
+// Appends the posting at *offset to *out. With `delta`, its id is coded
+// against the block's previous posting.
+Status DecodeVarintPosting(std::string_view data, size_t* offset, bool delta,
+                           DecodedBlock* out) {
+  std::vector<uint32_t>& comps = out->components;
+  uint32_t prefix = 0;
+  if (delta) {
+    XRANK_ASSIGN_OR_RETURN(prefix, GetVarint32(data, offset));
+    const size_t prev_start = out->id_offsets[out->size() - 1];
+    if (prefix > comps.size() - prev_start) {
+      return Status::Corruption("Dewey delta lcp exceeds previous depth");
+    }
+    // Components shared with the previous posting, copied by index: the
+    // resize may move the array.
+    comps.resize(comps.size() + prefix);
+    std::copy_n(comps.begin() + prev_start, prefix,
+                comps.end() - prefix);
   }
+  XRANK_ASSIGN_OR_RETURN(uint32_t suffix, GetVarint32(data, offset));
+  // Every component takes at least one byte, which bounds a damaged count.
+  if (suffix > kMaxDeweyDepth || suffix > data.size() - *offset) {
+    return Status::Corruption("absurd Dewey depth");
+  }
+  for (uint32_t i = 0; i < suffix; ++i) {
+    XRANK_ASSIGN_OR_RETURN(uint32_t c, GetVarint32(data, offset));
+    comps.push_back(c);
+  }
+  out->id_offsets.push_back(static_cast<uint32_t>(comps.size()));
+
   if (*offset + kRankBytes > data.size()) {
     return Status::Corruption("truncated posting rank");
   }
-  std::memcpy(&posting.elem_rank, data.data() + *offset, kRankBytes);
+  float rank;
+  std::memcpy(&rank, data.data() + *offset, kRankBytes);
   *offset += kRankBytes;
   XRANK_ASSIGN_OR_RETURN(uint32_t count, GetVarint32(data, offset));
   if (count > kMaxPositionsPerPosting) {
     return Status::Corruption("posting position count out of range");
   }
-  posting.positions.reserve(count);
   uint32_t position = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    XRANK_ASSIGN_OR_RETURN(uint32_t delta, GetVarint32(data, offset));
-    position += delta;
-    posting.positions.push_back(position);
+    XRANK_ASSIGN_OR_RETURN(uint32_t delta_pos, GetVarint32(data, offset));
+    position += delta_pos;
+    out->positions.push_back(position);
   }
-  return posting;
+  out->position_offsets.push_back(
+      static_cast<uint32_t>(out->positions.size()));
+  out->ranks.push_back(rank);
+  return Status::OK();
 }
 
 class VarintPageEncoder final : public PostingPageEncoder {
@@ -138,19 +161,16 @@ class VarintPostingCodec final : public PostingCodec {
   }
 
   Status DecodePage(const storage::Page& page, const PostingFormat& format,
-                    std::vector<Posting>* out) const override {
+                    DecodedBlock* out) const override {
     uint16_t count = page.ReadU16(0);
-    out->clear();
-    out->reserve(count);
+    out->Clear();
+    out->ranks.reserve(count);
+    out->id_offsets.reserve(count + 1u);
+    out->position_offsets.reserve(count + 1u);
     size_t offset = kListPageHeaderSize;
-    dewey::DeweyId previous;
     for (uint16_t i = 0; i < count; ++i) {
-      const dewey::DeweyId* prev =
-          (format.delta_encode_ids && i > 0) ? &previous : nullptr;
-      XRANK_ASSIGN_OR_RETURN(Posting posting,
-                             DecodeVarintPosting(page.view(), &offset, prev));
-      previous = posting.id;
-      out->push_back(std::move(posting));
+      XRANK_RETURN_NOT_OK(DecodeVarintPosting(
+          page.view(), &offset, format.delta_encode_ids && i > 0, out));
     }
     return Status::OK();
   }
@@ -371,16 +391,11 @@ Result<size_t> BlockPageEncoder::Flush(storage::Page* page) {
   return off;
 }
 
-Status DecodeBlockPage(const storage::Page& page, std::vector<Posting>* out) {
+Status DecodeBlockPage(const storage::Page& page, DecodedBlock* out) {
   const uint8_t* base = reinterpret_cast<const uint8_t*>(page.data.data());
   uint32_t count = page.ReadU16(0);
-  if (count == 0) {
-    out->clear();
-    return Status::OK();
-  }
-  // No clear() before the resize below: surviving slots keep their heap
-  // buffers (Dewey components, positions), so a recycled *out makes the
-  // whole decode allocation-free once warm.
+  out->Clear();
+  if (count == 0) return Status::OK();
   uint32_t suffix_total = page.ReadU32(4);
   uint32_t pos_total = page.ReadU32(8);
   if (suffix_total > kMaxPageStreamValues ||
@@ -402,7 +417,6 @@ Status DecodeBlockPage(const storage::Page& page, std::vector<Posting>* out) {
     return Status::Corruption("truncated posting block ranks");
   }
 
-  out->resize(count);
   // Hoisted stream pointers (scratch is thread_local — keep TLS lookups out
   // of the per-posting loop) and bulk range checks over whole streams, so
   // the reconstruction loop only validates the cross-stream invariants.
@@ -414,22 +428,38 @@ Status DecodeBlockPage(const storage::Page& page, std::vector<Posting>* out) {
   const uint32_t* pos_delta_s = scratch[kSPosDelta].data();
   uint32_t depth_max = 0;
   uint32_t pos_count_max = 0;
+  uint64_t depth_total = 0;
   for (uint32_t i = 0; i < count; ++i) {
     depth_max = std::max(depth_max, depth_s[i]);
     pos_count_max = std::max(pos_count_max, pos_count_s[i]);
+    depth_total += depth_s[i];
   }
   if (depth_max > kMaxDeweyDepth) {
     return Status::Corruption("absurd Dewey depth in posting block");
   }
+  // Shared prefixes cost no page bytes, so only this bounds the decoded
+  // component array of a damaged page.
+  if (depth_total > kMaxPageStreamValues) {
+    return Status::Corruption("posting block depth total out of range");
+  }
   if (pos_count_max > kMaxPositionsPerPosting) {
     return Status::Corruption("posting position count out of range");
   }
-  const uint8_t* rank_base = base + off;
+
+  out->ranks.resize(count);
+  std::memcpy(out->ranks.data(), base + off, count * kRankBytes);
+  out->id_offsets.resize(count + 1);
+  out->components.resize(depth_total);
+  out->position_offsets.resize(count + 1);
+  out->positions.resize(pos_total);
+  uint32_t* comps = out->components.data();
+  uint32_t* positions = out->positions.data();
   uint32_t prev_head = 0;
+  uint32_t prev_depth = 0;
   size_t suffix_idx = 0;
+  size_t comp_idx = 0;
   size_t pos_idx = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    Posting& posting = (*out)[i];
     uint32_t depth = depth_s[i];
     uint32_t lcp = lcp_s[i];
     uint32_t head = prev_head + ZigzagDecode(head_s[i]);
@@ -443,38 +473,35 @@ Status DecodeBlockPage(const storage::Page& page, std::vector<Posting>* out) {
       if (suffix_idx + suffix_count > suffix_total) {
         return Status::Corruption("posting block suffix stream underrun");
       }
-      const uint32_t* suffix = suffix_s + suffix_idx;
+      uint32_t* id = comps + comp_idx;
       if (lcp > 0) {
-        // The previous posting lives in a different slot of *out, so its
-        // component storage never aliases this posting's.
-        const std::vector<uint32_t>& prev_comps =
-            (*out)[i - 1].id.components();
-        if (lcp > prev_comps.size()) {
+        if (lcp > prev_depth) {
           return Status::Corruption(
               "posting block prefix exceeds previous depth");
         }
-        posting.id.AssignParts(prev_comps.data(), lcp, suffix, suffix_count);
+        // The previous posting's components end where this id begins.
+        std::copy_n(id - prev_depth, lcp, id);
       } else {
-        posting.id.AssignParts(&head, 1, suffix, suffix_count);
+        id[0] = head;
       }
+      std::copy_n(suffix_s + suffix_idx, suffix_count, id + start);
       suffix_idx += suffix_count;
-    } else {
-      posting.id.AssignComponents(nullptr, 0);
     }
+    comp_idx += depth;
+    prev_depth = depth;
+    out->id_offsets[i + 1] = static_cast<uint32_t>(comp_idx);
 
     uint32_t pos_count = pos_count_s[i];
     if (pos_idx + pos_count > pos_total) {
       return Status::Corruption("posting block position stream underrun");
     }
-    posting.positions.resize(pos_count);
     uint32_t position = 0;
     for (uint32_t j = 0; j < pos_count; ++j) {
       position += pos_delta_s[pos_idx + j];
-      posting.positions[j] = position;
+      positions[pos_idx + j] = position;
     }
     pos_idx += pos_count;
-
-    std::memcpy(&posting.elem_rank, rank_base + i * kRankBytes, kRankBytes);
+    out->position_offsets[i + 1] = static_cast<uint32_t>(pos_idx);
   }
   if (suffix_idx != suffix_total || pos_idx != pos_total) {
     return Status::Corruption("posting block stream totals inconsistent");
@@ -492,7 +519,7 @@ class Bp128PostingCodec final : public PostingCodec {
   }
   Status DecodePage(const storage::Page& page,
                     const PostingFormat& /*format*/,
-                    std::vector<Posting>* out) const override {
+                    DecodedBlock* out) const override {
     return DecodeBlockPage(page, out);
   }
 };

@@ -81,10 +81,10 @@ class PostingCodec {
   // Decodes every posting of `page` into *out (replacing its contents;
   // capacity is reused). All failures — truncated streams, absurd counts,
   // bit-flipped headers — surface as Status::Corruption, never a crash or
-  // an unbounded allocation.
+  // an unbounded allocation (*out is then unspecified).
   virtual Status DecodePage(const storage::Page& page,
                             const PostingFormat& format,
-                            std::vector<Posting>* out) const = 0;
+                            DecodedBlock* out) const = 0;
 };
 
 // -------------------------------------------------------------- registry --

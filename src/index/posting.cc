@@ -133,32 +133,29 @@ bool PostingListCursor::AtEnd() const {
 }
 
 Status PostingListCursor::LoadPage() {
+  const storage::PageId page = extent_.first_page + page_index_;
+  cached_block_.reset();
   if (block_cache_ != nullptr) {
-    BlockCache::Key key{pool_->file()->file_id(),
-                        extent_.first_page + page_index_};
+    BlockCache::Key key{pool_->file()->file_id(), page};
     cached_block_ = block_cache_->Lookup(key);
     if (cached_block_ != nullptr) {
       ++block_cache_hits_;
     } else {
-      // Miss: decode the whole page once and publish it. The decoded
-      // vector is immutable from here on — concurrent cursors share it
-      // read-only.
+      // Miss: decode the whole page once and publish it. The block is
+      // immutable from here on — concurrent cursors share it read-only.
+      XRANK_RETURN_NOT_OK(pool_->Read(page, &page_));
+      auto decoded = std::make_shared<DecodedBlock>();
       XRANK_RETURN_NOT_OK(
-          pool_->Read(extent_.first_page + page_index_, &page_));
-      auto block = std::make_shared<std::vector<Posting>>();
-      XRANK_RETURN_NOT_OK(
-          format_.codec->DecodePage(page_, format_, block.get()));
-      cached_block_ = std::move(block);
+          format_.codec->DecodePage(page_, format_, decoded.get()));
+      cached_block_ = std::move(decoded);
       block_cache_->Insert(key, cached_block_);
     }
-    block_ = cached_block_.get();
   } else {
-    XRANK_RETURN_NOT_OK(pool_->Read(extent_.first_page + page_index_, &page_));
+    XRANK_RETURN_NOT_OK(pool_->Read(page, &page_));
     XRANK_RETURN_NOT_OK(
         format_.codec->DecodePage(page_, format_, &local_block_));
-    block_ = &local_block_;
   }
-  entries_in_page_ = static_cast<uint32_t>(block_->size());
+  entries_in_page_ = static_cast<uint32_t>(block().size());
   entry_index_ = 0;
   page_loaded_ = true;
   return Status::OK();
@@ -172,7 +169,7 @@ Status PostingListCursor::SeekToPage(uint32_t page_index) {
   return LoadPage();
 }
 
-Result<bool> PostingListCursor::Next(Posting* out) {
+Result<bool> PostingListCursor::Next(PostingView* out) {
   for (;;) {
     if (!page_loaded_) {
       if (page_index_ >= extent_.page_count) return false;
@@ -182,14 +179,30 @@ Result<bool> PostingListCursor::Next(Posting* out) {
       ++page_index_;
       page_loaded_ = false;
       cached_block_.reset();
-      block_ = nullptr;
       if (page_index_ >= extent_.page_count) return false;
       continue;
     }
-    *out = (*block_)[entry_index_];
+    *out = block().at(entry_index_);
     ++entry_index_;
     return true;
   }
+}
+
+uint32_t PostingListCursor::PassDocumentsBelow(uint32_t doc) {
+  if (!page_loaded_) return 0;
+  // Binary search: document ids never fall along a Dewey-ordered page.
+  const DecodedBlock& decoded = block();
+  const uint32_t first = entry_index_;
+  uint32_t hi = entries_in_page_;
+  while (entry_index_ < hi) {
+    const uint32_t mid = entry_index_ + (hi - entry_index_) / 2;
+    if (decoded.document_id(mid) < doc) {
+      entry_index_ = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return entry_index_ - first;
 }
 
 std::vector<const Posting*> SortByRank(const std::vector<Posting>& postings) {
@@ -206,21 +219,22 @@ std::vector<const Posting*> SortByRank(const std::vector<Posting>& postings) {
   return by_rank;
 }
 
-Result<Posting> ReadPostingAt(storage::BufferPool* pool,
-                              const ListExtent& extent, PostingLocation loc,
-                              const PostingFormat& format) {
+Result<PostingView> ReadPostingAt(storage::BufferPool* pool,
+                                  const ListExtent& extent,
+                                  PostingLocation loc,
+                                  const PostingFormat& format,
+                                  DecodedBlock* block) {
   XRANK_CHECK(format.codec != nullptr, "posting format has no codec");
   if (loc.page_index >= extent.page_count) {
     return Status::OutOfRange("posting page out of list bounds");
   }
   storage::Page page;
   XRANK_RETURN_NOT_OK(pool->Read(extent.first_page + loc.page_index, &page));
-  std::vector<Posting> block;
-  XRANK_RETURN_NOT_OK(format.codec->DecodePage(page, format, &block));
-  if (loc.slot >= block.size()) {
+  XRANK_RETURN_NOT_OK(format.codec->DecodePage(page, format, block));
+  if (loc.slot >= block->size()) {
     return Status::OutOfRange("posting slot out of page bounds");
   }
-  return std::move(block[loc.slot]);
+  return block->at(loc.slot);
 }
 
 }  // namespace xrank::index

@@ -71,8 +71,12 @@ class BlockCache;
 
 // Sequential cursor over a list's page run (through the buffer pool, so
 // reads are charged to the cost model). Pages are decoded whole via the
-// format's codec into a reused buffer — the uniform contract every codec
-// supports (bp128 pages only decode as a unit).
+// format's codec into a DecodedBlock — the uniform contract every codec
+// supports (bp128 pages only decode as a unit) — and postings are handed
+// out as views into it. A view stays valid until the cursor's next move
+// (Next, PassDocumentsBelow, SeekToPage): the cursor pins the block it
+// reads, so neither eviction from the block cache nor moving the cursor
+// object invalidates it.
 class PostingListCursor {
  public:
   PostingListCursor(storage::BufferPool* pool, const ListExtent& extent,
@@ -81,11 +85,20 @@ class PostingListCursor {
   // Attaches a decoded-block cache: a cache hit serves every posting of the
   // page without touching the buffer pool or the decoder; a miss decodes
   // the page once and publishes it. Must be called before the first
-  // Next/SeekToPage. Null (the default) decodes into a cursor-local buffer.
+  // Next/SeekToPage. Null (the default) decodes into a cursor-local block
+  // that is reused from page to page.
   void set_block_cache(BlockCache* cache) { block_cache_ = cache; }
 
-  // Reads the next posting; returns false at end of list.
-  Result<bool> Next(Posting* out);
+  // Moves to the next posting and points *out at it; returns false at end
+  // of list.
+  Result<bool> Next(PostingView* out);
+
+  // Steps over the entries of the loaded page, from the next one on, whose
+  // document id (first Dewey component) is below `doc`, without handing
+  // them out, and returns how many it passed. The page must be in Dewey
+  // order; the next Next() then returns the first entry left, on this page
+  // or a later one.
+  uint32_t PassDocumentsBelow(uint32_t doc);
 
   bool AtEnd() const;
 
@@ -101,6 +114,10 @@ class PostingListCursor {
 
  private:
   Status LoadPage();
+  // The loaded page's postings: the pinned cache block, or the local one.
+  const DecodedBlock& block() const {
+    return cached_block_ != nullptr ? *cached_block_ : local_block_;
+  }
 
   storage::BufferPool* pool_;
   ListExtent extent_;
@@ -111,19 +128,19 @@ class PostingListCursor {
   storage::Page page_;
   bool page_loaded_ = false;
   BlockCache* block_cache_ = nullptr;
-  // Decoded postings of the current page: `block_` points at either the
-  // cursor-local buffer or a pinned cache block (pin outlives eviction).
-  std::vector<Posting> local_block_;
-  std::shared_ptr<const std::vector<Posting>> cached_block_;
-  const std::vector<Posting>* block_ = nullptr;
+  DecodedBlock local_block_;
+  std::shared_ptr<const DecodedBlock> cached_block_;
   uint64_t block_cache_hits_ = 0;
 };
 
-// Random access to one posting (used by RDIL after a B+-tree lookup;
-// decodes the posting's page and indexes the slot).
-Result<Posting> ReadPostingAt(storage::BufferPool* pool,
-                              const ListExtent& extent, PostingLocation loc,
-                              const PostingFormat& format);
+// Random access to one posting (RDIL after a B+-tree lookup, Naive-Rank
+// after a hash probe): decodes the posting's page into *block and returns a
+// view of the slot, valid until *block changes.
+Result<PostingView> ReadPostingAt(storage::BufferPool* pool,
+                                  const ListExtent& extent,
+                                  PostingLocation loc,
+                                  const PostingFormat& format,
+                                  DecodedBlock* block);
 
 }  // namespace xrank::index
 

@@ -2,6 +2,7 @@
 #define XRANK_INDEX_POSTING_TYPES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -10,15 +11,104 @@
 
 namespace xrank::index {
 
+struct Posting;
+
+// A borrowed posting: its Dewey components, rank and word positions, held
+// by a DecodedBlock or a Posting. Valid as long as what it points into; a
+// cursor's view (index/posting.h, query/posting_cursor.h) lasts until the
+// cursor's next move.
+struct PostingView {
+  dewey::IdSpan id;
+  float elem_rank = 0.0f;
+  std::span<const uint32_t> positions;
+
+  // First Dewey component (the document id); 0 for an empty id, which only
+  // a damaged page can hold.
+  uint32_t document_id() const { return id.empty() ? 0 : id.front(); }
+
+  // An owning copy.
+  Posting ToPosting() const;
+};
+
 // One inverted-list entry: the Dewey ID of an element that *directly*
 // contains the keyword, the element's ElemRank, and the (document-global)
 // word positions of the keyword inside that element (paper Section 4.2.1).
+// Extraction produces these and the page encoders consume them; the query
+// path reads decoded pages as PostingViews instead.
 struct Posting {
   dewey::DeweyId id;
   float elem_rank = 0.0f;
   std::vector<uint32_t> positions;
 
+  PostingView view() const { return {id.components(), elem_rank, positions}; }
+
   bool operator==(const Posting& other) const = default;
+};
+
+inline Posting PostingView::ToPosting() const {
+  return Posting{dewey::DeweyId(id), elem_rank,
+                 std::vector<uint32_t>(positions.begin(), positions.end())};
+}
+
+// One decoded posting page in flat arrays: entry i has rank ranks[i],
+// Dewey components components[id_offsets[i], id_offsets[i + 1]) and word
+// positions positions[position_offsets[i], position_offsets[i + 1]); both
+// offset arrays hold size() + 1 entries and start at 0. Every codec decodes
+// a page into one (PostingCodec::DecodePage), the block cache holds them,
+// and the query cursors hand out PostingViews into them, so a page costs
+// five arrays however many postings it holds, and a recycled block none.
+struct DecodedBlock {
+  std::vector<float> ranks;
+  std::vector<uint32_t> id_offsets{0};
+  std::vector<uint32_t> components;
+  std::vector<uint32_t> position_offsets{0};
+  std::vector<uint32_t> positions;
+
+  size_t size() const { return ranks.size(); }
+  bool empty() const { return ranks.empty(); }
+
+  PostingView at(size_t i) const {
+    return {dewey::IdSpan(components.data() + id_offsets[i],
+                          id_offsets[i + 1] - id_offsets[i]),
+            ranks[i],
+            std::span<const uint32_t>(
+                positions.data() + position_offsets[i],
+                position_offsets[i + 1] - position_offsets[i])};
+  }
+
+  // at(i).document_id(), reading one component.
+  uint32_t document_id(size_t i) const {
+    return id_offsets[i] == id_offsets[i + 1] ? 0
+                                              : components[id_offsets[i]];
+  }
+
+  // Empties the block, keeping the arrays' capacity.
+  void Clear() {
+    ranks.clear();
+    id_offsets.assign(1, 0);
+    components.clear();
+    position_offsets.assign(1, 0);
+    positions.clear();
+  }
+
+  // Appends a copy of `posting`.
+  void Append(const PostingView& posting) {
+    ranks.push_back(posting.elem_rank);
+    components.insert(components.end(), posting.id.begin(), posting.id.end());
+    id_offsets.push_back(static_cast<uint32_t>(components.size()));
+    positions.insert(positions.end(), posting.positions.begin(),
+                     posting.positions.end());
+    position_offsets.push_back(static_cast<uint32_t>(positions.size()));
+  }
+
+  // Bytes the five arrays hold (their capacities): what the block cache
+  // charges for a block.
+  size_t ArrayBytes() const {
+    return ranks.capacity() * sizeof(float) +
+           (id_offsets.capacity() + components.capacity() +
+            position_offsets.capacity() + positions.capacity()) *
+               sizeof(uint32_t);
+  }
 };
 
 // Postings whose position list would overflow a page are truncated to this

@@ -13,112 +13,115 @@ DeweyStackMerger::DeweyStackMerger(size_t num_keywords,
     : num_keywords_(num_keywords),
       scoring_(scoring),
       min_result_depth_(std::max<size_t>(min_result_depth, 1)),
-      callback_(std::move(callback)) {
+      callback_(std::move(callback)),
+      arenas_(num_keywords) {
   XRANK_CHECK(num_keywords_ > 0, "merger needs at least one keyword");
 }
 
-DeweyStackMerger::Frame DeweyStackMerger::MakeFrame(
-    uint32_t component) const {
-  Frame frame;
-  frame.component = component;
-  frame.positions.resize(num_keywords_);
-  frame.ranks.assign(num_keywords_, 0.0);
-  return frame;
+void DeweyStackMerger::PushFrame(uint32_t component) {
+  path_.push_back(component);
+  ranks_.resize(ranks_.size() + num_keywords_, 0.0);
+  for (const std::vector<uint32_t>& arena : arenas_) {
+    starts_.push_back(static_cast<uint32_t>(arena.size()));
+  }
+  contains_all_.push_back(0);
 }
 
 void DeweyStackMerger::PopFrame() {
-  Frame frame = std::move(stack_.back());
-  stack_.pop_back();
-  size_t depth = path_.size();
+  const size_t n = num_keywords_;
+  const size_t depth = path_.size();
+  const size_t top = depth - 1;
+  const double* ranks = ranks_.data() + top * n;
+  const uint32_t* starts = starts_.data() + top * n;
 
   size_t present = 0;
-  for (size_t k = 0; k < num_keywords_; ++k) {
-    if (!frame.positions[k].empty()) ++present;
+  for (size_t k = 0; k < n; ++k) {
+    if (arenas_[k].size() > starts[k]) ++present;
   }
   bool qualifies =
       scoring_.semantics == QuerySemantics::kConjunctive
-          ? present == num_keywords_
+          ? present == n
           : present > 0;
+  bool contains_all = contains_all_[top] != 0;
 
   if (qualifies) {
     // Figure 5 lines 15-18: the element contains every keyword
     // (conjunctive) / at least one keyword (disjunctive).
-    frame.contains_all = true;
+    contains_all = true;
     if (depth >= min_result_depth_) {
-      CandidateResult candidate;
-      candidate.id = dewey::DeweyId(path_);
-      candidate.keyword_ranks = frame.ranks;
       // Under disjunctive semantics the window covers only the keywords
       // that are present.
-      std::vector<std::vector<uint32_t>> windows;
-      windows.reserve(present);
-      for (const auto& positions : frame.positions) {
-        if (!positions.empty()) windows.push_back(positions);
+      windows_.clear();
+      for (size_t k = 0; k < n; ++k) {
+        if (arenas_[k].size() > starts[k]) {
+          windows_.emplace_back(arenas_[k].data() + starts[k],
+                                arenas_[k].size() - starts[k]);
+        }
       }
-      candidate.window = MinimalWindowSize(windows);
+      CandidateView candidate;
+      candidate.id = path_;
+      candidate.keyword_ranks = std::span<const double>(ranks, n);
+      candidate.window = MinimalWindowSize(windows_);
       double proximity = ProximityFromWindow(scoring_.proximity,
                                              candidate.window, present);
-      candidate.overall_rank = CombineRanks(frame.ranks, proximity);
+      candidate.overall_rank =
+          CombineRanks(candidate.keyword_ranks, proximity);
       callback_(candidate);
     }
-  } else if (!frame.contains_all && !stack_.empty()) {
+  }
+  if (!qualifies && !contains_all && top > 0) {
     // Lines 19-22: partial occurrences flow into the parent with one level
-    // of decay; position lists accumulate.
-    Frame& parent = stack_.back();
-    for (size_t k = 0; k < num_keywords_; ++k) {
-      if (frame.ranks[k] > 0.0) {
-        parent.ranks[k] = AggregateRank(scoring_.aggregation, parent.ranks[k],
-                                        frame.ranks[k] * scoring_.decay);
+    // of decay; the positions already lie in the parent's arena suffix.
+    double* parent = ranks_.data() + (top - 1) * n;
+    for (size_t k = 0; k < n; ++k) {
+      if (ranks[k] > 0.0) {
+        parent[k] = AggregateRank(scoring_.aggregation, parent[k],
+                                  ranks[k] * scoring_.decay);
       }
-      parent.positions[k].insert(parent.positions[k].end(),
-                                 frame.positions[k].begin(),
-                                 frame.positions[k].end());
     }
+  } else {
+    for (size_t k = 0; k < n; ++k) arenas_[k].resize(starts[k]);
   }
   // Line 23: an element in R0 poisons its ancestors' propagation — their
   // occurrences via this subtree are excluded (Section 2.2's c ∉ R0).
-  if (frame.contains_all && !stack_.empty()) {
-    stack_.back().contains_all = true;
-  }
+  if (contains_all && top > 0) contains_all_[top - 1] = 1;
   path_.pop_back();
+  ranks_.resize(top * n);
+  starts_.resize(top * n);
+  contains_all_.pop_back();
 }
 
 void DeweyStackMerger::Add(size_t keyword_index,
-                           const index::Posting& posting) {
+                           const index::PostingView& posting) {
   XRANK_CHECK(!flushed_, "Add after Flush");
   XRANK_CHECK(keyword_index < num_keywords_, "keyword index out of range");
-  const dewey::DeweyId& id = posting.id;
-  XRANK_DCHECK(!id.empty(), "posting with empty Dewey ID");
+  const dewey::IdSpan id = posting.id;
   ++postings_consumed_;
+  // Only a damaged page holds an empty id; it names no element.
+  if (id.empty()) return;
 
   // Longest common prefix with the current stack (Figure 5 lines 10-11).
-  size_t lcp = 0;
-  size_t limit = std::min(path_.size(), id.depth());
-  while (lcp < limit && path_[lcp] == id.component(lcp)) ++lcp;
+  const size_t lcp = dewey::CommonPrefixLength(path_, id);
 
   // Pop the non-matching tail (lines 12-24).
-  while (stack_.size() > lcp) PopFrame();
+  while (path_.size() > lcp) PopFrame();
 
   // Push the non-matching part of the new ID (lines 25-28).
-  for (size_t i = lcp; i < id.depth(); ++i) {
-    stack_.push_back(MakeFrame(id.component(i)));
-    path_.push_back(id.component(i));
-  }
+  for (size_t i = lcp; i < id.size(); ++i) PushFrame(id[i]);
 
   // Lines 29-31: attach this posting's rank and positions to the top frame.
-  Frame& top = stack_.back();
-  top.ranks[keyword_index] =
-      AggregateRank(scoring_.aggregation, top.ranks[keyword_index],
-                    static_cast<double>(posting.elem_rank));
-  top.positions[keyword_index].insert(top.positions[keyword_index].end(),
-                                      posting.positions.begin(),
-                                      posting.positions.end());
+  double& rank = ranks_[(path_.size() - 1) * num_keywords_ + keyword_index];
+  rank = AggregateRank(scoring_.aggregation, rank,
+                       static_cast<double>(posting.elem_rank));
+  std::vector<uint32_t>& arena = arenas_[keyword_index];
+  arena.insert(arena.end(), posting.positions.begin(),
+               posting.positions.end());
 }
 
 void DeweyStackMerger::Flush() {
   if (flushed_) return;
   flushed_ = true;
-  while (!stack_.empty()) PopFrame();
+  while (!path_.empty()) PopFrame();
 }
 
 }  // namespace xrank::query

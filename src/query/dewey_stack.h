@@ -2,6 +2,7 @@
 #define XRANK_QUERY_DEWEY_STACK_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "index/posting.h"
@@ -22,9 +23,17 @@ namespace xrank::query {
 //  * otherwise, unless a descendant already contained all keywords, its
 //    position lists and decay-scaled ranks merge into its parent
 //    (implementing r(v,k) = ElemRank(v_t) · decay^(t-1), Section 2.3.2.1).
+//
+// The stack lives in flat arrays that keep their capacity, so feeding a
+// posting allocates nothing once they have grown: per depth one component,
+// one rank per keyword and the ContainsAll mark; per keyword one position
+// arena, in which a frame's positions are the suffix that starts at the
+// frame's offset. Propagating positions to the parent therefore moves
+// nothing, and a frame whose positions go nowhere truncates the arena.
 class DeweyStackMerger {
  public:
-  using Callback = std::function<void(const CandidateResult&)>;
+  // Receives each result as a view into the stack, valid during the call.
+  using Callback = std::function<void(const CandidateView&)>;
 
   // Results shallower than `min_result_depth` components are suppressed
   // (RDIL verification must not emit ancestors of the verified subtree
@@ -34,7 +43,7 @@ class DeweyStackMerger {
 
   // Feeds the next posting of keyword `keyword_index`. IDs must be
   // non-decreasing across calls; equal IDs for different keywords are fine.
-  void Add(size_t keyword_index, const index::Posting& posting);
+  void Add(size_t keyword_index, const index::PostingView& posting);
 
   // Signals end of input: pops and evaluates all remaining frames.
   void Flush();
@@ -42,23 +51,23 @@ class DeweyStackMerger {
   uint64_t postings_consumed() const { return postings_consumed_; }
 
  private:
-  struct Frame {
-    uint32_t component = 0;
-    std::vector<std::vector<uint32_t>> positions;  // per keyword
-    std::vector<double> ranks;                     // per keyword, 0 = absent
-    bool contains_all = false;
-  };
-
+  void PushFrame(uint32_t component);
   // Pops the top frame, evaluating / propagating per Figure 5 lines 12-24.
   void PopFrame();
-  Frame MakeFrame(uint32_t component) const;
 
   size_t num_keywords_;
   ScoringOptions scoring_;
   size_t min_result_depth_;
   Callback callback_;
-  std::vector<Frame> stack_;
-  std::vector<uint32_t> path_;  // components of the current stack
+  // Frame d (0 = the document root) is element path_[0..d]; its keyword
+  // ranks are ranks_[d * n + k] (0 = absent) and its positions of keyword
+  // k are arenas_[k][starts_[d * n + k], ...) up to the next frame's start.
+  std::vector<uint32_t> path_;
+  std::vector<double> ranks_;
+  std::vector<uint32_t> starts_;
+  std::vector<char> contains_all_;
+  std::vector<std::vector<uint32_t>> arenas_;
+  std::vector<std::span<const uint32_t>> windows_;  // PopFrame's scratch
   uint64_t postings_consumed_ = 0;
   bool flushed_ = false;
 };

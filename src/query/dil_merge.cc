@@ -54,9 +54,10 @@ void AddBound(PostingCursor* cursor, uint32_t doc, bool refine,
 // Greedy run widening: while the total stays provably below theta, extend
 // the page run of whichever bounded cursor ends first, so the eventual
 // skip jumps as many whole pages as the threshold allows instead of one
-// run at a time.
+// run at a time. It stops once every run reaches `limit`, where the skip
+// stops anyway.
 Status WidenRuns(std::vector<RefinedBound>* refined, double* total,
-                 double theta, QueryDeadline* deadline) {
+                 double theta, uint32_t limit, QueryDeadline* deadline) {
   for (;;) {
     XRANK_RETURN_NOT_OK(deadline->Check());
     RefinedBound* binding = nullptr;
@@ -66,7 +67,9 @@ Status WidenRuns(std::vector<RefinedBound>* refined, double* total,
         binding = &r;
       }
     }
-    if (binding == nullptr) return Status::OK();
+    if (binding == nullptr || binding->rb.next_doc >= limit) {
+      return Status::OK();
+    }
     double widened =
         std::max(binding->rb.bound, binding->cursor->NextPageRank(binding->rb));
     double contribution = std::min(binding->cursor->score_bound(), widened);
@@ -131,7 +134,7 @@ Result<RunCheck> CheckRuns(const std::vector<PostingCursor*>& aligned,
   }
   if (!BelowThreshold(bound, theta)) return RunCheck::kFeed;
   ++counters->docs_skipped;
-  XRANK_RETURN_NOT_OK(WidenRuns(refined, &bound, theta, deadline));
+  XRANK_RETURN_NOT_OK(WidenRuns(refined, &bound, theta, limit, deadline));
   uint32_t target = limit;
   for (const RefinedBound& r : *refined) {
     target = std::min(target, r.rb.next_doc);
@@ -159,7 +162,8 @@ Status FeedDocument(std::vector<PostingCursor*>* on_doc, uint32_t d,
     XRANK_RETURN_NOT_OK(deadline->Check());
     size_t smallest = 0;
     for (size_t i = 1; i < on_doc->size(); ++i) {
-      if ((*on_doc)[i]->current().id < (*on_doc)[smallest]->current().id) {
+      if (dewey::IdLess((*on_doc)[i]->current().id,
+                        (*on_doc)[smallest]->current().id)) {
         smallest = i;
       }
     }
@@ -231,7 +235,7 @@ Status ExhaustiveMerge(std::vector<PostingCursor>* cursors,
     for (PostingCursor& cursor : *cursors) {
       if (!cursor.live()) continue;
       if (smallest == nullptr ||
-          cursor.current().id < smallest->current().id) {
+          dewey::IdLess(cursor.current().id, smallest->current().id)) {
         smallest = &cursor;
       }
     }

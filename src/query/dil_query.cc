@@ -97,7 +97,7 @@ Result<QueryResponse> DilQueryProcessor::Execute(
     accumulator.AttachShared(options.shared_threshold);
   }
   DeweyStackMerger merger(keywords.size(), scoring_, /*min_result_depth=*/1,
-                          [&](const CandidateResult& candidate) {
+                          [&](const CandidateView& candidate) {
                             accumulator.Add(candidate.id,
                                             candidate.overall_rank);
                           });

@@ -32,11 +32,12 @@ Result<size_t> HdilLongestCommonPrefix(storage::BufferPool* pool,
     index::PostingListCursor cursor(
         pool, info.list, lexicon->ListFormat(/*delta_encode_ids=*/true));
     XRANK_RETURN_NOT_OK(cursor.SeekToPage(page));
-    index::Posting posting;
+    index::PostingView posting;
     for (;;) {
       XRANK_ASSIGN_OR_RETURN(bool has, cursor.Next(&posting));
       if (!has) break;
-      best = std::max(best, key.CommonPrefixLength(posting.id));
+      best = std::max(best,
+                      dewey::CommonPrefixLength(key.components(), posting.id));
       if (cursor.current_page_index() != page) break;
     }
   }
@@ -46,7 +47,7 @@ Result<size_t> HdilLongestCommonPrefix(storage::BufferPool* pool,
 Status HdilScanPrefix(
     storage::BufferPool* pool, const index::Lexicon* lexicon,
     const index::TermInfo& info, const dewey::DeweyId& prefix,
-    const std::function<bool(const index::Posting&)>& fn) {
+    const std::function<bool(const index::PostingView&)>& fn) {
   if (info.btree_root == storage::kInvalidRef || info.list.entry_count == 0) {
     return Status::OK();
   }
@@ -63,13 +64,13 @@ Status HdilScanPrefix(
   index::PostingListCursor cursor(
       pool, info.list, lexicon->ListFormat(/*delta_encode_ids=*/true));
   XRANK_RETURN_NOT_OK(cursor.SeekToPage(start_page));
-  index::Posting posting;
+  index::PostingView posting;
   for (;;) {
     XRANK_ASSIGN_OR_RETURN(bool has, cursor.Next(&posting));
     if (!has) return Status::OK();
-    if (prefix.IsPrefixOf(posting.id)) {
+    if (dewey::IsPrefix(prefix.components(), posting.id)) {
       if (!fn(posting)) return Status::OK();
-    } else if (prefix < posting.id) {
+    } else if (dewey::IdLess(prefix.components(), posting.id)) {
       return Status::OK();  // past the subtree
     }
   }
@@ -167,7 +168,7 @@ Result<QueryResponse> HdilQueryProcessor::Execute(
   XRANK_ASSIGN_OR_RETURN(
       bool switch_to_dil,
       scan.Run(
-          [&](size_t k, const index::Posting& entry) {
+          [&](size_t k, const index::PostingView& entry) {
             return scan.ProbeAndVerify(k, entry, probes, scoring_);
           },
           switch_now));

@@ -58,11 +58,12 @@ Result<size_t> HdilLongestCommonPrefix(storage::BufferPool* pool,
                                        const dewey::DeweyId& key);
 
 // Scans all postings of the term whose ID has `prefix` as a Dewey prefix,
-// in ID order. Returning false from fn stops the scan.
+// in ID order, handing fn each as a view valid during the call. Returning
+// false from fn stops the scan.
 Status HdilScanPrefix(
     storage::BufferPool* pool, const index::Lexicon* lexicon,
     const index::TermInfo& info, const dewey::DeweyId& prefix,
-    const std::function<bool(const index::Posting&)>& fn);
+    const std::function<bool(const index::PostingView&)>& fn);
 
 }  // namespace xrank::query
 

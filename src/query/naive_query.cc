@@ -1,6 +1,7 @@
 #include "query/naive_query.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/timer.h"
 #include "index/naive_index.h"
@@ -16,13 +17,13 @@ namespace {
 // Naive scoring: no specificity decay — just the element's own ElemRank per
 // keyword, summed and scaled by proximity (Section 4.1's "inaccurate
 // ranking" baseline).
-double NaiveScore(const std::vector<index::Posting>& postings,
+double NaiveScore(const std::vector<index::PostingView>& postings,
                   const ScoringOptions& scoring) {
   std::vector<double> keyword_ranks;
-  std::vector<std::vector<uint32_t>> positions;
+  std::vector<std::span<const uint32_t>> positions;
   keyword_ranks.reserve(postings.size());
   positions.reserve(postings.size());
-  for (const index::Posting& posting : postings) {
+  for (const index::PostingView& posting : postings) {
     keyword_ranks.push_back(static_cast<double>(posting.elem_rank));
     positions.push_back(posting.positions);
   }
@@ -69,7 +70,7 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
   if (options.shared_threshold != nullptr) {
     accumulator.AttachShared(options.shared_threshold);
   }
-  std::vector<index::Posting> current(n);
+  std::vector<index::PostingView> current(n);
   std::vector<bool> live(n, false);
   auto advance = [&](size_t k) -> Status {
     XRANK_ASSIGN_OR_RETURN(bool has, cursors[k].Next(&current[k]));
@@ -98,7 +99,7 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
     uint32_t max_ordinal = 0;
     bool all_equal = true;
     for (size_t k = 0; k < n; ++k) {
-      uint32_t ordinal = current[k].id.component(0);
+      uint32_t ordinal = current[k].document_id();
       if (k == 0) {
         max_ordinal = ordinal;
       } else if (ordinal != max_ordinal) {
@@ -112,7 +113,7 @@ Result<QueryResponse> NaiveIdQueryProcessor::Execute(
       continue;
     }
     for (size_t k = 0; k < n; ++k) {
-      while (live[k] && current[k].id.component(0) < max_ordinal) {
+      while (live[k] && current[k].document_id() < max_ordinal) {
         XRANK_RETURN_NOT_OK(advance(k));
       }
     }
@@ -164,10 +165,11 @@ Result<QueryResponse> NaiveRankQueryProcessor::Execute(
   // Probes the other keywords' hash indexes for the entry's element — no
   // common-ancestor inference is needed because ancestors are explicitly
   // replicated (Section 5.1).
-  auto evaluate = [&](size_t k, const index::Posting& entry) -> Status {
+  std::vector<index::DecodedBlock> blocks(n);  // the pages probed into
+  auto evaluate = [&](size_t k, const index::PostingView& entry) -> Status {
     if (!scan.FirstVisit(entry.id)) return Status::OK();
-    uint32_t ordinal = entry.id.component(0);
-    std::vector<index::Posting> postings(n);
+    uint32_t ordinal = entry.document_id();
+    std::vector<index::PostingView> postings(n);
     postings[k] = entry;
     for (size_t j = 0; j < n; ++j) {
       if (j == k) continue;
@@ -179,7 +181,7 @@ Result<QueryResponse> NaiveRankQueryProcessor::Execute(
       if (!loc.has_value()) return Status::OK();
       XRANK_ASSIGN_OR_RETURN(
           postings[j], index::ReadPostingAt(pool_, infos[j]->list, *loc,
-                                            format));
+                                            format, &blocks[j]));
       ++response.stats.postings_scanned;
       ++scan.term(j).postings_read;
     }

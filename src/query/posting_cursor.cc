@@ -125,14 +125,15 @@ Status PostingCursor::SkipTo(uint32_t doc) {
       XRANK_RETURN_NOT_OK(cursor_.SeekToPage(target_page));
     }
   }
-  // Linear tail: within the landing page (and, when descriptors are absent
-  // or stale, across pages) until the document frontier is reached.
+  // Tail: within the landing page (and, when descriptors are absent or
+  // stale, across pages) until the document frontier is reached.
   for (;;) {
     if (deadline_ != nullptr) XRANK_RETURN_NOT_OK(deadline_->Check());
+    postings_read_ += cursor_.PassDocumentsBelow(doc);
     XRANK_ASSIGN_OR_RETURN(live_, cursor_.Next(&current_));
     if (!live_) return Status::OK();
     ++postings_read_;
-    if (current_.id.document_id() >= doc) return Status::OK();
+    if (current_.document_id() >= doc) return Status::OK();
   }
 }
 

@@ -26,9 +26,10 @@ double TermScoreBound(const index::TermInfo& info,
                       const ScoringOptions& scoring);
 
 // Forward cursor over one query term's Dewey-ordered inverted list: the
-// one cursor every DIL merge (query/dil_merge.h) runs on. It holds the
-// current posting, the term's slot in the query and its list-level score
-// bound, and adds document-granularity skipping over the sequential
+// one cursor every DIL merge (query/dil_merge.h) runs on. It holds a view
+// of the current posting (valid until the cursor's next move; the cursor
+// pins the decoded block it points into), the term's slot in the query and
+// its list-level score bound, and adds document-granularity skipping over the sequential
 // PostingListCursor through the list's build-time skip-block descriptors
 // (one (first Dewey ID, page index, block maximum) entry per list page,
 // TermInfo::skips): once a merge has proved that no result can start
@@ -70,15 +71,17 @@ class PostingCursor {
   // Moves to the first posting whose document id (first Dewey component)
   // is >= `doc`, discarding everything before it without feeding it to the
   // merge; live() turns false if the list has no such posting.
-  // Forward-only: `doc` must be >= the current document id.
+  // Forward-only: `doc` must be >= the current document id. The landing
+  // page's entries are passed by a search over their first components,
+  // never copied, yet each counts in postings_read().
   Status SkipTo(uint32_t doc);
 
   bool live() const { return live_; }
   // Document id of the current posting; kNoDocument once exhausted.
   uint32_t doc() const {
-    return live_ ? current_.id.document_id() : kNoDocument;
+    return live_ ? current_.document_id() : kNoDocument;
   }
-  const index::Posting& current() const { return current_; }
+  const index::PostingView& current() const { return current_; }
   size_t term() const { return term_; }
   double score_bound() const { return score_bound_; }
 
@@ -122,16 +125,16 @@ class PostingCursor {
   // Pages served from the decoded-block cache (0 without a cache).
   uint64_t block_cache_hits() const { return cursor_.block_cache_hits(); }
 
-  // List entries decoded through this cursor, including those SkipTo's
-  // tail scan discarded (per-term trace counter).
+  // List entries read through this cursor, including those SkipTo's tail
+  // scan passed over (per-term trace counter).
   uint64_t postings_read() const { return postings_read_; }
 
   const index::ListExtent& extent() const { return cursor_.extent(); }
   uint32_t current_page_index() const { return cursor_.current_page_index(); }
 
-  // Attaches a cooperative budget: SkipTo's linear tail scan — the only
-  // unbounded loop inside the cursor — checks it per posting and aborts
-  // with DeadlineExceeded on expiry. Borrowed; may be null.
+  // Attaches a cooperative budget: SkipTo's tail scan — the only unbounded
+  // loop inside the cursor — checks it per page and aborts with
+  // DeadlineExceeded on expiry. Borrowed; may be null.
   void set_deadline(QueryDeadline* deadline) { deadline_ = deadline; }
 
  private:
@@ -139,7 +142,7 @@ class PostingCursor {
   const std::vector<index::SkipEntry>* skips_;
   size_t term_;
   double score_bound_;
-  index::Posting current_;
+  index::PostingView current_;
   bool live_ = false;
   QueryDeadline* deadline_ = nullptr;
   uint64_t pages_skipped_ = 0;

@@ -1,27 +1,31 @@
 #include "query/proximity.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace xrank::query {
 
 uint32_t MinimalWindowSize(
-    const std::vector<std::vector<uint32_t>>& position_lists) {
+    std::span<const std::span<const uint32_t>> position_lists) {
   if (position_lists.empty()) return 0;
   for (const auto& list : position_lists) {
     if (list.empty()) return 0;
   }
+  // One list: any single position is a window of one word.
+  if (position_lists.size() == 1) return 1;
   // Merge all positions into (position, list) events and slide a window
-  // that keeps at least one event per list.
-  std::vector<std::pair<uint32_t, uint32_t>> events;
-  size_t total = 0;
-  for (const auto& list : position_lists) total += list.size();
-  events.reserve(total);
+  // that keeps at least one event per list. The buffers are reused: every
+  // multi-keyword candidate of a merge comes through here.
+  thread_local std::vector<std::pair<uint32_t, uint32_t>> events;
+  thread_local std::vector<uint32_t> counts;
+  events.clear();
   for (uint32_t k = 0; k < position_lists.size(); ++k) {
     for (uint32_t pos : position_lists[k]) events.emplace_back(pos, k);
   }
   std::sort(events.begin(), events.end());
 
-  std::vector<uint32_t> counts(position_lists.size(), 0);
+  counts.assign(position_lists.size(), 0);
   size_t covered = 0;
   size_t left = 0;
   uint32_t best = UINT32_MAX;

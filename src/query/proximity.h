@@ -2,7 +2,7 @@
 #define XRANK_QUERY_PROXIMITY_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "query/scoring.h"
 
@@ -16,7 +16,7 @@ namespace xrank::query {
 // proximity metric (Section 2.3.2.2); positions are document-global word
 // offsets, so a window can span sibling elements of the result element.
 uint32_t MinimalWindowSize(
-    const std::vector<std::vector<uint32_t>>& position_lists);
+    std::span<const std::span<const uint32_t>> position_lists);
 
 // Maps a window size to the proximity factor in [0, 1]. A window of w words
 // covering n keywords at minimal physical distance (adjacent keywords,

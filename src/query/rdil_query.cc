@@ -45,6 +45,7 @@ Result<QueryResponse> RdilQueryProcessor::Execute(
   // rank-ordered list, so a subtree is a range scan of the tree followed by
   // random reads of the postings it names (the RDIL cost the paper
   // discusses).
+  index::DecodedBlock block;  // the page of the posting being read
   const ThresholdScan::DeweyProbes probes{
       [&](size_t j, const dewey::DeweyId& key) {
         return btrees[j].LongestCommonPrefixWith(key);
@@ -59,15 +60,16 @@ Result<QueryResponse> RdilQueryProcessor::Execute(
             }));
         for (uint64_t loc : locations) {
           XRANK_ASSIGN_OR_RETURN(
-              index::Posting posting,
+              index::PostingView posting,
               index::ReadPostingAt(pool_, infos[j]->list,
-                                   index::DecodePostingLocation(loc), format));
+                                   index::DecodePostingLocation(loc), format,
+                                   &block));
           visit(posting);
         }
         return Status::OK();
       }};
   XRANK_RETURN_NOT_OK(
-      scan.Run([&](size_t k, const index::Posting& entry) {
+      scan.Run([&](size_t k, const index::PostingView& entry) {
             return scan.ProbeAndVerify(k, entry, probes, scoring_);
           })
           .status());

@@ -1,48 +1,58 @@
 #include "query/result_heap.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 
 namespace xrank::query {
 
-void TopKAccumulator::Add(const dewey::DeweyId& id, double rank) {
-  auto [it, inserted] = ranks_by_id_.emplace(id, rank);
-  if (!inserted) {
-    if (rank <= it->second) return;
-    // A candidate among the m best leaves its old rank's place to the new
-    // one; the others compete like a new candidate.
-    auto held = top_ranks_.find(it->second);
-    if (held != top_ranks_.end()) top_ranks_.erase(held);
-    it->second = rank;
+void TopKAccumulator::Add(dewey::IdSpan id, double rank) {
+  if (m_ == 0) return;
+  // Not better than the m-th best: nothing changes. Were the id kept, its
+  // rank there would already be at least the m-th best's.
+  if (entries_.size() == m_ &&
+      !RankOrder(rank, id, entries_.back().rank,
+                 entries_.back().id.components())) {
+    return;
   }
-  OfferRank(rank);
+  auto held = std::find_if(entries_.begin(), entries_.end(),
+                           [&](const Entry& entry) {
+                             return std::ranges::equal(entry.id.components(),
+                                                       id);
+                           });
+  if (held != entries_.end()) {
+    if (rank <= held->rank) return;
+    held->rank = rank;
+  } else {
+    // The new entry takes the back slot: a fresh one, or the m-th best's,
+    // whose id storage it reuses.
+    if (entries_.size() < m_) entries_.emplace_back();
+    held = entries_.end() - 1;
+    held->id.AssignComponents(id);
+    held->rank = rank;
+  }
+  // Move the entry forward to its place; the ones before it stay sorted.
+  auto place = std::partition_point(
+      entries_.begin(), held, [&](const Entry& entry) {
+        return RankOrder(entry.rank, entry.id.components(), held->rank,
+                         held->id.components());
+      });
+  std::rotate(place, held, held + 1);
   if (shared_ != nullptr) shared_->Raise(LocalKthRank());
-}
-
-void TopKAccumulator::OfferRank(double rank) {
-  if (top_ranks_.size() < m_) {
-    top_ranks_.insert(rank);
-  } else if (m_ > 0 && rank > *top_ranks_.rbegin()) {
-    top_ranks_.erase(std::prev(top_ranks_.end()));
-    top_ranks_.insert(rank);
-  }
 }
 
 size_t TopKAccumulator::CountAtLeast(double threshold) const {
   size_t count = 0;
-  for (double rank : top_ranks_) {
-    if (rank < threshold) break;
+  while (count < entries_.size() && entries_[count].rank >= threshold) {
     ++count;
   }
   return count;
 }
 
 double TopKAccumulator::LocalKthRank() const {
-  if (m_ == 0 || top_ranks_.size() < m_) {
+  if (m_ == 0 || entries_.size() < m_) {
     return -std::numeric_limits<double>::infinity();
   }
-  return *top_ranks_.rbegin();
+  return entries_.back().rank;
 }
 
 double TopKAccumulator::KthRank() const {
@@ -56,15 +66,10 @@ double TopKAccumulator::KthRank() const {
 
 std::vector<RankedResult> TopKAccumulator::TakeTop() const {
   std::vector<RankedResult> results;
-  results.reserve(ranks_by_id_.size());
-  for (const auto& [id, rank] : ranks_by_id_) {
-    results.push_back(RankedResult{id, rank});
+  results.reserve(entries_.size());
+  for (const Entry& entry : entries_) {
+    results.push_back(RankedResult{entry.id, entry.rank});
   }
-  std::sort(results.begin(), results.end(),
-            [](const RankedResult& a, const RankedResult& b) {
-              return RankOrder(a.rank, a.id, b.rank, b.id);
-            });
-  if (results.size() > m_) results.resize(m_);
   return results;
 }
 

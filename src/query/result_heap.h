@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "dewey/dewey_id.h"
@@ -15,13 +13,13 @@
 namespace xrank::query {
 
 // The order of every ranked list: rank descending, then Dewey id ascending,
-// so ties break alike everywhere. TakeTop sorts by it, and so does every
-// gather of disjoint doc-id ranges (core/fan_out.h), which therefore ranks
-// exactly as one index over all the ranges would.
-inline bool RankOrder(double a_rank, const dewey::DeweyId& a_id,
-                      double b_rank, const dewey::DeweyId& b_id) {
+// so ties break alike everywhere. TopKAccumulator keeps its entries in it,
+// and every gather of disjoint doc-id ranges (core/fan_out.h) sorts by it,
+// so a gather ranks exactly as one index over all the ranges would.
+inline bool RankOrder(double a_rank, dewey::IdSpan a_id, double b_rank,
+                      dewey::IdSpan b_id) {
   if (a_rank != b_rank) return a_rank > b_rank;
-  return a_id < b_id;
+  return dewey::IdLess(a_id, b_id);
 }
 
 // A monotonically rising top-k threshold shared by cooperating
@@ -65,13 +63,16 @@ class SharedTopKThreshold {
 // Accumulates query-result candidates and answers the question the
 // threshold algorithm asks: "do at least m candidates beat the current
 // threshold?" (the TA stopping condition, RDIL lines 26-28), and the
-// pruning merges' "what is the m-th best rank?". Keeps every candidate —
-// the paper sizes the heap "greater than m" because low-ranked candidates
-// can enter the final top-m once the threshold drops — but only the m
-// best ranks are kept ordered, so both questions read at most m entries.
+// pruning merges' "what is the m-th best rank?". It keeps only the m best
+// (id, rank) pairs, in RankOrder, each id at the highest rank it was added
+// with. That is exactly the top m of all candidates: a candidate that does
+// not beat the m-th best can never return to the top m, since the m-th
+// best only rises, and a later repeat of its id that does beat it enters
+// like a new candidate. The kept ids reuse their storage, so an Add
+// allocates only while the entries' ids grow.
 class TopKAccumulator {
  public:
-  explicit TopKAccumulator(size_t m) : m_(m) {}
+  explicit TopKAccumulator(size_t m) : m_(m) { entries_.reserve(m); }
 
   // Joins a shared θ floor (see SharedTopKThreshold): KthRank() returns
   // the maximum of the local m-th-best and the shared floor, and every Add
@@ -80,8 +81,9 @@ class TopKAccumulator {
   // Null (the default) detaches at zero cost.
   void AttachShared(SharedTopKThreshold* shared) { shared_ = shared; }
 
-  // Records a candidate; a repeated id keeps the higher rank.
-  void Add(const dewey::DeweyId& id, double rank);
+  // Records a candidate; a repeated id keeps the higher rank (the
+  // threshold path can emit an id twice).
+  void Add(dewey::IdSpan id, double rank);
 
   // Number of candidates with rank >= threshold, capped at m.
   size_t CountAtLeast(double threshold) const;
@@ -99,16 +101,18 @@ class TopKAccumulator {
   std::vector<RankedResult> TakeTop() const;
 
  private:
+  struct Entry {
+    dewey::DeweyId id;
+    double rank = 0.0;
+  };
+
   // Local m-th-best rank, ignoring any shared floor (-inf until m ranked).
   double LocalKthRank() const;
-  // Enters a rank into top_ranks_, dropping the lowest once m are held.
-  void OfferRank(double rank);
 
   size_t m_;
   SharedTopKThreshold* shared_ = nullptr;
-  std::unordered_map<dewey::DeweyId, double, dewey::DeweyIdHash> ranks_by_id_;
-  // The m highest ranks in ranks_by_id_, highest first.
-  std::multiset<double, std::greater<double>> top_ranks_;
+  // At most m entries, best first by RankOrder, ids distinct.
+  std::vector<Entry> entries_;
 };
 
 }  // namespace xrank::query

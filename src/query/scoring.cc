@@ -15,8 +15,7 @@ double AggregateRank(RankAggregation aggregation, double existing,
   return existing;
 }
 
-double CombineRanks(const std::vector<double>& keyword_ranks,
-                    double proximity) {
+double CombineRanks(std::span<const double> keyword_ranks, double proximity) {
   double sum = 0.0;
   for (double r : keyword_ranks) sum += r;
   return sum * proximity;

@@ -2,6 +2,7 @@
 #define XRANK_QUERY_SCORING_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dewey/dewey_id.h"
@@ -32,12 +33,13 @@ struct ScoringOptions {
   ProximityMode proximity = ProximityMode::kReciprocalWindow;
 };
 
-// One query result candidate produced by the merge algorithms.
-struct CandidateResult {
-  dewey::DeweyId id;
+// One query result candidate, as the Dewey-stack merge hands it to its
+// callback: views into the merger's stack, valid during the call only.
+struct CandidateView {
+  dewey::IdSpan id;
   double overall_rank = 0.0;
-  std::vector<double> keyword_ranks;  // r̂(v, k_i), decayed and aggregated
-  uint32_t window = 0;                // smallest covering window (words)
+  std::span<const double> keyword_ranks;  // r̂(v, k_i), decayed, aggregated
+  uint32_t window = 0;                    // smallest covering window (words)
 };
 
 struct RankedResult {
@@ -73,8 +75,7 @@ bool SupportsScorePruning(const ScoringOptions& options);
 bool SupportsBlockMaxBounds(const ScoringOptions& options);
 
 // Overall rank = Σ keyword ranks × proximity (paper Section 2.3.2.2).
-double CombineRanks(const std::vector<double>& keyword_ranks,
-                    double proximity);
+double CombineRanks(std::span<const double> keyword_ranks, double proximity);
 
 }  // namespace xrank::query
 

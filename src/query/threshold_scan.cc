@@ -87,7 +87,7 @@ Result<bool> ThresholdScan::Run(const Evaluate& evaluate,
     if (k == n) return false;
     next_list = (k + 1) % n;
 
-    index::Posting entry;
+    index::PostingView entry;
     XRANK_ASSIGN_OR_RETURN(bool has, cursors_[k].Next(&entry));
     if (!has) {
       if (dry_list_ == DryList::kStop) return true;
@@ -116,58 +116,64 @@ Result<bool> ThresholdScan::Run(const Evaluate& evaluate,
   }
 }
 
-Status ThresholdScan::ProbeAndVerify(size_t k, const index::Posting& entry,
+Status ThresholdScan::ProbeAndVerify(size_t k, const index::PostingView& entry,
                                      const DeweyProbes& probes,
                                      const ScoringOptions& scoring) {
   const size_t n = cursors_.size();
   QueryStats& stats = response_->stats;
   // The deepest prefix of the entry's id that every keyword shares
   // (lines 11-16).
-  size_t lcp_len = entry.id.depth();
+  probe_key_.AssignComponents(entry.id);
+  size_t lcp_len = entry.id.size();
   for (size_t j = 0; j < n && lcp_len > 0; ++j) {
     if (j == k) continue;
     XRANK_ASSIGN_OR_RETURN(size_t cpl,
-                           probes.longest_common_prefix(j, entry.id));
+                           probes.longest_common_prefix(j, probe_key_));
     ++stats.btree_probes;
     ++terms_[j].btree_probes;
     lcp_len = std::min(lcp_len, cpl);
   }
   if (lcp_len == 0) return Status::OK();
-  dewey::DeweyId lcp = entry.id.Prefix(lcp_len);
-  if (!FirstVisit(lcp)) return Status::OK();
+  dewey::DeweyId lcp = probe_key_.Prefix(lcp_len);
+  if (!FirstVisit(lcp.components())) return Status::OK();
 
   // Verify the subtree (lines 19-20): fetch every keyword's postings under
   // lcp and run the Dewey-stack merge rooted there, which emits no result
   // shallower than lcp, whose other descendants were not scanned.
-  struct Hit {
-    size_t keyword;
-    index::Posting posting;
-  };
-  std::vector<Hit> hits;
+  hits_.Clear();
+  hit_keywords_.clear();
   for (size_t j = 0; j < n; ++j) {
     XRANK_RETURN_NOT_OK(probes.scan_prefix(
-        j, lcp, [&](const index::Posting& posting) {
+        j, lcp, [&](const index::PostingView& posting) {
           ++stats.postings_scanned;
           ++terms_[j].postings_read;
-          hits.push_back(Hit{j, posting});
+          hits_.Append(posting);
+          hit_keywords_.push_back(j);
           return true;
         }));
   }
-  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
-    if (a.posting.id != b.posting.id) return a.posting.id < b.posting.id;
-    return a.keyword < b.keyword;
-  });
+  hit_order_.resize(hits_.size());
+  for (uint32_t i = 0; i < hit_order_.size(); ++i) hit_order_[i] = i;
+  std::sort(hit_order_.begin(), hit_order_.end(),
+            [&](uint32_t a, uint32_t b) {
+              const dewey::IdSpan a_id = hits_.at(a).id;
+              const dewey::IdSpan b_id = hits_.at(b).id;
+              if (!std::ranges::equal(a_id, b_id)) {
+                return dewey::IdLess(a_id, b_id);
+              }
+              return hit_keywords_[a] < hit_keywords_[b];
+            });
   DeweyStackMerger merger(n, scoring, /*min_result_depth=*/lcp.depth(),
-                          [&](const CandidateResult& candidate) {
+                          [&](const CandidateView& candidate) {
                             AddResult(candidate.id, candidate.overall_rank);
                           });
-  for (const Hit& hit : hits) merger.Add(hit.keyword, hit.posting);
+  for (uint32_t i : hit_order_) merger.Add(hit_keywords_[i], hits_.at(i));
   merger.Flush();
   return Status::OK();
 }
 
-void ThresholdScan::AddResult(const dewey::DeweyId& id, double rank) {
-  evaluated_.insert(id);
+void ThresholdScan::AddResult(dewey::IdSpan id, double rank) {
+  evaluated_.emplace(id);
   accumulator_.Add(id, rank);
 }
 

@@ -49,13 +49,15 @@ class ThresholdScan {
     kStop,  // a rank prefix ran out, so the threshold cannot fall: give up
             // (HDIL then falls back to DIL)
   };
-  // Evaluates `entry`, just read from keyword k's list.
+  // Evaluates `entry`, just read from keyword k's list (a view valid
+  // during the call).
   using Evaluate =
-      std::function<Status(size_t k, const index::Posting& entry)>;
+      std::function<Status(size_t k, const index::PostingView& entry)>;
   // Asked after each round whose stopping test failed against a finite
   // threshold; true gives up.
   using RoundCheck = std::function<bool(double threshold)>;
-  using PostingVisitor = std::function<bool(const index::Posting&)>;
+  // Receives each posting as a view valid during the call.
+  using PostingVisitor = std::function<bool(const index::PostingView&)>;
 
   // The two probe primitives of a Dewey-ordered index per keyword that the
   // LCP-probe-and-verify step needs.
@@ -85,16 +87,14 @@ class ThresholdScan {
   // to the stopping test): probes every other keyword's index for the
   // deepest common prefix (LCP) of the entry's id, and verifies that
   // subtree once with the Dewey-stack merge.
-  Status ProbeAndVerify(size_t k, const index::Posting& entry,
+  Status ProbeAndVerify(size_t k, const index::PostingView& entry,
                         const DeweyProbes& probes,
                         const ScoringOptions& scoring);
 
   // Marks `id` evaluated; false when it already was.
-  bool FirstVisit(const dewey::DeweyId& id) {
-    return evaluated_.insert(id).second;
-  }
+  bool FirstVisit(dewey::IdSpan id) { return evaluated_.emplace(id).second; }
   // Records a result candidate; its id counts as evaluated.
-  void AddResult(const dewey::DeweyId& id, double rank);
+  void AddResult(dewey::IdSpan id, double rank);
 
   QueryTrace::TermStats& term(size_t k) { return terms_[k]; }
   const TopKAccumulator& accumulator() const { return accumulator_; }
@@ -118,6 +118,12 @@ class ThresholdScan {
   TopKAccumulator accumulator_;
   std::vector<QueryTrace::TermStats> terms_;
   std::unordered_set<dewey::DeweyId, dewey::DeweyIdHash> evaluated_;
+  // ProbeAndVerify's scratch, reused from round to round: the probe key,
+  // and the postings of the verified subtree with their keywords.
+  dewey::DeweyId probe_key_;
+  index::DecodedBlock hits_;
+  std::vector<size_t> hit_keywords_;
+  std::vector<uint32_t> hit_order_;
 };
 
 }  // namespace xrank::query

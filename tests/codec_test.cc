@@ -181,14 +181,15 @@ TEST_P(CodecPageTest, EncoderFlushDecodeRoundTrips) {
   }
   ASSERT_EQ(pages.size(), expected_by_page.size());
 
-  std::vector<Posting> block;
+  DecodedBlock block;
   for (size_t p = 0; p < pages.size(); ++p) {
     ASSERT_TRUE(codec->DecodePage(pages[p], format, &block).ok());
     ASSERT_EQ(block.size(), expected_by_page[p].size()) << p;
     for (size_t i = 0; i < block.size(); ++i) {
-      EXPECT_EQ(block[i].id, expected_by_page[p][i].id);
-      EXPECT_EQ(block[i].positions, expected_by_page[p][i].positions);
-      EXPECT_EQ(block[i].elem_rank, expected_by_page[p][i].elem_rank);
+      const Posting decoded = block.at(i).ToPosting();
+      EXPECT_EQ(decoded.id, expected_by_page[p][i].id);
+      EXPECT_EQ(decoded.positions, expected_by_page[p][i].positions);
+      EXPECT_EQ(decoded.elem_rank, expected_by_page[p][i].elem_rank);
     }
   }
 }
@@ -214,7 +215,7 @@ TEST_P(CodecPageTest, DecodeSurvivesBitFlipsAndTruncation) {
   ASSERT_TRUE(encoder->Flush(&original).ok());
 
   xrank::Random rng(23);
-  std::vector<Posting> block;  // deliberately reused across decodes
+  DecodedBlock block;  // deliberately reused across decodes
   for (int trial = 0; trial < 500; ++trial) {
     storage::Page damaged = original;
     // Bias damage toward the header/stream descriptors at the front, where

@@ -17,6 +17,14 @@ namespace {
 using dewey::DeweyId;
 using index::Posting;
 
+// An owning copy of a candidate the merger handed out as a view.
+struct CandidateResult {
+  DeweyId id;
+  double overall_rank = 0.0;
+  std::vector<double> keyword_ranks;
+  uint32_t window = 0;
+};
+
 struct MergeRun {
   ScoringOptions scoring;
   std::vector<CandidateResult> results;
@@ -33,12 +41,18 @@ struct MergeRun {
                 return a.first < b.first;
               });
     DeweyStackMerger merger(keywords, scoring, min_depth,
-                            [&](const CandidateResult& candidate) {
+                            [&](const CandidateView& view) {
+                              CandidateResult candidate{
+                                  DeweyId(view.id), view.overall_rank,
+                                  std::vector<double>(
+                                      view.keyword_ranks.begin(),
+                                      view.keyword_ranks.end()),
+                                  view.window};
                               results.push_back(candidate);
                               by_id[candidate.id.ToString()] = candidate;
                             });
     for (const auto& [keyword, posting] : entries) {
-      merger.Add(keyword, posting);
+      merger.Add(keyword, posting.view());
     }
     merger.Flush();
   }

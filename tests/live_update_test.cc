@@ -209,7 +209,7 @@ TEST_F(LiveUpdateTest, DeleteLiveDocumentFiltersImmediately) {
 
 TEST_F(LiveUpdateTest, SegmentsStartWithTheBudgetTheBaseLeft) {
   // A base whose exhaustive scan of "shared" takes far longer than 1 ms.
-  constexpr uint32_t kBaseDocs = 3000;
+  constexpr uint32_t kBaseDocs = 20000;
   std::vector<xml::Document> base;
   for (uint32_t d = 0; d < kBaseDocs; ++d) {
     std::string xml = "<a>";

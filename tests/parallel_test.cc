@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "datagen/dblp_gen.h"
@@ -450,6 +451,84 @@ TEST(ConcurrentQueryTest, ManyThreadsMatchSequentialAnswers) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
   }
+}
+
+// A block cache that holds about two decoded pages evicts blocks that other
+// threads' cursors still read. A cursor pins its block, so every answer
+// must still equal the exhaustive merge's; a view that outlived its block
+// would fail here under the address and thread sanitizers.
+TEST(ConcurrentQueryTest, TinyBlockCacheEvictsUnderReaders) {
+  datagen::DblpOptions gen;
+  gen.num_papers = 400;
+  datagen::Corpus corpus = datagen::GenerateDblp(gen);
+
+  EngineOptions options;
+  options.indexes = {IndexKind::kDil};
+  options.result_cache_entries = 0;
+  options.cold_cache_per_query = false;  // keep blocks across queries
+  options.block_cache_bytes = 16u << 10;
+  auto built = XRankEngine::Build(std::move(corpus.documents), options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  XRankEngine* engine = built->get();
+
+  // Frequent terms, whose lists span many pages, and planted prefixes.
+  std::vector<std::vector<std::string>> cases = {
+      {"sel0"}, {"sel1"}, {"sel0", "sel1"}, {"sel2", "sel0"}};
+  for (const auto& quad : corpus.planted.high_correlation) {
+    for (size_t n = 1; n <= 3; ++n) {
+      cases.push_back({quad.begin(), quad.begin() + n});
+    }
+    if (cases.size() >= 16) break;
+  }
+  ASSERT_FALSE(cases.empty());
+
+  // The exhaustive merge's answers, before any reader starts.
+  query::QueryOptions exhaustive;
+  exhaustive.algorithm = query::MergeAlgorithm::kExhaustive;
+  std::vector<core::EngineResponse> expected;
+  for (const auto& keywords : cases) {
+    auto response =
+        engine->QueryKeywords(keywords, 10, IndexKind::kDil, exhaustive);
+    ASSERT_TRUE(response.ok()) << response.status();
+    expected.push_back(std::move(response).value());
+  }
+
+  metrics::Counter* evictions =
+      metrics::Registry::Instance().GetCounter("block_cache.evictions");
+  const uint64_t evictions_before = evictions->value();
+  constexpr int kThreads = 4;
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t rep = 0; rep < 3; ++rep) {
+        for (size_t i = 0; i < cases.size(); ++i) {
+          size_t q = (i + static_cast<size_t>(t)) % cases.size();
+          auto response = engine->QueryKeywords(cases[q], 10, IndexKind::kDil);
+          if (!response.ok()) {
+            errors[t] = response.status().ToString();
+            return;
+          }
+          if (response->results.size() != expected[q].results.size()) {
+            errors[t] = "result count mismatch on query " + std::to_string(q);
+            return;
+          }
+          for (size_t r = 0; r < response->results.size(); ++r) {
+            if (response->results[r].id != expected[q].results[r].id ||
+                response->results[r].rank != expected[q].results[r].rank) {
+              errors[t] = "result mismatch on query " + std::to_string(q);
+              return;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
+  }
+  EXPECT_GT(evictions->value(), evictions_before);
 }
 
 TEST(ConcurrentQueryTest, QueriesRaceSafelyWithDeletions) {

@@ -87,12 +87,12 @@ TEST_P(PostingRoundTripTest, CursorReturnsAllPostings) {
 
   PostingListCursor cursor(fixture.pool.get(), fixture.extent,
                            DefaultPostingFormat(delta));
-  Posting posting;
+  PostingView posting;
   for (size_t i = 0; i < postings.size(); ++i) {
     auto has = cursor.Next(&posting);
     ASSERT_TRUE(has.ok()) << has.status();
     ASSERT_TRUE(*has) << i;
-    EXPECT_EQ(posting, postings[i]) << i;
+    EXPECT_EQ(posting.ToPosting(), postings[i]) << i;
   }
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());
@@ -105,17 +105,18 @@ TEST_P(PostingRoundTripTest, RandomAccessBySlot) {
   auto postings = MakePostings(1000, 6);
   ListFixture fixture;
   fixture.Write(postings, delta);
+  DecodedBlock block;
   for (size_t i = 0; i < postings.size(); i += 37) {
     auto posting = ReadPostingAt(fixture.pool.get(), fixture.extent,
                                  fixture.locations[i],
-                                 DefaultPostingFormat(delta));
+                                 DefaultPostingFormat(delta), &block);
     ASSERT_TRUE(posting.ok()) << posting.status();
-    EXPECT_EQ(*posting, postings[i]);
+    EXPECT_EQ(posting->ToPosting(), postings[i]);
   }
   // Out-of-range access fails.
   EXPECT_FALSE(ReadPostingAt(fixture.pool.get(), fixture.extent,
                              PostingLocation{fixture.extent.page_count, 0},
-                             DefaultPostingFormat(delta))
+                             DefaultPostingFormat(delta), &block)
                    .ok());
 }
 
@@ -157,16 +158,17 @@ TEST_P(CodecRoundTripTest, CursorRoundTripsEveryFormat) {
   EXPECT_GT(fixture.extent.page_count, 1u);
 
   PostingListCursor cursor(fixture.pool.get(), fixture.extent, format);
-  Posting posting;
+  PostingView view;
   for (size_t i = 0; i < postings.size(); ++i) {
-    auto has = cursor.Next(&posting);
+    auto has = cursor.Next(&view);
     ASSERT_TRUE(has.ok()) << has.status();
     ASSERT_TRUE(*has) << i;
+    const Posting posting = view.ToPosting();
     EXPECT_EQ(posting.id, postings[i].id) << i;
     EXPECT_EQ(posting.positions, postings[i].positions) << i;
     EXPECT_EQ(posting.elem_rank, postings[i].elem_rank) << i;
   }
-  auto has = cursor.Next(&posting);
+  auto has = cursor.Next(&view);
   ASSERT_TRUE(has.ok());
   EXPECT_FALSE(*has);
   EXPECT_TRUE(cursor.AtEnd());
@@ -177,17 +179,19 @@ TEST_P(CodecRoundTripTest, RandomAccessBySlotEveryFormat) {
   PostingFormat format = WriterFormat();
   ListFixture fixture;
   fixture.Write(postings, format);
+  DecodedBlock block;
   for (size_t i = 0; i < postings.size(); i += 37) {
-    auto posting = ReadPostingAt(fixture.pool.get(), fixture.extent,
-                                 fixture.locations[i], format);
-    ASSERT_TRUE(posting.ok()) << posting.status();
-    EXPECT_EQ(posting->id, postings[i].id) << i;
-    EXPECT_EQ(posting->positions, postings[i].positions) << i;
-    EXPECT_EQ(posting->elem_rank, postings[i].elem_rank) << i;
+    auto view = ReadPostingAt(fixture.pool.get(), fixture.extent,
+                              fixture.locations[i], format, &block);
+    ASSERT_TRUE(view.ok()) << view.status();
+    const Posting posting = view->ToPosting();
+    EXPECT_EQ(posting.id, postings[i].id) << i;
+    EXPECT_EQ(posting.positions, postings[i].positions) << i;
+    EXPECT_EQ(posting.elem_rank, postings[i].elem_rank) << i;
   }
   EXPECT_FALSE(ReadPostingAt(fixture.pool.get(), fixture.extent,
                              PostingLocation{fixture.extent.page_count, 0},
-                             format)
+                             format, &block)
                    .ok());
 }
 
@@ -202,11 +206,11 @@ TEST_P(CodecRoundTripTest, SeekToPageEveryFormat) {
 
   PostingListCursor cursor(fixture.pool.get(), fixture.extent, format);
   ASSERT_TRUE(cursor.SeekToPage(1).ok());
-  Posting posting;
+  PostingView posting;
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
-  EXPECT_EQ(posting.id, postings[first_on_page1].id);
+  EXPECT_EQ(DeweyId(posting.id), postings[first_on_page1].id);
   EXPECT_FALSE(cursor.SeekToPage(fixture.extent.page_count).ok());
 }
 
@@ -231,11 +235,11 @@ TEST(PostingListTest, SeekToPageStartsAtPageBoundary) {
   PostingListCursor cursor(fixture.pool.get(), fixture.extent,
                            DefaultPostingFormat(true));
   ASSERT_TRUE(cursor.SeekToPage(1).ok());
-  Posting posting;
+  PostingView posting;
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
-  EXPECT_EQ(posting, postings[first_on_page1]);
+  EXPECT_EQ(posting.ToPosting(), postings[first_on_page1]);
   EXPECT_FALSE(cursor.SeekToPage(fixture.extent.page_count).ok());
 }
 
@@ -273,7 +277,7 @@ TEST(PostingListTest, PositionCapTruncates) {
       std::make_unique<storage::BufferPool>(fixture.file.get(), 16, nullptr);
   PostingListCursor cursor(fixture.pool.get(), *extent,
                            DefaultPostingFormat(true));
-  Posting read;
+  PostingView read;
   auto has = cursor.Next(&read);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
@@ -288,7 +292,7 @@ TEST(PostingListTest, EmptyList) {
   EXPECT_EQ(fixture.extent.page_count, 0u);
   PostingListCursor cursor(fixture.pool.get(), fixture.extent,
                            DefaultPostingFormat(true));
-  Posting posting;
+  PostingView posting;
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());
   EXPECT_FALSE(*has);

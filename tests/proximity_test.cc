@@ -13,12 +13,18 @@
 namespace xrank::query {
 namespace {
 
+// MinimalWindowSize over owned lists.
+uint32_t Window(const std::vector<std::vector<uint32_t>>& lists) {
+  std::vector<std::span<const uint32_t>> spans(lists.begin(), lists.end());
+  return MinimalWindowSize(spans);
+}
+
 TEST(MinimalWindowTest, AdjacentKeywords) {
-  EXPECT_EQ(MinimalWindowSize({{5}, {6}}), 2u);
+  EXPECT_EQ(Window({{5}, {6}}), 2u);
 }
 
 TEST(MinimalWindowTest, SingleList) {
-  EXPECT_EQ(MinimalWindowSize({{7, 20, 90}}), 1u);
+  EXPECT_EQ(Window({{7, 20, 90}}), 1u);
 }
 
 TEST(MinimalWindowTest, PicksTightestCombination) {
@@ -27,21 +33,21 @@ TEST(MinimalWindowTest, PicksTightestCombination) {
   // {1,102,50}... minimal is [3,50,100]? Check: sorted events make the
   // optimum [3..100] = 98 vs [1..50] missing list2... Actually {1,3,50}
   // spans 1..50 = 50 words.
-  EXPECT_EQ(MinimalWindowSize({{1, 100}, {3, 102}, {50}}), 50u);
+  EXPECT_EQ(Window({{1, 100}, {3, 102}, {50}}), 50u);
 }
 
 TEST(MinimalWindowTest, OverlappingPositions) {
   // The same position in two lists gives window 1.
-  EXPECT_EQ(MinimalWindowSize({{42}, {42}}), 1u);
+  EXPECT_EQ(Window({{42}, {42}}), 1u);
 }
 
 TEST(MinimalWindowTest, EmptyListMeansNoWindow) {
-  EXPECT_EQ(MinimalWindowSize({{1, 2}, {}}), 0u);
-  EXPECT_EQ(MinimalWindowSize({}), 0u);
+  EXPECT_EQ(Window({{1, 2}, {}}), 0u);
+  EXPECT_EQ(Window({}), 0u);
 }
 
 TEST(MinimalWindowTest, UnsortedInputHandled) {
-  EXPECT_EQ(MinimalWindowSize({{100, 5}, {6, 200}}), 2u);
+  EXPECT_EQ(Window({{100, 5}, {6, 200}}), 2u);
 }
 
 TEST(ProximityTest, ModesAndBounds) {
@@ -76,7 +82,7 @@ TEST_P(MinimalWindowPropertyTest, MatchesBruteForce) {
         list.push_back(static_cast<uint32_t>(rng.Uniform(60)));
       }
     }
-    uint32_t fast = MinimalWindowSize(positions);
+    uint32_t fast = Window(positions);
 
     // Brute force: try every combination via recursive enumeration.
     uint32_t best = UINT32_MAX;

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -412,7 +415,8 @@ TEST(BlockCacheTest, RepeatedQueryHitsCacheWithIdenticalResults) {
 
 TEST(BlockCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   index::BlockCache::Block sample;
-  sample.push_back(index::Posting{dewey::DeweyId{1, 2}, 1.0f, {1, 2, 3}});
+  sample.Append(
+      index::Posting{dewey::DeweyId{1, 2}, 1.0f, {1, 2, 3}}.view());
   size_t charge = index::BlockCache::BlockCharge(sample);
   // Room for ~3 blocks in one shard.
   index::BlockCache cache(charge * 3 + charge / 2, /*num_shards=*/1);
@@ -450,6 +454,73 @@ TEST(KthRankTest, ThresholdTracksTheMthBestCandidate) {
   // Re-adding an id with a higher rank re-sorts the threshold.
   accumulator.Add(dewey::DeweyId{2}, 6.0);
   EXPECT_EQ(accumulator.KthRank(), 5.0);
+}
+
+// The accumulator against a brute-force map of every candidate: seeded
+// streams whose ids repeat (re-added both higher and lower) and whose ranks
+// tie at the m-th place, with and without a shared θ floor.
+TEST(TopKAccumulatorTest, MatchesAllCandidateReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t m : {size_t{0}, size_t{1}, size_t{10}, size_t{84}}) {
+    for (bool shared_floor : {false, true}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        xrank::Random rng(seed * 1000 + m);
+        query::TopKAccumulator accumulator(m);
+        query::SharedTopKThreshold shared;
+        const double floor = 2.0;
+        if (shared_floor) {
+          shared.Raise(floor);
+          accumulator.AttachShared(&shared);
+        }
+        std::map<dewey::DeweyId, double> best;
+        for (int step = 0; step < 400; ++step) {
+          // 60 ids of depth 1-3, ranks on a coarse grid so ties are common.
+          const uint32_t key = static_cast<uint32_t>(rng.Uniform(60));
+          dewey::DeweyId id;
+          if (key % 3 == 0) {
+            id = dewey::DeweyId{key};
+          } else if (key % 3 == 1) {
+            id = dewey::DeweyId{key / 3, key};
+          } else {
+            id = dewey::DeweyId{key / 3, 1, key};
+          }
+          const double rank = static_cast<double>(rng.Uniform(16)) / 4.0;
+          accumulator.Add(id, rank);
+          auto [it, inserted] = best.emplace(id, rank);
+          if (!inserted) it->second = std::max(it->second, rank);
+
+          std::vector<query::RankedResult> expected;
+          for (const auto& [candidate, r] : best) {
+            expected.push_back(query::RankedResult{candidate, r});
+          }
+          std::sort(expected.begin(), expected.end(),
+                    [](const query::RankedResult& a,
+                       const query::RankedResult& b) {
+                      return query::RankOrder(a.rank, a.id, b.rank, b.id);
+                    });
+          if (expected.size() > m) expected.resize(m);
+          const std::vector<query::RankedResult> top = accumulator.TakeTop();
+          ASSERT_EQ(top.size(), expected.size()) << "step " << step;
+          for (size_t i = 0; i < top.size(); ++i) {
+            EXPECT_EQ(top[i].id, expected[i].id) << "step " << step;
+            EXPECT_EQ(top[i].rank, expected[i].rank) << "step " << step;
+          }
+          double kth = (m == 0 || expected.size() < m) ? -kInf
+                                                       : expected.back().rank;
+          if (shared_floor) kth = std::max(kth, floor);
+          EXPECT_EQ(accumulator.KthRank(), kth) << "step " << step;
+          for (double threshold : {rank, kth, 1.5}) {
+            size_t count = 0;
+            for (const auto& [candidate, r] : best) {
+              if (r >= threshold) ++count;
+            }
+            EXPECT_EQ(accumulator.CountAtLeast(threshold), std::min(count, m))
+                << "step " << step << " threshold " << threshold;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

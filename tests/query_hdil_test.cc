@@ -73,8 +73,8 @@ TEST(HdilProbeTest, ScanPrefixMatchesBruteForce) {
   for (const dewey::DeweyId& prefix : prefixes) {
     std::vector<dewey::DeweyId> scanned;
     ASSERT_TRUE(HdilScanPrefix(pool, lexicon, *info, prefix,
-                               [&](const index::Posting& posting) {
-                                 scanned.push_back(posting.id);
+                               [&](const index::PostingView& posting) {
+                                 scanned.emplace_back(posting.id);
                                  return true;
                                })
                     .ok());

@@ -110,10 +110,12 @@ TEST(HashIndexTest, LookupFindsAllAndOnlyMembers) {
     EXPECT_EQ(loc->has_value(), members.count(ordinal) > 0) << ordinal;
     if (loc->has_value()) {
       // The located posting is really this element's.
+      index::DecodedBlock block;
       auto posting = index::ReadPostingAt(
-          pool, info->list, **loc, index::DefaultPostingFormat(false));
+          pool, info->list, **loc, index::DefaultPostingFormat(false),
+          &block);
       ASSERT_TRUE(posting.ok());
-      EXPECT_EQ(posting->id.component(0), ordinal);
+      EXPECT_EQ(posting->id[0], ordinal);
     }
   }
 }
