@@ -131,12 +131,9 @@ void BM_PostingListScan(benchmark::State& state) {
   auto ids = MakeIds(10000, 6);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const uint32_t positions[] = {1, 5, 9};
   for (const auto& id : ids) {
-    index::Posting posting;
-    posting.id = id;
-    posting.elem_rank = 0.5f;
-    posting.positions = {1, 5, 9};
-    (void)writer.Add(posting);
+    (void)writer.Add(index::PostingView{id, 0.5f, positions});
   }
   auto extent = writer.Finish();
   storage::BufferPool pool(file.get(), 4096, nullptr);
@@ -175,22 +172,21 @@ CodecFixture* GetCodecFixture(const std::string& codec_name) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   Random rng(10);
-  std::vector<index::Posting> postings;
-  postings.reserve(ids.size());
+  index::DecodedBlock postings;
   for (const auto& id : ids) {
-    index::Posting posting;
-    posting.id = id;
-    posting.elem_rank = 0.001f * static_cast<float>(1 + rng.Uniform(1000));
+    const float rank = 0.001f * static_cast<float>(1 + rng.Uniform(1000));
     uint32_t base = static_cast<uint32_t>(rng.Uniform(200));
-    posting.positions = {base, base + 3, base + 11};
-    postings.push_back(std::move(posting));
+    const uint32_t positions[] = {base, base + 3, base + 11};
+    postings.Append(index::PostingView{id, rank, positions});
   }
   auto* fixture = new CodecFixture();
   fixture->format = index::MakePostingFormat(
       codec, index::PostingFormatSpec{codec->id()}, /*delta_encode_ids=*/true);
   auto file = storage::PageFile::CreateInMemory();
   index::PostingListWriter writer(file.get(), fixture->format);
-  for (const auto& posting : postings) (void)writer.Add(posting);
+  for (size_t i = 0; i < postings.size(); ++i) {
+    (void)writer.Add(postings.at(i));
+  }
   auto extent = writer.Finish();
   storage::BufferPool pool(file.get(), 4096, nullptr);
   fixture->pages.resize(extent->page_count);
@@ -274,11 +270,8 @@ void BM_DeweyStackMerge(benchmark::State& state) {
         2, scoring, 1,
         [&](const query::CandidateView&) { ++emitted; });
     for (size_t i = 0; i < ids.size(); ++i) {
-      index::Posting posting;
-      posting.id = ids[i];
-      posting.elem_rank = 0.25f;
-      posting.positions = {static_cast<uint32_t>(i)};
-      merger.Add(i & 1, posting.view());
+      const uint32_t position = static_cast<uint32_t>(i);
+      merger.Add(i & 1, index::PostingView{ids[i], 0.25f, {&position, 1}});
     }
     merger.Flush();
     benchmark::DoNotOptimize(emitted);
@@ -308,13 +301,12 @@ SkewedIndex* GetSkewedIndex() {
     for (uint32_t t = 0; t < 2; ++t) {
       index::PostingListWriter writer(out->file.get(),
                                       index::DefaultPostingFormat(true));
+      const uint32_t position = t + 1;
       for (uint32_t d = 0; d < kDocs; ++d) {
-        index::Posting posting;
-        posting.id = dewey::DeweyId{d, 1};
-        posting.elem_rank = d < 16 ? 1000.0f - static_cast<float>(d)
-                                   : 1.0f / static_cast<float>(d + 2);
-        posting.positions = {t + 1};
-        writer.Add(posting).status();
+        const uint32_t id[] = {d, 1};
+        const float rank = d < 16 ? 1000.0f - static_cast<float>(d)
+                                  : 1.0f / static_cast<float>(d + 2);
+        writer.Add(index::PostingView{id, rank, {&position, 1}}).status();
       }
       auto extent = writer.Finish();
       index::TermInfo info;

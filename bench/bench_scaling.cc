@@ -1,6 +1,7 @@
 // Thread-scaling benchmark for the parallel execution layer: ElemRank
-// power iteration, posting extraction + physical index construction,
-// concurrent query serving (each at 1/2/4/8 threads), and document-sharded
+// power iteration, posting extraction, physical index construction
+// (each the best of three rounds that interleave 1/2/4/8 threads),
+// concurrent query serving (at 1/2/4/8 clients), and document-sharded
 // serving through the shard router at 1/2/4/8/16 shards over a Zipf-skewed
 // corpus. The parallel paths are deterministic — ElemRank results, index
 // bytes, and sharded top-k answers are identical for every thread/shard
@@ -13,7 +14,11 @@
 // hardware thread every configuration degenerates to sequential work plus
 // scheduling overhead.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <iterator>
+#include <limits>
 #include <thread>
 
 #include "bench_util.h"
@@ -53,15 +58,56 @@ double TimeSeconds(Fn&& fn) {
   return timer.ElapsedSeconds();
 }
 
+constexpr size_t kNumThreadCounts = std::size(kThreadCounts);
+// Timed rounds per thread count; each count reports its best.
+constexpr int kRounds = 3;
+
+// Per thread count, the best time of each of `kStages` stages over kRounds
+// rounds. `run(threads)` runs once and returns its stage times. The rounds
+// interleave the counts (1, 2, 4, 8, 1, 2, ...), so no count always runs
+// first, on a cold heap and cache.
+template <size_t kStages, typename Run>
+std::array<std::array<double, kStages>, kNumThreadCounts> BestOfRounds(
+    Run&& run) {
+  std::array<std::array<double, kStages>, kNumThreadCounts> best;
+  for (auto& stages : best) stages.fill(std::numeric_limits<double>::max());
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < kNumThreadCounts; ++i) {
+      std::array<double, kStages> seconds = run(kThreadCounts[i]);
+      for (size_t stage = 0; stage < kStages; ++stage) {
+        best[i][stage] = std::min(best[i][stage], seconds[stage]);
+      }
+    }
+  }
+  return best;
+}
+
+// Prints and records one stage's best time and speedup over one thread per
+// thread count, under "<prefix>/threads=N/{seconds,speedup}".
+template <size_t kStages>
+void ReportStage(
+    const std::string& prefix,
+    const std::array<std::array<double, kStages>, kNumThreadCounts>& best,
+    size_t stage, JsonReport* report) {
+  const double base = best[0][stage];
+  for (size_t i = 0; i < kNumThreadCounts; ++i) {
+    const double seconds = best[i][stage];
+    const double speedup = seconds > 0 ? base / seconds : 0.0;
+    std::printf("  threads=%d: %7.3f s (speedup %.2fx)\n", kThreadCounts[i],
+                seconds, speedup);
+    std::string key = prefix + "/threads=" + std::to_string(kThreadCounts[i]);
+    report->Add(key + "/seconds", seconds);
+    report->Add(key + "/speedup", speedup);
+  }
+}
+
 void RunElemRankScaling(const char* name, const graph::XmlGraph& graph,
                         JsonReport* report) {
-  std::printf("\n%s ElemRank (n=%zu elements):\n", name,
-              graph.element_count());
-  double base = 0.0;
-  for (int threads : kThreadCounts) {
+  std::printf("\n%s ElemRank (n=%zu elements, best of %d rounds):\n", name,
+              graph.element_count(), kRounds);
+  auto best = BestOfRounds<1>([&](int threads) {
     rank::ElemRankOptions options;
     options.num_threads = threads;
-    rank::ElemRankResult result;
     double seconds = TimeSeconds([&] {
       auto computed = rank::ComputeElemRank(graph, options);
       if (!computed.ok()) {
@@ -69,37 +115,31 @@ void RunElemRankScaling(const char* name, const graph::XmlGraph& graph,
                      computed.status().ToString().c_str());
         std::abort();
       }
-      result = std::move(computed).value();
     });
-    if (threads == 1) base = seconds;
-    double speedup = seconds > 0 ? base / seconds : 0.0;
-    std::printf("  threads=%d: %7.3f s (%d iterations, speedup %.2fx)\n",
-                threads, seconds, result.iterations, speedup);
-    report->Add(std::string(name) + "/elemrank/threads=" +
-                    std::to_string(threads) + "/seconds",
-                seconds);
-    report->Add(std::string(name) + "/elemrank/threads=" +
-                    std::to_string(threads) + "/speedup",
-                speedup);
-  }
+    return std::array<double, 1>{seconds};
+  });
+  ReportStage(std::string(name) + "/elemrank", best, 0, report);
 }
 
+// Extraction and the DIL + HDIL build, timed apart: extraction is sharded by
+// document, the build by term.
 void RunBuildScaling(const char* name, const graph::XmlGraph& graph,
                      const std::vector<double>& ranks, JsonReport* report) {
-  std::printf("\n%s extraction + DIL + HDIL build:\n", name);
-  double base = 0.0;
-  for (int threads : kThreadCounts) {
-    double seconds = TimeSeconds([&] {
-      index::ExtractionOptions extraction;
-      extraction.num_threads = threads;
-      auto extracted = index::ExtractPostings(graph, ranks, extraction);
-      if (!extracted.ok()) {
-        std::fprintf(stderr, "FATAL: %s\n",
-                     extracted.status().ToString().c_str());
-        std::abort();
-      }
-      index::BuildOptions build;
-      build.num_threads = threads;
+  auto best = BestOfRounds<2>([&](int threads) {
+    index::ExtractionOptions extraction;
+    extraction.num_threads = threads;
+    Result<index::ExtractionResult> extracted =
+        Status::Internal("not extracted");
+    double extract_s = TimeSeconds(
+        [&] { extracted = index::ExtractPostings(graph, ranks, extraction); });
+    if (!extracted.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n",
+                   extracted.status().ToString().c_str());
+      std::abort();
+    }
+    index::BuildOptions build;
+    build.num_threads = threads;
+    double build_s = TimeSeconds([&] {
       auto dil = index::BuildDilIndex(extracted->dewey_postings,
                                       storage::PageFile::CreateInMemory(),
                                       build);
@@ -111,17 +151,13 @@ void RunBuildScaling(const char* name, const graph::XmlGraph& graph,
         std::abort();
       }
     });
-    if (threads == 1) base = seconds;
-    double speedup = seconds > 0 ? base / seconds : 0.0;
-    std::printf("  threads=%d: %7.3f s (speedup %.2fx)\n", threads, seconds,
-                speedup);
-    report->Add(std::string(name) + "/build/threads=" +
-                    std::to_string(threads) + "/seconds",
-                seconds);
-    report->Add(std::string(name) + "/build/threads=" +
-                    std::to_string(threads) + "/speedup",
-                speedup);
-  }
+    return std::array<double, 2>{extract_s, build_s};
+  });
+  std::printf("\n%s posting extraction (best of %d rounds):\n", name,
+              kRounds);
+  ReportStage(std::string(name) + "/extract", best, 0, report);
+  std::printf("\n%s DIL + HDIL build (best of %d rounds):\n", name, kRounds);
+  ReportStage(std::string(name) + "/build", best, 1, report);
 }
 
 // Each client walks its own disjoint slice of the query pool: the cold

@@ -4,15 +4,15 @@
 
 namespace xrank::dewey {
 
-void EncodeDeweyId(const DeweyId& id, std::string* out) {
-  PutVarint32(out, static_cast<uint32_t>(id.depth()));
-  for (uint32_t c : id.components()) PutVarint32(out, c);
+void EncodeDeweyId(IdSpan id, std::string* out) {
+  PutVarint32(out, static_cast<uint32_t>(id.size()));
+  for (uint32_t c : id) PutVarint32(out, c);
 }
 
-size_t EncodedDeweyIdLength(const DeweyId& id) {
+size_t EncodedDeweyIdLength(IdSpan id) {
   size_t len = static_cast<size_t>(
-      VarintLength32(static_cast<uint32_t>(id.depth())));
-  for (uint32_t c : id.components()) {
+      VarintLength32(static_cast<uint32_t>(id.size())));
+  for (uint32_t c : id) {
     len += static_cast<size_t>(VarintLength32(c));
   }
   return len;
@@ -32,23 +32,22 @@ Result<DeweyId> DecodeDeweyId(std::string_view data, size_t* offset) {
   return DeweyId(std::move(components));
 }
 
-void EncodeDeweyIdDelta(const DeweyId& previous, const DeweyId& id,
-                        std::string* out) {
-  size_t lcp = previous.CommonPrefixLength(id);
+void EncodeDeweyIdDelta(IdSpan previous, IdSpan id, std::string* out) {
+  size_t lcp = CommonPrefixLength(previous, id);
   PutVarint32(out, static_cast<uint32_t>(lcp));
-  PutVarint32(out, static_cast<uint32_t>(id.depth() - lcp));
-  for (size_t i = lcp; i < id.depth(); ++i) {
-    PutVarint32(out, id.component(i));
+  PutVarint32(out, static_cast<uint32_t>(id.size() - lcp));
+  for (size_t i = lcp; i < id.size(); ++i) {
+    PutVarint32(out, id[i]);
   }
 }
 
-size_t EncodedDeweyIdDeltaLength(const DeweyId& previous, const DeweyId& id) {
-  size_t lcp = previous.CommonPrefixLength(id);
+size_t EncodedDeweyIdDeltaLength(IdSpan previous, IdSpan id) {
+  size_t lcp = CommonPrefixLength(previous, id);
   size_t len = static_cast<size_t>(VarintLength32(static_cast<uint32_t>(lcp)));
   len += static_cast<size_t>(
-      VarintLength32(static_cast<uint32_t>(id.depth() - lcp)));
-  for (size_t i = lcp; i < id.depth(); ++i) {
-    len += static_cast<size_t>(VarintLength32(id.component(i)));
+      VarintLength32(static_cast<uint32_t>(id.size() - lcp)));
+  for (size_t i = lcp; i < id.size(); ++i) {
+    len += static_cast<size_t>(VarintLength32(id[i]));
   }
   return len;
 }

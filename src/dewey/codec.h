@@ -20,20 +20,19 @@ namespace xrank::dewey {
 // varint(suffix component)....
 
 // Appends the raw encoding of `id` to *out.
-void EncodeDeweyId(const DeweyId& id, std::string* out);
+void EncodeDeweyId(IdSpan id, std::string* out);
 
 // Number of bytes EncodeDeweyId would append.
-size_t EncodedDeweyIdLength(const DeweyId& id);
+size_t EncodedDeweyIdLength(IdSpan id);
 
 // Decodes a raw-encoded ID starting at *offset, advancing *offset.
 Result<DeweyId> DecodeDeweyId(std::string_view data, size_t* offset);
 
 // Appends the prefix-delta encoding of `id` relative to `previous` to *out.
-void EncodeDeweyIdDelta(const DeweyId& previous, const DeweyId& id,
-                        std::string* out);
+void EncodeDeweyIdDelta(IdSpan previous, IdSpan id, std::string* out);
 
 // Number of bytes EncodeDeweyIdDelta would append.
-size_t EncodedDeweyIdDeltaLength(const DeweyId& previous, const DeweyId& id);
+size_t EncodedDeweyIdDeltaLength(IdSpan previous, IdSpan id);
 
 // Decodes a prefix-delta-encoded ID given the previously decoded ID.
 Result<DeweyId> DecodeDeweyIdDelta(const DeweyId& previous,

@@ -41,8 +41,9 @@ constexpr size_t kRankBytes = sizeof(float);
 // raw for the page's first posting or when delta coding is off) + rank +
 // varint position count + varint position deltas.
 
-void EncodeVarintPosting(const Posting& posting,
-                         const dewey::DeweyId* previous, std::string* out) {
+// With `previous`, the id is prefix-delta coded against it.
+void EncodeVarintPosting(const PostingView& posting,
+                         const dewey::IdSpan* previous, std::string* out) {
   if (previous != nullptr) {
     dewey::EncodeDeweyIdDelta(*previous, posting.id, out);
   } else {
@@ -113,11 +114,13 @@ class VarintPageEncoder final : public PostingPageEncoder {
  public:
   explicit VarintPageEncoder(const PostingFormat& format) : format_(format) {}
 
-  Result<bool> Add(const Posting& posting) override {
-    const dewey::DeweyId* previous =
-        (format_.delta_encode_ids && count_ > 0) ? &previous_id_ : nullptr;
+  Result<bool> Add(const PostingView& posting) override {
+    const dewey::IdSpan previous = previous_id_;
     size_t before = buffer_.size();
-    EncodeVarintPosting(posting, previous, &buffer_);
+    EncodeVarintPosting(
+        posting,
+        (format_.delta_encode_ids && count_ > 0) ? &previous : nullptr,
+        &buffer_);
     if (kListPageHeaderSize + buffer_.size() > storage::kPageSize) {
       buffer_.resize(before);
       if (count_ == 0) {
@@ -125,7 +128,7 @@ class VarintPageEncoder final : public PostingPageEncoder {
       }
       return false;
     }
-    previous_id_ = posting.id;
+    previous_id_.AssignComponents(posting.id);
     ++count_;
     return true;
   }
@@ -264,7 +267,7 @@ class BlockPageEncoder final : public PostingPageEncoder {
  public:
   explicit BlockPageEncoder(const PostingFormat& format) : format_(format) {}
 
-  Result<bool> Add(const Posting& posting) override;
+  Result<bool> Add(const PostingView& posting) override;
   Result<size_t> Flush(storage::Page* page) override;
   uint32_t count() const override { return count_; }
 
@@ -303,7 +306,7 @@ class BlockPageEncoder final : public PostingPageEncoder {
   uint32_t prev_head_ = 0;
 };
 
-Result<bool> BlockPageEncoder::Add(const Posting& posting) {
+Result<bool> BlockPageEncoder::Add(const PostingView& posting) {
   if (count_ > kMaxPostingSlot) return false;  // u16 count/slot ceiling
 
   // Snapshot so a posting that does not fit can be rolled back exactly.
@@ -314,11 +317,11 @@ Result<bool> BlockPageEncoder::Add(const Posting& posting) {
     saved_sizers[s] = sizers_[s];
   }
 
-  const std::vector<uint32_t>& comps = posting.id.components();
+  const dewey::IdSpan comps = posting.id;
   uint32_t depth = static_cast<uint32_t>(comps.size());
   uint32_t lcp = 0;
   if (format_.delta_encode_ids && count_ > 0) {
-    lcp = static_cast<uint32_t>(posting.id.CommonPrefixLength(prev_id_));
+    lcp = static_cast<uint32_t>(dewey::CommonPrefixLength(comps, prev_id_));
   }
   uint32_t head = depth > 0 ? comps[0] : 0;
 
@@ -357,7 +360,7 @@ Result<bool> BlockPageEncoder::Add(const Posting& posting) {
   }
 
   ranks_.push_back(posting.elem_rank);
-  prev_id_ = posting.id;
+  prev_id_.AssignComponents(comps);
   prev_head_ = head;
   ++count_;
   return true;

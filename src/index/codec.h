@@ -61,7 +61,7 @@ class PostingPageEncoder {
  public:
   virtual ~PostingPageEncoder() = default;
 
-  virtual Result<bool> Add(const Posting& posting) = 0;
+  virtual Result<bool> Add(const PostingView& posting) = 0;
   virtual Result<size_t> Flush(storage::Page* page) = 0;
   virtual uint32_t count() const = 0;
 };

@@ -7,7 +7,7 @@ Result<BuiltIndex> BuildDilIndex(const TermPostingsMap& dewey_postings,
                                  const BuildOptions& build) {
   return BuildIndexFile(
       IndexKind::kDil, dewey_postings, std::move(file), build,
-      [](const std::vector<Posting>& postings, const TermSink& sink,
+      [](const DecodedBlock& postings, const TermSink& sink,
          EncodedTerm* out) {
         return EncodeDeweyList(postings, sink, /*stage_separators=*/false,
                                out);

@@ -80,11 +80,17 @@ namespace {
 using graph::NodeId;
 using graph::XmlGraph;
 
-// Accumulates naive (element-granularity) postings: term -> ordinal ->
-// posting under construction. Ordinals are assigned in global preorder, so
-// iterating the inner map yields ID order.
+// One naive (element-granularity) posting under construction: the
+// ancestor's rank and the positions of every occurrence below it.
+struct NaiveEntry {
+  float rank = 0.0f;
+  std::vector<uint32_t> positions;
+};
+
+// Accumulates naive postings: term -> ordinal -> entry. Ordinals are
+// assigned in global preorder, so iterating the inner map yields ID order.
 using NaiveAccumulator =
-    std::map<std::string, std::map<uint32_t, Posting>>;
+    std::map<std::string, std::map<uint32_t, NaiveEntry>>;
 
 struct ExtractionState {
   const XmlGraph* graph;
@@ -94,11 +100,12 @@ struct ExtractionState {
 
   ExtractionResult out;
   NaiveAccumulator naive;
-  // Global preorder ordinal of this state's first element; a document shard
-  // continues the numbering where the preceding shard's documents end, so
-  // partitioned extraction assigns the same ordinals as a sequential pass.
-  uint32_t ordinal_base = 0;
-  // Ancestor chain of the current DFS path: (ordinal, rank) pairs.
+  // Global preorder ordinal of the next element; a document shard starts
+  // where the preceding shard's documents end, so every shard count assigns
+  // the same ordinals. Kept only for the naive postings.
+  uint32_t next_ordinal = 0;
+  // Ancestor chain of the current DFS path: (ordinal, rank) pairs. Kept
+  // only for the naive postings.
   std::vector<std::pair<uint32_t, float>> ancestor_stack;
   uint32_t position_counter = 0;  // reset per document
 };
@@ -107,12 +114,11 @@ void VisitElement(ExtractionState* state, NodeId element) {
   const XmlGraph& graph = *state->graph;
   const auto& data = graph.node(element);
 
-  uint32_t ordinal =
-      state->ordinal_base +
-      static_cast<uint32_t>(state->out.ordinal_to_dewey.size());
-  state->out.ordinal_to_dewey.push_back(data.dewey_id);
   float rank = static_cast<float>((*state->ranks)[element]);
-  state->ancestor_stack.emplace_back(ordinal, rank);
+  if (state->build_naive) {
+    state->out.ordinal_to_dewey.push_back(data.dewey_id);
+    state->ancestor_stack.emplace_back(state->next_ordinal++, rank);
+  }
 
   // Tokenize the element's direct text (its value children, in order).
   std::map<std::string, std::vector<uint32_t>> term_positions;
@@ -126,21 +132,17 @@ void VisitElement(ExtractionState* state, NodeId element) {
 
   for (auto& [term, positions] : term_positions) {
     ++state->out.direct_occurrence_count;
-    Posting posting;
-    posting.id = data.dewey_id;
-    posting.elem_rank = rank;
-    posting.positions = positions;
-    state->out.dewey_postings[term].push_back(std::move(posting));
+    state->out.dewey_postings[term].Append(
+        PostingView{data.dewey_id, rank, positions});
 
     if (state->build_naive) {
       // The naive adaptation replicates the occurrence into every ancestor
       // (paper Section 4.1, space-overhead discussion).
       for (const auto& [anc_ordinal, anc_rank] : state->ancestor_stack) {
-        Posting& naive_posting = state->naive[term][anc_ordinal];
-        naive_posting.id = dewey::DeweyId({anc_ordinal});
-        naive_posting.elem_rank = anc_rank;
-        naive_posting.positions.insert(naive_posting.positions.end(),
-                                       positions.begin(), positions.end());
+        NaiveEntry& entry = state->naive[term][anc_ordinal];
+        entry.rank = anc_rank;
+        entry.positions.insert(entry.positions.end(), positions.begin(),
+                               positions.end());
       }
     }
   }
@@ -148,17 +150,18 @@ void VisitElement(ExtractionState* state, NodeId element) {
   for (NodeId child : data.element_children) {
     VisitElement(state, child);
   }
-  state->ancestor_stack.pop_back();
+  if (state->build_naive) state->ancestor_stack.pop_back();
 }
 
-// Flattens a state's naive accumulator into ordinal-ordered posting
-// vectors, appending to `out` (per-shard ordinal ranges are disjoint and
-// increasing, so appending shard flushes in shard order preserves order).
+// Flattens a state's naive accumulator into ordinal-ordered blocks,
+// appending to `out` (per-shard ordinal ranges are disjoint and increasing,
+// so appending shard flushes in shard order preserves order).
 void FlattenNaive(ExtractionState* state, TermPostingsMap* out) {
   for (auto& [term, by_ordinal] : state->naive) {
-    std::vector<Posting>& list = (*out)[term];
-    for (auto& [ordinal, posting] : by_ordinal) {
-      list.push_back(std::move(posting));
+    DecodedBlock& block = (*out)[term];
+    for (const auto& [ordinal, entry] : by_ordinal) {
+      block.Append(
+          PostingView{dewey::IdSpan(&ordinal, 1), entry.rank, entry.positions});
     }
   }
   state->naive.clear();
@@ -191,68 +194,58 @@ Result<ExtractionResult> ExtractPostings(const XmlGraph& graph,
     next_base += graph.documents()[doc].element_count;
   }
 
-  size_t num_workers =
-      std::min(ResolveBuildThreads(options.num_threads), docs.size());
-  ExtractionResult merged;
-
-  if (num_workers <= 1) {
-    // Sequential reference path: one state over all documents.
-    ExtractionState state;
-    state.graph = &graph;
-    state.ranks = &elem_ranks;
-    state.analyzer = &analyzer;
-    state.build_naive = options.build_naive;
-    for (uint32_t doc : docs) {
-      state.position_counter = 0;
-      VisitElement(&state, graph.documents()[doc].root);
-    }
-    FlattenNaive(&state, &state.out.naive_postings);
-    merged = std::move(state.out);
-  } else {
-    // Partition documents into contiguous shards balanced by element count;
-    // each worker extracts its shard independently, then the shards are
-    // merged in document order — term posting lists concatenate (documents
-    // are visited in increasing Dewey order) and naive ordinal ranges are
-    // disjoint, so the merged result is identical to the sequential pass.
-    std::vector<uint64_t> weights;
-    weights.reserve(docs.size());
-    for (uint32_t doc : docs) {
-      weights.push_back(graph.documents()[doc].element_count + 1);
-    }
-    std::vector<std::pair<size_t, size_t>> shards =
-        PartitionByWeight(weights, num_workers);
-
-    std::vector<ExtractionState> states(shards.size());
-    ThreadPool pool(static_cast<int>(num_workers));
-    pool.ParallelFor(
-        0, shards.size(), 1, [&](size_t begin, size_t end, size_t) {
-          for (size_t s = begin; s < end; ++s) {
-            ExtractionState& state = states[s];
-            state.graph = &graph;
-            state.ranks = &elem_ranks;
-            state.analyzer = &analyzer;
-            state.build_naive = options.build_naive;
-            state.ordinal_base = ordinal_bases[shards[s].first];
-            for (size_t d = shards[s].first; d < shards[s].second; ++d) {
-              state.position_counter = 0;
-              VisitElement(&state, graph.documents()[docs[d]].root);
-            }
-          }
-        });
-
-    for (ExtractionState& state : states) {
-      for (auto& [term, postings] : state.out.dewey_postings) {
-        std::vector<Posting>& list = merged.dewey_postings[term];
-        std::move(postings.begin(), postings.end(), std::back_inserter(list));
-      }
-      FlattenNaive(&state, &merged.naive_postings);
-      merged.ordinal_to_dewey.insert(merged.ordinal_to_dewey.end(),
-                                     state.out.ordinal_to_dewey.begin(),
-                                     state.out.ordinal_to_dewey.end());
-      merged.direct_occurrence_count += state.out.direct_occurrence_count;
-    }
+  // Contiguous document shards balanced by element count; each worker
+  // extracts its shard independently, then the shards are merged in
+  // document order: term blocks concatenate (documents are visited in
+  // increasing Dewey order) and naive ordinal ranges are disjoint, so the
+  // result does not depend on the shard count.
+  std::vector<uint64_t> weights;
+  weights.reserve(docs.size());
+  for (uint32_t doc : docs) {
+    weights.push_back(graph.documents()[doc].element_count + 1);
   }
-  merged.element_count = merged.ordinal_to_dewey.size();
+  size_t num_workers = std::max<size_t>(
+      1, std::min(ResolveBuildThreads(options.num_threads), docs.size()));
+  std::vector<std::pair<size_t, size_t>> shards =
+      PartitionByWeight(weights, num_workers);
+
+  std::vector<ExtractionState> states(shards.size());
+  ThreadPool pool(static_cast<int>(num_workers));
+  pool.ParallelFor(0, shards.size(), 1, [&](size_t begin, size_t end, size_t) {
+    for (size_t s = begin; s < end; ++s) {
+      ExtractionState& state = states[s];
+      state.graph = &graph;
+      state.ranks = &elem_ranks;
+      state.analyzer = &analyzer;
+      state.build_naive = options.build_naive;
+      state.next_ordinal = ordinal_bases[shards[s].first];
+      for (size_t d = shards[s].first; d < shards[s].second; ++d) {
+        state.position_counter = 0;
+        VisitElement(&state, graph.documents()[docs[d]].root);
+      }
+    }
+  });
+
+  ExtractionResult merged;
+  for (ExtractionState& state : states) {
+    for (auto& [term, block] : state.out.dewey_postings) {
+      auto [it, inserted] = merged.dewey_postings.try_emplace(term);
+      if (inserted) {
+        it->second = std::move(block);
+        continue;
+      }
+      for (size_t i = 0; i < block.size(); ++i) it->second.Append(block.at(i));
+      block = DecodedBlock();
+    }
+    FlattenNaive(&state, &merged.naive_postings);
+    merged.ordinal_to_dewey.insert(
+        merged.ordinal_to_dewey.end(),
+        std::make_move_iterator(state.out.ordinal_to_dewey.begin()),
+        std::make_move_iterator(state.out.ordinal_to_dewey.end()));
+    merged.direct_occurrence_count += state.out.direct_occurrence_count;
+    state = ExtractionState();
+  }
+  merged.element_count = next_base;
   return merged;
 }
 
@@ -423,14 +416,14 @@ Result<BuiltIndex> OpenIndex(std::unique_ptr<storage::PageFile> file) {
 
 // --------------------------------------------------------- build scaffold --
 
-Status EncodeDeweyList(const std::vector<Posting>& postings,
-                       const TermSink& sink, bool stage_separators,
-                       EncodedTerm* out) {
+Status EncodeDeweyList(const DecodedBlock& postings, const TermSink& sink,
+                       bool stage_separators, EncodedTerm* out) {
   PostingListWriter writer(sink.lists, sink.dewey_format);
-  for (const Posting& posting : postings) {
+  for (size_t i = 0; i < postings.size(); ++i) {
+    const PostingView posting = postings.at(i);
     XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(posting));
     if (stage_separators && loc.slot == 0) {
-      out->aux.emplace_back(&posting, loc.page_index);
+      out->aux.emplace_back(posting.id, loc.page_index);
     }
   }
   XRANK_ASSIGN_OR_RETURN(out->info.list, writer.Finish());
@@ -439,14 +432,15 @@ Status EncodeDeweyList(const std::vector<Posting>& postings,
   return Status::OK();
 }
 
-Status EncodeRankList(const std::vector<Posting>& postings,
-                      const TermSink& sink, EncodedTerm* out) {
+Status EncodeRankList(const DecodedBlock& postings, const TermSink& sink,
+                      EncodedTerm* out) {
   // Rank order destroys prefix locality, so IDs are stored raw.
   PostingListWriter writer(sink.lists, sink.raw_format);
   out->aux.reserve(postings.size());
-  for (const Posting* posting : SortByRank(postings)) {
-    XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(*posting));
-    out->aux.emplace_back(posting, EncodePostingLocation(loc));
+  for (uint32_t slot : SortByRank(postings)) {
+    const PostingView posting = postings.at(slot);
+    XRANK_ASSIGN_OR_RETURN(PostingLocation loc, writer.Add(posting));
+    out->aux.emplace_back(posting.id, EncodePostingLocation(loc));
   }
   XRANK_ASSIGN_OR_RETURN(out->info.list, writer.Finish());
   return Status::OK();
@@ -455,8 +449,8 @@ Status EncodeRankList(const std::vector<Posting>& postings,
 Status WriteBtree(storage::PageFile* file, storage::SharedPagePacker* packer,
                   const AuxEntries& entries, TermInfo* info) {
   storage::BtreeBuilder builder(file, packer);
-  for (const auto& [posting, value] : entries) {
-    XRANK_RETURN_NOT_OK(builder.Add(posting->id, value));
+  for (const auto& [id, value] : entries) {
+    XRANK_RETURN_NOT_OK(builder.Add(id, value));
   }
   XRANK_ASSIGN_OR_RETURN(storage::BtreeBuilder::BuildStats stats,
                          builder.Finish());

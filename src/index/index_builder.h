@@ -18,8 +18,9 @@
 
 namespace xrank::index {
 
-// term -> postings, in the order the physical list will store them.
-using TermPostingsMap = std::map<std::string, std::vector<Posting>>;
+// term -> the term's postings as one flat block (index/posting_types.h):
+// what extraction emits and every builder encodes from.
+using TermPostingsMap = std::map<std::string, DecodedBlock>;
 
 // The five physical index organizations evaluated in the paper (Section 5).
 enum class IndexKind : uint8_t {
@@ -50,7 +51,7 @@ struct ExtractionOptions {
   // Worker threads for tokenization (documents are partitioned across
   // workers and the per-shard results merged in document order, so the
   // output is identical for every thread count). 0 = hardware concurrency,
-  // 1 = sequential.
+  // 1 = one shard extracted inline.
   int num_threads = 0;
 };
 
@@ -72,23 +73,29 @@ struct BuildOptions {
 
 // Output of the shared posting-extraction pass over the graph.
 struct ExtractionResult {
-  // Per term, postings of elements that DIRECTLY contain the term, in Dewey
-  // order. Input to DIL / RDIL / HDIL builders.
+  // Per term, one block of the postings of elements that DIRECTLY contain
+  // the term, in Dewey order. Input to DIL / RDIL / HDIL builders.
   TermPostingsMap dewey_postings;
-  // Per term, postings at element granularity with every ancestor
-  // replicated (the naive adaptation of Section 4.1). Posting IDs are
-  // single-component Dewey IDs holding the element's global preorder
-  // ordinal. Input to the naive builders.
+  // Per term, one block of postings at element granularity with every
+  // ancestor replicated (the naive adaptation of Section 4.1), in ordinal
+  // order. Posting IDs are single-component Dewey IDs holding the element's
+  // global preorder ordinal. Input to the naive builders; empty unless
+  // ExtractionOptions::build_naive.
   TermPostingsMap naive_postings;
-  // Maps element ordinals back to real Dewey IDs (naive result decoding).
+  // Maps element ordinals back to real Dewey IDs (naive result decoding);
+  // empty unless ExtractionOptions::build_naive.
   std::vector<dewey::DeweyId> ordinal_to_dewey;
-  uint64_t element_count = 0;
+  uint64_t element_count = 0;            // elements of the surviving documents
   uint64_t direct_occurrence_count = 0;  // (term, element) pairs
 };
 
 // Walks the graph in document order, tokenizes all value text with
 // document-global positions, and attaches each element's ElemRank
 // (elem_ranks is indexed by NodeId, as produced by rank::ComputeElemRank).
+// Documents are split into contiguous shards balanced by element count, one
+// per worker of a ThreadPool of options.num_threads (at most one per
+// document; one shard runs inline), and the shards' blocks are concatenated
+// in document order.
 Result<ExtractionResult> ExtractPostings(const graph::XmlGraph& graph,
                                          const std::vector<double>& elem_ranks,
                                          const ExtractionOptions& options);
@@ -123,12 +130,13 @@ Result<BuiltIndex> OpenIndex(std::unique_ptr<storage::PageFile> file);
 
 // --- the build scaffold behind the five Build*Index functions ---
 
-// (posting, value) pairs a term encoder stages for its term's auxiliary
-// structure, keyed by the posting's ID: B+-tree entries (Dewey ID -> list
+// (ID, value) pairs a term encoder stages for its term's auxiliary
+// structure, keyed by a posting's ID: B+-tree entries (Dewey ID -> list
 // location or page index) or hash entries (ordinal ID -> list location).
-// The postings are the build's input, which outlives every stage. Values
-// never hold absolute page ids, so they need no rebasing after the splice.
-using AuxEntries = std::vector<std::pair<const Posting*, uint64_t>>;
+// The IDs point into the term's input block, which outlives every stage.
+// Values never hold absolute page ids, so they need no rebasing after the
+// splice.
+using AuxEntries = std::vector<std::pair<dewey::IdSpan, uint64_t>>;
 
 // One term's output of a TermEncoder.
 struct EncodedTerm {
@@ -151,8 +159,7 @@ struct TermSink {
 
 // Encodes one term's lists. Runs on a worker thread.
 using TermEncoder = std::function<Status(
-    const std::vector<Posting>& postings, const TermSink& sink,
-    EncodedTerm* out)>;
+    const DecodedBlock& postings, const TermSink& sink, EncodedTerm* out)>;
 
 // Writes one term's auxiliary structure from its staged entries and records
 // where in `info`. Runs on the coordinator, in term order.
@@ -177,14 +184,13 @@ Result<BuiltIndex> BuildIndexFile(IndexKind kind,
 // The Dewey-ordered list of DIL and HDIL, with skips and max_doc_rank. With
 // `stage_separators`, also stages each page's (first ID, page index): the
 // entries of HDIL's sparse B+-tree.
-Status EncodeDeweyList(const std::vector<Posting>& postings,
-                       const TermSink& sink, bool stage_separators,
-                       EncodedTerm* out);
+Status EncodeDeweyList(const DecodedBlock& postings, const TermSink& sink,
+                       bool stage_separators, EncodedTerm* out);
 
 // The rank-ordered list of RDIL and Naive-Rank, staging each posting's
 // (ID, location) in list order.
-Status EncodeRankList(const std::vector<Posting>& postings,
-                      const TermSink& sink, EncodedTerm* out);
+Status EncodeRankList(const DecodedBlock& postings, const TermSink& sink,
+                      EncodedTerm* out);
 
 // The B+-tree of RDIL and HDIL over `entries` (strictly increasing keys);
 // short trees share pages through `packer` (Section 4.3.1).

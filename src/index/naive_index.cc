@@ -42,8 +42,8 @@ Status WriteHashIndex(storage::PageFile* file,
     uint64_t value = 0;
   };
   std::vector<Slot> slots(info->hash_slot_count);
-  for (const auto& [posting, value] : entries) {
-    uint32_t key = posting->id.component(0);
+  for (const auto& [id, value] : entries) {
+    uint32_t key = id[0];
     if (key == kEmptyKey) {
       return Status::InvalidArgument("element ordinal collides with sentinel");
     }
@@ -128,11 +128,11 @@ Result<BuiltIndex> BuildNaiveIdIndex(const TermPostingsMap& naive_postings,
                                      const BuildOptions& build) {
   return BuildIndexFile(
       IndexKind::kNaiveId, naive_postings, std::move(file), build,
-      [](const std::vector<Posting>& postings, const TermSink& sink,
+      [](const DecodedBlock& postings, const TermSink& sink,
          EncodedTerm* out) -> Status {
         PostingListWriter writer(sink.lists, sink.raw_format);
-        for (const Posting& posting : postings) {
-          XRANK_RETURN_NOT_OK(writer.Add(posting).status());
+        for (size_t i = 0; i < postings.size(); ++i) {
+          XRANK_RETURN_NOT_OK(writer.Add(postings.at(i)).status());
         }
         XRANK_ASSIGN_OR_RETURN(out->info.list, writer.Finish());
         return Status::OK();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/check.h"
 #include "index/block_cache.h"
@@ -43,7 +44,7 @@ Status PostingListWriter::FlushPage() {
   return Status::OK();
 }
 
-Result<PostingLocation> PostingListWriter::Add(const Posting& posting) {
+Result<PostingLocation> PostingListWriter::Add(const PostingView& posting) {
   XRANK_CHECK(!finished_, "Add after Finish");
   XRANK_ASSIGN_OR_RETURN(bool placed, encoder_->Add(posting));
   if (!placed) {
@@ -56,14 +57,14 @@ Result<PostingLocation> PostingListWriter::Add(const Posting& posting) {
   PostingLocation loc{static_cast<uint32_t>(pages_.size()),
                       encoder_->count() - 1};
   if (loc.slot == 0) {
-    skips_.push_back(SkipEntry{loc.page_index, posting.id});
+    skips_.push_back(SkipEntry{loc.page_index, dewey::DeweyId(posting.id)});
   }
   // Block-max maintenance: the descriptor tracks the page's largest rank,
   // so the top-k merge's bound is exact for what queries score with.
   const float rank = posting.elem_rank;
   skips_.back().max_rank = std::max(skips_.back().max_rank, rank);
 
-  uint64_t doc = posting.id.document_id();
+  uint64_t doc = posting.document_id();
   if (have_doc_ && doc == current_doc_) {
     current_doc_sum_ += rank;
   } else {
@@ -205,16 +206,15 @@ uint32_t PostingListCursor::PassDocumentsBelow(uint32_t doc) {
   return entry_index_ - first;
 }
 
-std::vector<const Posting*> SortByRank(const std::vector<Posting>& postings) {
-  std::vector<const Posting*> by_rank;
-  by_rank.reserve(postings.size());
-  for (const Posting& posting : postings) by_rank.push_back(&posting);
+std::vector<uint32_t> SortByRank(const DecodedBlock& postings) {
+  std::vector<uint32_t> by_rank(postings.size());
+  std::iota(by_rank.begin(), by_rank.end(), 0u);
   std::sort(by_rank.begin(), by_rank.end(),
-            [](const Posting* a, const Posting* b) {
-              if (a->elem_rank != b->elem_rank) {
-                return a->elem_rank > b->elem_rank;
+            [&postings](uint32_t a, uint32_t b) {
+              if (postings.ranks[a] != postings.ranks[b]) {
+                return postings.ranks[a] > postings.ranks[b];
               }
-              return a->id < b->id;
+              return dewey::IdLess(postings.at(a).id, postings.at(b).id);
             });
   return by_rank;
 }

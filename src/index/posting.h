@@ -25,7 +25,7 @@ class PostingListWriter {
   PostingListWriter(storage::PageFile* file, const PostingFormat& format);
 
   // Returns the location the posting was placed at.
-  Result<PostingLocation> Add(const Posting& posting);
+  Result<PostingLocation> Add(const PostingView& posting);
 
   Result<ListExtent> Finish();
 
@@ -64,8 +64,8 @@ class PostingListWriter {
 
 // The order of the rank-ordered lists (RDIL, HDIL's rank prefix,
 // Naive-Rank): ElemRank descending, ties broken by Dewey id so builds are
-// deterministic. Returns pointers into `postings` in that order.
-std::vector<const Posting*> SortByRank(const std::vector<Posting>& postings);
+// deterministic. Returns the slots of `postings` in that order.
+std::vector<uint32_t> SortByRank(const DecodedBlock& postings);
 
 class BlockCache;
 

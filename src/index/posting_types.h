@@ -11,12 +11,10 @@
 
 namespace xrank::index {
 
-struct Posting;
-
 // A borrowed posting: its Dewey components, rank and word positions, held
-// by a DecodedBlock or a Posting. Valid as long as what it points into; a
-// cursor's view (index/posting.h, query/posting_cursor.h) lasts until the
-// cursor's next move.
+// by a DecodedBlock. Valid as long as what it points into; a cursor's view
+// (index/posting.h, query/posting_cursor.h) lasts until the cursor's next
+// move.
 struct PostingView {
   dewey::IdSpan id;
   float elem_rank = 0.0f;
@@ -25,38 +23,22 @@ struct PostingView {
   // First Dewey component (the document id); 0 for an empty id, which only
   // a damaged page can hold.
   uint32_t document_id() const { return id.empty() ? 0 : id.front(); }
-
-  // An owning copy.
-  Posting ToPosting() const;
 };
 
-// One inverted-list entry: the Dewey ID of an element that *directly*
-// contains the keyword, the element's ElemRank, and the (document-global)
-// word positions of the keyword inside that element (paper Section 4.2.1).
-// Extraction produces these and the page encoders consume them; the query
-// path reads decoded pages as PostingViews instead.
-struct Posting {
-  dewey::DeweyId id;
-  float elem_rank = 0.0f;
-  std::vector<uint32_t> positions;
-
-  PostingView view() const { return {id.components(), elem_rank, positions}; }
-
-  bool operator==(const Posting& other) const = default;
-};
-
-inline Posting PostingView::ToPosting() const {
-  return Posting{dewey::DeweyId(id), elem_rank,
-                 std::vector<uint32_t>(positions.begin(), positions.end())};
-}
-
-// One decoded posting page in flat arrays: entry i has rank ranks[i],
-// Dewey components components[id_offsets[i], id_offsets[i + 1]) and word
-// positions positions[position_offsets[i], position_offsets[i + 1]); both
-// offset arrays hold size() + 1 entries and start at 0. Every codec decodes
-// a page into one (PostingCodec::DecodePage), the block cache holds them,
-// and the query cursors hand out PostingViews into them, so a page costs
-// five arrays however many postings it holds, and a recycled block none.
+// Postings in flat arrays. A posting is the Dewey ID of an element that
+// *directly* contains a keyword, the element's ElemRank and the
+// (document-global) word positions of the keyword inside it (paper Section
+// 4.2.1). Entry i has rank ranks[i], Dewey components
+// components[id_offsets[i], id_offsets[i + 1]) and word positions
+// positions[position_offsets[i], position_offsets[i + 1]); both offset
+// arrays hold size() + 1 entries and start at 0.
+//
+// It is the one owning form of postings: extraction emits one block per
+// term (index/index_builder.h), the page encoders read it through
+// PostingViews, every codec decodes a page into one
+// (PostingCodec::DecodePage), the block cache holds them, and the query
+// cursors hand out views into them. So a list or page costs five arrays
+// however many postings it holds, and a recycled block none.
 struct DecodedBlock {
   std::vector<float> ranks;
   std::vector<uint32_t> id_offsets{0};
@@ -109,6 +91,8 @@ struct DecodedBlock {
             position_offsets.capacity() + positions.capacity()) *
                sizeof(uint32_t);
   }
+
+  bool operator==(const DecodedBlock& other) const = default;
 };
 
 // Postings whose position list would overflow a page are truncated to this

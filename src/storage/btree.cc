@@ -32,13 +32,12 @@ std::string SerializeNode(bool is_leaf, uint32_t count, NodeRef prev,
   return out;
 }
 
-void AppendEntry(const dewey::DeweyId& key, uint64_t value,
-                 std::string* out) {
+void AppendEntry(dewey::IdSpan key, uint64_t value, std::string* out) {
   dewey::EncodeDeweyId(key, out);
   PutVarint64(out, value);
 }
 
-size_t EntrySize(const dewey::DeweyId& key, uint64_t value) {
+size_t EntrySize(dewey::IdSpan key, uint64_t value) {
   return dewey::EncodedDeweyIdLength(key) +
          static_cast<size_t>(VarintLength64(value));
 }
@@ -68,21 +67,21 @@ Result<NodeRef> SharedPagePacker::Append(const std::string& region) {
 BtreeBuilder::BtreeBuilder(PageFile* file, SharedPagePacker* packer)
     : file_(file), packer_(packer) {}
 
-Status BtreeBuilder::Add(const dewey::DeweyId& key, uint64_t value) {
+Status BtreeBuilder::Add(dewey::IdSpan key, uint64_t value) {
   XRANK_CHECK(!finished_, "Add after Finish");
-  if (entry_count_ > 0 && !(last_key_ < key)) {
+  if (entry_count_ > 0 && !dewey::IdLess(last_key_, key)) {
     return Status::InvalidArgument("btree keys not strictly increasing: " +
                                    last_key_.ToString() + " then " +
-                                   key.ToString());
+                                   dewey::DeweyId(key).ToString());
   }
   size_t entry_size = EntrySize(key, value);
   if (kNodeHeaderSize + leaf_entries_.size() + entry_size > kPageSize) {
     XRANK_RETURN_NOT_OK(FlushLeaf());
   }
-  if (leaf_count_ == 0) leaf_first_key_ = key;
+  if (leaf_count_ == 0) leaf_first_key_.AssignComponents(key);
   AppendEntry(key, value, &leaf_entries_);
   ++leaf_count_;
-  last_key_ = key;
+  last_key_.AssignComponents(key);
   ++entry_count_;
   return Status::OK();
 }

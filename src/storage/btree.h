@@ -62,7 +62,7 @@ class BtreeBuilder {
   // shared pages. Both pointers are borrowed.
   BtreeBuilder(PageFile* file, SharedPagePacker* packer);
 
-  Status Add(const dewey::DeweyId& key, uint64_t value);
+  Status Add(dewey::IdSpan key, uint64_t value);
 
   struct BuildStats {
     NodeRef root = kInvalidRef;

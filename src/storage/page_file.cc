@@ -1,10 +1,13 @@
 #include "storage/page_file.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "common/backoff.h"
@@ -40,39 +43,63 @@ std::string IoErrorMessage(const char* op, const std::string& path,
   return msg;
 }
 
+// Pages live in 1 MiB chunks mapped straight from the kernel, not in
+// malloc'd memory. Growing never copies a page, and a dropped file's memory
+// goes back to the system at once, whichever thread filled it. Pages that
+// a build worker freed into its malloc arena would stay resident, and how
+// much of them a later allocation reused would depend on which worker had
+// drawn which arena, so a build's peak RSS would vary from run to run.
 class MemPageFile final : public PageFile {
  public:
   Result<PageId> Allocate() override {
-    pages_.emplace_back();
-    return static_cast<PageId>(pages_.size() - 1);
+    if (page_count_ == chunks_.size() * kChunkPages) {
+      void* chunk = mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (chunk == MAP_FAILED) {
+        return Status::IOError("cannot map memory pages: " +
+                               SafeStrError(errno));
+      }
+      chunks_.emplace_back(static_cast<Page*>(chunk));
+    }
+    new (&page(page_count_)) Page();
+    return page_count_++;
   }
 
-  Status Read(PageId page, Page* out) const override {
-    if (page >= pages_.size()) {
+  Status Read(PageId page_id, Page* out) const override {
+    if (page_id >= page_count_) {
       return Status::OutOfRange("read of unallocated page " +
-                                std::to_string(page));
+                                std::to_string(page_id));
     }
-    *out = pages_[page];
+    *out = page(page_id);
     return Status::OK();
   }
 
-  Status Write(PageId page, const Page& page_data) override {
-    if (page >= pages_.size()) {
+  Status Write(PageId page_id, const Page& page_data) override {
+    if (page_id >= page_count_) {
       return Status::OutOfRange("write of unallocated page " +
-                                std::to_string(page));
+                                std::to_string(page_id));
     }
-    pages_[page] = page_data;
+    page(page_id) = page_data;
     return Status::OK();
   }
 
-  uint32_t page_count() const override {
-    return static_cast<uint32_t>(pages_.size());
-  }
+  uint32_t page_count() const override { return page_count_; }
 
   Status Sync() override { return Status::OK(); }
 
  private:
-  std::vector<Page> pages_;
+  static constexpr size_t kChunkPages = 256;
+  static constexpr size_t kChunkBytes = kChunkPages * sizeof(Page);
+  struct Unmap {
+    void operator()(Page* chunk) const { munmap(chunk, kChunkBytes); }
+  };
+
+  Page& page(PageId id) const {
+    return chunks_[id / kChunkPages].get()[id % kChunkPages];
+  }
+
+  std::vector<std::unique_ptr<Page, Unmap>> chunks_;
+  uint32_t page_count_ = 0;
 };
 
 class DiskPageFile final : public PageFile {

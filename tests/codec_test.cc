@@ -117,9 +117,9 @@ TEST(CodecRegistryTest, KnownCodecsResolveUnknownAreRefused) {
 
 // ------------------------------------------------------ encoder round trip --
 
-std::vector<Posting> MakeBlockPostings(size_t count, uint64_t seed) {
+DecodedBlock MakeBlockPostings(size_t count, uint64_t seed) {
   xrank::Random rng(seed);
-  std::vector<Posting> postings;
+  DecodedBlock postings;
   uint32_t doc = 0, leaf = 0;
   for (size_t i = 0; i < count; ++i) {
     leaf += 1 + static_cast<uint32_t>(rng.Uniform(4));
@@ -127,16 +127,15 @@ std::vector<Posting> MakeBlockPostings(size_t count, uint64_t seed) {
       leaf = 0;
       ++doc;
     }
-    Posting posting;
-    posting.id = dewey::DeweyId({doc, 1, leaf / 8, leaf % 8});
-    posting.elem_rank = static_cast<float>(rng.NextDouble());
+    const float rank = static_cast<float>(rng.NextDouble());
     uint32_t pos = static_cast<uint32_t>(rng.Uniform(50));
-    size_t npos = 1 + rng.Uniform(3);
-    for (size_t p = 0; p < npos; ++p) {
+    std::vector<uint32_t> positions(1 + rng.Uniform(3));
+    for (uint32_t& position : positions) {
       pos += 1 + static_cast<uint32_t>(rng.Uniform(9));
-      posting.positions.push_back(pos);
+      position = pos;
     }
-    postings.push_back(std::move(posting));
+    testutil::AppendPosting(&postings, {doc, 1, leaf / 8, leaf % 8}, rank,
+                            positions);
   }
   return postings;
 }
@@ -157,8 +156,9 @@ TEST_P(CodecPageTest, EncoderFlushDecodeRoundTrips) {
 
   auto encoder = codec->NewEncoder(format);
   std::vector<storage::Page> pages;
-  std::vector<std::vector<Posting>> expected_by_page(1);
-  for (const Posting& posting : postings) {
+  std::vector<DecodedBlock> expected_by_page(1);
+  for (size_t i = 0; i < postings.size(); ++i) {
+    const PostingView posting = postings.at(i);
     auto added = encoder->Add(posting);
     ASSERT_TRUE(added.ok()) << added.status();
     if (!*added) {
@@ -172,7 +172,7 @@ TEST_P(CodecPageTest, EncoderFlushDecodeRoundTrips) {
       added = encoder->Add(posting);
       ASSERT_TRUE(added.ok() && *added) << "retry on empty page must fit";
     }
-    expected_by_page.back().push_back(posting);
+    expected_by_page.back().Append(posting);
   }
   if (encoder->count() > 0) {
     storage::Page page;
@@ -186,10 +186,8 @@ TEST_P(CodecPageTest, EncoderFlushDecodeRoundTrips) {
     ASSERT_TRUE(codec->DecodePage(pages[p], format, &block).ok());
     ASSERT_EQ(block.size(), expected_by_page[p].size()) << p;
     for (size_t i = 0; i < block.size(); ++i) {
-      const Posting decoded = block.at(i).ToPosting();
-      EXPECT_EQ(decoded.id, expected_by_page[p][i].id);
-      EXPECT_EQ(decoded.positions, expected_by_page[p][i].positions);
-      EXPECT_EQ(decoded.elem_rank, expected_by_page[p][i].elem_rank);
+      EXPECT_TRUE(
+          testutil::SamePosting(block.at(i), expected_by_page[p].at(i)));
     }
   }
 }
@@ -206,8 +204,8 @@ TEST_P(CodecPageTest, DecodeSurvivesBitFlipsAndTruncation) {
                                            /*delta_encode_ids=*/true);
 
   auto encoder = codec->NewEncoder(format);
-  for (const Posting& posting : postings) {
-    auto added = encoder->Add(posting);
+  for (size_t i = 0; i < postings.size(); ++i) {
+    auto added = encoder->Add(postings.at(i));
     ASSERT_TRUE(added.ok());
     if (!*added) break;  // one full page is plenty
   }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "query/proximity.h"
@@ -15,7 +16,7 @@ namespace xrank::query {
 namespace {
 
 using dewey::DeweyId;
-using index::Posting;
+using index::DecodedBlock;
 
 // An owning copy of a candidate the merger handed out as a view.
 struct CandidateResult {
@@ -30,13 +31,16 @@ struct MergeRun {
   std::vector<CandidateResult> results;
   std::map<std::string, CandidateResult> by_id;
 
+  // Each entry is (keyword, a block holding one posting).
   void Run(size_t keywords,
-           std::vector<std::pair<size_t, Posting>> entries,
+           std::vector<std::pair<size_t, DecodedBlock>> entries,
            size_t min_depth = 1) {
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) {
-                if (a.second.id != b.second.id) {
-                  return a.second.id < b.second.id;
+                const dewey::IdSpan a_id = a.second.at(0).id;
+                const dewey::IdSpan b_id = b.second.at(0).id;
+                if (!std::ranges::equal(a_id, b_id)) {
+                  return dewey::IdLess(a_id, b_id);
                 }
                 return a.first < b.first;
               });
@@ -52,7 +56,7 @@ struct MergeRun {
                               by_id[candidate.id.ToString()] = candidate;
                             });
     for (const auto& [keyword, posting] : entries) {
-      merger.Add(keyword, posting.view());
+      merger.Add(keyword, posting.at(0));
     }
     merger.Flush();
   }
@@ -60,12 +64,12 @@ struct MergeRun {
   bool Has(const std::string& id) const { return by_id.count(id) > 0; }
 };
 
-Posting P(std::initializer_list<uint32_t> id, float rank,
-          std::initializer_list<uint32_t> positions) {
-  Posting posting;
-  posting.id = DeweyId(id);
-  posting.elem_rank = rank;
-  posting.positions = positions;
+// A block holding the one posting (id, rank, positions).
+DecodedBlock P(std::initializer_list<uint32_t> id, float rank,
+               std::initializer_list<uint32_t> positions) {
+  DecodedBlock posting;
+  posting.Append(index::PostingView{std::span<const uint32_t>(id), rank,
+                                    std::span<const uint32_t>(positions)});
   return posting;
 }
 

@@ -729,25 +729,26 @@ std::unique_ptr<SkewedIndex> BuildSkewedIndex() {
   for (const Term& term : terms) {
     index::PostingListWriter writer(out->file.get(), format);
     for (uint32_t d = 0; d < kDocs; ++d) {
-      index::Posting posting;
-      posting.positions = {term.position};
+      dewey::DeweyId id;
+      float rank = 0.0f;
       const std::string name = term.name;
       if (name == "hot") {
-        posting.id = dewey::DeweyId{d, 1};
-        posting.elem_rank = peaked(d, 1000.0f, 2000.0f);
+        id = dewey::DeweyId{d, 1};
+        rank = peaked(d, 1000.0f, 2000.0f);
       } else if (name == "even") {
         if (d % 2 != 0) continue;
-        posting.id = dewey::DeweyId{d, 1};
-        posting.elem_rank = peaked(d, 900.0f, 1500.0f);
+        id = dewey::DeweyId{d, 1};
+        rank = peaked(d, 900.0f, 1500.0f);
       } else if (name == "tiny") {
-        posting.id = dewey::DeweyId{d, 2};
-        posting.elem_rank = 1.0f + static_cast<float>(d % 4);
+        id = dewey::DeweyId{d, 2};
+        rank = 1.0f + static_cast<float>(d % 4);
       } else {
         if (d % 50 != 0) continue;
-        posting.id = dewey::DeweyId{d, 1, 1};
-        posting.elem_rank = 100.0f - static_cast<float>(d) / 500.0f;
+        id = dewey::DeweyId{d, 1, 1};
+        rank = 100.0f - static_cast<float>(d) / 500.0f;
       }
-      auto loc = writer.Add(posting);
+      auto loc = writer.Add(
+          index::PostingView{id, rank, {&term.position, 1}});
       EXPECT_TRUE(loc.ok()) << loc.status();
     }
     auto extent = writer.Finish();

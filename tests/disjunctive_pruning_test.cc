@@ -348,20 +348,16 @@ SyntheticIndex BuildSkewedIndex(uint32_t docs,
       out.lexicon.ListFormat(/*delta_encode_ids=*/true);
   const char* terms[] = {"hot", "cold"};
   for (uint32_t t = 0; t < 2; ++t) {
-    std::vector<index::Posting> postings;
-    postings.reserve(docs);
+    index::DecodedBlock postings;
     for (uint32_t d = 0; d < docs; ++d) {
-      index::Posting posting;
-      posting.id = dewey::DeweyId{d, 1};
-      posting.elem_rank =
-          d < 16 ? 1000.0f - static_cast<float>(d)
-                 : 1.0f / static_cast<float>(d + 2);
-      posting.positions = {t + 1};
-      postings.push_back(std::move(posting));
+      testutil::AppendPosting(&postings, {d, 1},
+                              d < 16 ? 1000.0f - static_cast<float>(d)
+                                     : 1.0f / static_cast<float>(d + 2),
+                              {t + 1});
     }
     index::PostingListWriter writer(out.file.get(), format);
-    for (const index::Posting& posting : postings) {
-      auto loc = writer.Add(posting);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      auto loc = writer.Add(postings.at(i));
       EXPECT_TRUE(loc.ok()) << loc.status();
     }
     auto extent = writer.Finish();
@@ -427,29 +423,23 @@ SyntheticIndex BuildSparseHotIndex(uint32_t docs, uint32_t stride) {
       out.lexicon.ListFormat(/*delta_encode_ids=*/true);
   struct TermList {
     const char* term;
-    std::vector<index::Posting> postings;
+    index::DecodedBlock postings;
   };
   std::vector<TermList> terms(2);
   terms[0].term = "hot";
   terms[1].term = "cold";
   for (uint32_t d = 0; d < docs; ++d) {
     if (d % stride == 0) {
-      index::Posting posting;
-      posting.id = dewey::DeweyId{d, 1};
-      posting.elem_rank = 1000.0f - static_cast<float>(d / stride);
-      posting.positions = {1};
-      terms[0].postings.push_back(std::move(posting));
+      testutil::AppendPosting(&terms[0].postings, {d, 1},
+                              1000.0f - static_cast<float>(d / stride), {1});
     }
-    index::Posting posting;
-    posting.id = dewey::DeweyId{d, 1};
-    posting.elem_rank = 1.0f / static_cast<float>(d + 2);
-    posting.positions = {2};
-    terms[1].postings.push_back(std::move(posting));
+    testutil::AppendPosting(&terms[1].postings, {d, 1},
+                            1.0f / static_cast<float>(d + 2), {2});
   }
   for (TermList& term : terms) {
     index::PostingListWriter writer(out.file.get(), format);
-    for (const index::Posting& posting : term.postings) {
-      auto loc = writer.Add(posting);
+    for (size_t i = 0; i < term.postings.size(); ++i) {
+      auto loc = writer.Add(term.postings.at(i));
       EXPECT_TRUE(loc.ok()) << loc.status();
     }
     auto extent = writer.Finish();
@@ -678,23 +668,19 @@ TEST(TermScoreBoundTest, SoundnessFallbacks) {
 // blob and dominates every per-document rank sum.
 TEST(MaxDocRankTest, WriterTracksPerDocumentSums) {
   auto file = storage::PageFile::CreateInMemory();
-  std::vector<index::Posting> postings;
+  index::DecodedBlock postings;
   // Document 3 holds three occurrences summing to 6.0 — larger than any
   // single rank in the list.
   const std::pair<uint32_t, float> entries[] = {
       {1, 2.5f}, {3, 1.0f}, {3, 2.0f}, {3, 3.0f}, {7, 4.0f}};
   uint32_t component = 1;
   for (const auto& [doc, rank] : entries) {
-    index::Posting posting;
-    posting.id = dewey::DeweyId{doc, component++};
-    posting.elem_rank = rank;
-    posting.positions = {1};
-    postings.push_back(std::move(posting));
+    testutil::AppendPosting(&postings, {doc, component++}, rank, {1});
   }
   index::PostingListWriter writer(
       file.get(), index::DefaultPostingFormat(/*delta_encode_ids=*/true));
-  for (const index::Posting& posting : postings) {
-    ASSERT_TRUE(writer.Add(posting).ok());
+  for (size_t i = 0; i < postings.size(); ++i) {
+    ASSERT_TRUE(writer.Add(postings.at(i)).ok());
   }
   ASSERT_TRUE(writer.Finish().ok());
   EXPECT_GE(writer.max_doc_rank(), 6.0f);

@@ -37,11 +37,11 @@ TEST(ExtractionTest, DirectContainmentOnly) {
   // 'inner' is directly contained only in <s>.
   const auto& inner = corpus->extracted.dewey_postings.at("inner");
   ASSERT_EQ(inner.size(), 1u);
-  EXPECT_EQ(inner[0].id, dewey::DeweyId({0, 0, 0}));
+  EXPECT_EQ(dewey::DeweyId(inner.at(0).id), dewey::DeweyId({0, 0, 0}));
   // 'outer' directly in <p>.
   const auto& outer = corpus->extracted.dewey_postings.at("outer");
   ASSERT_EQ(outer.size(), 1u);
-  EXPECT_EQ(outer[0].id, dewey::DeweyId({0, 0}));
+  EXPECT_EQ(dewey::DeweyId(outer.at(0).id), dewey::DeweyId({0, 0}));
 }
 
 TEST(ExtractionTest, NaivePostingsReplicateAncestors) {
@@ -67,21 +67,43 @@ TEST(ExtractionTest, PositionsAreDocumentGlobalAndOrdered) {
   const auto& one = corpus->extracted.dewey_postings.at("one");
   ASSERT_EQ(one.size(), 2u);
   // <a> holds positions {0}; <b> holds {3}.
-  EXPECT_EQ(one[0].positions, std::vector<uint32_t>({0}));
-  EXPECT_EQ(one[1].positions, std::vector<uint32_t>({3}));
+  EXPECT_EQ(std::vector<uint32_t>(one.at(0).positions.begin(),
+                                  one.at(0).positions.end()),
+            std::vector<uint32_t>({0}));
+  EXPECT_EQ(std::vector<uint32_t>(one.at(1).positions.begin(),
+                                  one.at(1).positions.end()),
+            std::vector<uint32_t>({3}));
 }
 
 TEST(ExtractionTest, ElemRanksAttached) {
   auto corpus = BuildIndexedCorpus({{testutil::Figure1Xml(), "f"}});
   for (const auto& [term, postings] : corpus->extracted.dewey_postings) {
-    for (const Posting& posting : postings) {
+    for (size_t i = 0; i < postings.size(); ++i) {
+      const PostingView posting = postings.at(i);
       EXPECT_GT(posting.elem_rank, 0.0f) << term;
-      auto node = corpus->graph.FindByDewey(posting.id);
+      auto node = corpus->graph.FindByDewey(dewey::DeweyId(posting.id));
       ASSERT_TRUE(node.ok());
       EXPECT_FLOAT_EQ(posting.elem_rank,
                       static_cast<float>(corpus->ranks.ranks[*node]));
     }
   }
+}
+
+TEST(ExtractionTest, OrdinalsOnlyForNaivePostings) {
+  auto corpus = BuildIndexedCorpus({{testutil::Figure1Xml(), "f"}});
+  ExtractionOptions options;
+  options.build_naive = false;
+  auto dewey_only =
+      ExtractPostings(corpus->graph, corpus->ranks.ranks, options);
+  ASSERT_TRUE(dewey_only.ok()) << dewey_only.status();
+  EXPECT_TRUE(dewey_only->naive_postings.empty());
+  EXPECT_TRUE(dewey_only->ordinal_to_dewey.empty());
+  EXPECT_EQ(dewey_only->element_count, corpus->graph.element_count());
+  EXPECT_EQ(dewey_only->dewey_postings, corpus->extracted.dewey_postings);
+  // With the naive postings, every element has an ordinal.
+  EXPECT_EQ(corpus->extracted.ordinal_to_dewey.size(),
+            corpus->graph.element_count());
+  EXPECT_EQ(corpus->extracted.element_count, corpus->graph.element_count());
 }
 
 TEST(IndexStatsTest, Table1ShapeHolds) {

@@ -225,6 +225,26 @@ TEST(ParallelBuildTest, ExtractionIsThreadCountInvariant) {
   }
 }
 
+TEST(ParallelBuildTest, ExtractionOfNoDocumentsIsEmpty) {
+  graph::XmlGraph graph = SmallDblpGraph();
+  rank::ElemRankOptions rank_options;
+  auto ranks = rank::ComputeElemRank(graph, rank_options);
+  ASSERT_TRUE(ranks.ok()) << ranks.status();
+  index::ExtractionOptions options;
+  for (uint32_t doc = 0; doc < graph.documents().size(); ++doc) {
+    options.exclude_documents.push_back(doc);
+  }
+  for (int threads : {0, 1, 4}) {
+    options.num_threads = threads;
+    auto extracted = index::ExtractPostings(graph, ranks->ranks, options);
+    ASSERT_TRUE(extracted.ok()) << extracted.status();
+    EXPECT_TRUE(extracted->dewey_postings.empty()) << "threads=" << threads;
+    EXPECT_TRUE(extracted->naive_postings.empty()) << "threads=" << threads;
+    EXPECT_TRUE(extracted->ordinal_to_dewey.empty());
+    EXPECT_EQ(extracted->element_count, 0u);
+  }
+}
+
 // 64-bit FNV-1a over the page count and every page payload.
 uint64_t FileDigest(const storage::PageFile& file) {
   uint64_t hash = 0xCBF29CE484222325ULL;

@@ -18,10 +18,12 @@ namespace xrank::index {
 namespace {
 
 using dewey::DeweyId;
+using testutil::AppendPosting;
+using testutil::SamePosting;
 
-std::vector<Posting> MakePostings(size_t count, uint64_t seed) {
+DecodedBlock MakePostings(size_t count, uint64_t seed) {
   xrank::Random rng(seed);
-  std::vector<Posting> postings;
+  DecodedBlock postings;
   uint32_t doc = 0, a = 0, b = 0;
   for (size_t i = 0; i < count; ++i) {
     // Advance in Dewey order.
@@ -34,16 +36,14 @@ std::vector<Posting> MakePostings(size_t count, uint64_t seed) {
       a = 0;
       ++doc;
     }
-    Posting posting;
-    posting.id = DeweyId({doc, a, b});
-    posting.elem_rank = static_cast<float>(rng.NextDouble());
-    size_t positions = 1 + rng.Uniform(5);
+    const float rank = static_cast<float>(rng.NextDouble());
+    std::vector<uint32_t> positions(1 + rng.Uniform(5));
     uint32_t pos = static_cast<uint32_t>(rng.Uniform(100));
-    for (size_t p = 0; p < positions; ++p) {
+    for (uint32_t& position : positions) {
       pos += 1 + static_cast<uint32_t>(rng.Uniform(20));
-      posting.positions.push_back(pos);
+      position = pos;
     }
-    postings.push_back(std::move(posting));
+    AppendPosting(&postings, {doc, a, b}, rank, positions);
   }
   return postings;
 }
@@ -56,15 +56,14 @@ struct ListFixture {
   ListExtent extent;
   std::vector<PostingLocation> locations;
 
-  void Write(const std::vector<Posting>& postings, bool delta) {
+  void Write(const DecodedBlock& postings, bool delta) {
     Write(postings, DefaultPostingFormat(delta));
   }
 
-  void Write(const std::vector<Posting>& postings,
-             const PostingFormat& format) {
+  void Write(const DecodedBlock& postings, const PostingFormat& format) {
     PostingListWriter writer(file.get(), format);
-    for (const Posting& posting : postings) {
-      auto loc = writer.Add(posting);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      auto loc = writer.Add(postings.at(i));
       ASSERT_TRUE(loc.ok()) << loc.status();
       locations.push_back(*loc);
     }
@@ -92,7 +91,7 @@ TEST_P(PostingRoundTripTest, CursorReturnsAllPostings) {
     auto has = cursor.Next(&posting);
     ASSERT_TRUE(has.ok()) << has.status();
     ASSERT_TRUE(*has) << i;
-    EXPECT_EQ(posting.ToPosting(), postings[i]) << i;
+    EXPECT_TRUE(SamePosting(posting, postings.at(i))) << i;
   }
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());
@@ -111,7 +110,7 @@ TEST_P(PostingRoundTripTest, RandomAccessBySlot) {
                                  fixture.locations[i],
                                  DefaultPostingFormat(delta), &block);
     ASSERT_TRUE(posting.ok()) << posting.status();
-    EXPECT_EQ(posting->ToPosting(), postings[i]);
+    EXPECT_TRUE(SamePosting(*posting, postings.at(i)));
   }
   // Out-of-range access fails.
   EXPECT_FALSE(ReadPostingAt(fixture.pool.get(), fixture.extent,
@@ -163,10 +162,7 @@ TEST_P(CodecRoundTripTest, CursorRoundTripsEveryFormat) {
     auto has = cursor.Next(&view);
     ASSERT_TRUE(has.ok()) << has.status();
     ASSERT_TRUE(*has) << i;
-    const Posting posting = view.ToPosting();
-    EXPECT_EQ(posting.id, postings[i].id) << i;
-    EXPECT_EQ(posting.positions, postings[i].positions) << i;
-    EXPECT_EQ(posting.elem_rank, postings[i].elem_rank) << i;
+    EXPECT_TRUE(SamePosting(view, postings.at(i))) << i;
   }
   auto has = cursor.Next(&view);
   ASSERT_TRUE(has.ok());
@@ -184,10 +180,7 @@ TEST_P(CodecRoundTripTest, RandomAccessBySlotEveryFormat) {
     auto view = ReadPostingAt(fixture.pool.get(), fixture.extent,
                               fixture.locations[i], format, &block);
     ASSERT_TRUE(view.ok()) << view.status();
-    const Posting posting = view->ToPosting();
-    EXPECT_EQ(posting.id, postings[i].id) << i;
-    EXPECT_EQ(posting.positions, postings[i].positions) << i;
-    EXPECT_EQ(posting.elem_rank, postings[i].elem_rank) << i;
+    EXPECT_TRUE(SamePosting(*view, postings.at(i))) << i;
   }
   EXPECT_FALSE(ReadPostingAt(fixture.pool.get(), fixture.extent,
                              PostingLocation{fixture.extent.page_count, 0},
@@ -210,7 +203,7 @@ TEST_P(CodecRoundTripTest, SeekToPageEveryFormat) {
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
-  EXPECT_EQ(DeweyId(posting.id), postings[first_on_page1].id);
+  EXPECT_EQ(DeweyId(posting.id), DeweyId(postings.at(first_on_page1).id));
   EXPECT_FALSE(cursor.SeekToPage(fixture.extent.page_count).ok());
 }
 
@@ -239,20 +232,17 @@ TEST(PostingListTest, SeekToPageStartsAtPageBoundary) {
   auto has = cursor.Next(&posting);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
-  EXPECT_EQ(posting.ToPosting(), postings[first_on_page1]);
+  EXPECT_TRUE(SamePosting(posting, postings.at(first_on_page1)));
   EXPECT_FALSE(cursor.SeekToPage(fixture.extent.page_count).ok());
 }
 
 TEST(PostingListTest, DeltaEncodingSavesSpace) {
   // Deep sibling IDs (the XMark regime) share long prefixes, which is where
   // prefix-delta coding pays off.
-  std::vector<Posting> postings;
+  DecodedBlock postings;
   for (uint32_t leaf = 0; leaf < 20000; ++leaf) {
-    Posting posting;
-    posting.id = DeweyId({0, 1, 2, 3, 4, 5, 6, leaf / 8, leaf % 8});
-    posting.elem_rank = 0.25f;
-    posting.positions = {leaf};
-    postings.push_back(std::move(posting));
+    AppendPosting(&postings, {0, 1, 2, 3, 4, 5, 6, leaf / 8, leaf % 8},
+                  0.25f, {leaf});
   }
   ListFixture delta_fixture, raw_fixture;
   delta_fixture.Write(postings, true);
@@ -262,15 +252,15 @@ TEST(PostingListTest, DeltaEncodingSavesSpace) {
 }
 
 TEST(PostingListTest, PositionCapTruncates) {
-  Posting huge;
-  huge.id = DeweyId({1});
-  huge.elem_rank = 0.5f;
+  std::vector<uint32_t> positions;
   for (uint32_t p = 0; p < 2 * kMaxPositionsPerPosting; ++p) {
-    huge.positions.push_back(p * 3);
+    positions.push_back(p * 3);
   }
+  DecodedBlock huge;
+  AppendPosting(&huge, {1}, 0.5f, positions);
   ListFixture fixture;
   PostingListWriter writer(fixture.file.get(), DefaultPostingFormat(true));
-  ASSERT_TRUE(writer.Add(huge).ok());
+  ASSERT_TRUE(writer.Add(huge.at(0)).ok());
   auto extent = writer.Finish();
   ASSERT_TRUE(extent.ok());
   fixture.pool =
@@ -282,7 +272,7 @@ TEST(PostingListTest, PositionCapTruncates) {
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
   EXPECT_EQ(read.positions.size(), kMaxPositionsPerPosting);
-  EXPECT_EQ(read.positions.front(), huge.positions.front());
+  EXPECT_EQ(read.positions.front(), positions.front());
 }
 
 TEST(PostingListTest, EmptyList) {

@@ -288,20 +288,16 @@ SyntheticIndex BuildSkewedIndex(uint32_t docs,
       out.lexicon.ListFormat(/*delta_encode_ids=*/true);
   const char* terms[] = {"hot", "cold"};
   for (uint32_t t = 0; t < 2; ++t) {
-    std::vector<index::Posting> postings;
-    postings.reserve(docs);
+    index::DecodedBlock postings;
     for (uint32_t d = 0; d < docs; ++d) {
-      index::Posting posting;
-      posting.id = dewey::DeweyId{d, 1};
-      posting.elem_rank =
-          d < 16 ? 1000.0f - static_cast<float>(d)
-                 : 1.0f / static_cast<float>(d + 2);
-      posting.positions = {t + 1};
-      postings.push_back(std::move(posting));
+      testutil::AppendPosting(&postings, {d, 1},
+                              d < 16 ? 1000.0f - static_cast<float>(d)
+                                     : 1.0f / static_cast<float>(d + 2),
+                              {t + 1});
     }
     index::PostingListWriter writer(out.file.get(), format);
-    for (const index::Posting& posting : postings) {
-      auto loc = writer.Add(posting);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      auto loc = writer.Add(postings.at(i));
       EXPECT_TRUE(loc.ok()) << loc.status();
     }
     auto extent = writer.Finish();
@@ -415,8 +411,7 @@ TEST(BlockCacheTest, RepeatedQueryHitsCacheWithIdenticalResults) {
 
 TEST(BlockCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   index::BlockCache::Block sample;
-  sample.Append(
-      index::Posting{dewey::DeweyId{1, 2}, 1.0f, {1, 2, 3}}.view());
+  testutil::AppendPosting(&sample, {1, 2}, 1.0f, {1, 2, 3});
   size_t charge = index::BlockCache::BlockCharge(sample);
   // Room for ~3 blocks in one shard.
   index::BlockCache cache(charge * 3 + charge / 2, /*num_shards=*/1);

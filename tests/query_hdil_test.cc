@@ -40,14 +40,16 @@ TEST(HdilProbeTest, LongestCommonPrefixMatchesBruteForce) {
   ASSERT_NE(target, nullptr);
   const auto& probes = corpus->extracted.dewey_postings.at("sel1");
   const auto& targets = corpus->extracted.dewey_postings.at("sel0");
-  for (const index::Posting& probe : probes) {
-    auto lcp = HdilLongestCommonPrefix(pool, lexicon, *target, probe.id);
+  for (size_t p = 0; p < probes.size(); ++p) {
+    const dewey::DeweyId probe(probes.at(p).id);
+    auto lcp = HdilLongestCommonPrefix(pool, lexicon, *target, probe);
     ASSERT_TRUE(lcp.ok()) << lcp.status();
     size_t expected = 0;
-    for (const index::Posting& posting : targets) {
-      expected = std::max(expected, probe.id.CommonPrefixLength(posting.id));
+    for (size_t t = 0; t < targets.size(); ++t) {
+      expected = std::max(expected,
+                          dewey::CommonPrefixLength(probe, targets.at(t).id));
     }
-    EXPECT_EQ(*lcp, expected) << probe.id.ToString();
+    EXPECT_EQ(*lcp, expected) << probe.ToString();
   }
 }
 
@@ -66,8 +68,8 @@ TEST(HdilProbeTest, ScanPrefixMatchesBruteForce) {
   // Prefixes: document roots and the deep posting IDs themselves.
   std::vector<dewey::DeweyId> prefixes;
   for (size_t i = 0; i < postings.size(); i += 7) {
-    prefixes.push_back(postings[i].id);
-    prefixes.push_back(postings[i].id.Prefix(1));
+    prefixes.emplace_back(postings.at(i).id);
+    prefixes.push_back(prefixes.back().Prefix(1));
   }
   prefixes.push_back(dewey::DeweyId({999}));  // matches nothing
   for (const dewey::DeweyId& prefix : prefixes) {
@@ -79,8 +81,10 @@ TEST(HdilProbeTest, ScanPrefixMatchesBruteForce) {
                                })
                     .ok());
     std::vector<dewey::DeweyId> expected;
-    for (const index::Posting& posting : postings) {
-      if (prefix.IsPrefixOf(posting.id)) expected.push_back(posting.id);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      if (dewey::IsPrefix(prefix, postings.at(i).id)) {
+        expected.emplace_back(postings.at(i).id);
+      }
     }
     EXPECT_EQ(scanned, expected) << prefix.ToString();
   }

@@ -98,9 +98,10 @@ TEST(HashIndexTest, LookupFindsAllAndOnlyMembers) {
 
   // Member ordinals from the extraction.
   std::set<uint32_t> members;
-  for (const index::Posting& posting :
-       corpus->extracted.naive_postings.at("xql")) {
-    members.insert(posting.id.component(0));
+  const index::DecodedBlock& postings =
+      corpus->extracted.naive_postings.at("xql");
+  for (size_t i = 0; i < postings.size(); ++i) {
+    members.insert(postings.at(i).id[0]);
   }
   ASSERT_FALSE(members.empty());
   for (uint32_t ordinal = 0;

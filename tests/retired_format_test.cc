@@ -35,11 +35,9 @@ constexpr size_t kReorderIdOffset = 80;
 std::unique_ptr<storage::PageFile> BuildSmallDilFile() {
   index::TermPostingsMap postings;
   for (uint32_t doc = 0; doc < 20; ++doc) {
-    index::Posting posting;
-    posting.id = dewey::DeweyId({doc, 0, 1});
-    posting.elem_rank = 0.01f * static_cast<float>(doc + 1);
-    posting.positions = {doc};
-    postings["alpha"].push_back(posting);
+    const uint32_t id[] = {doc, 0, 1};
+    postings["alpha"].Append(index::PostingView{
+        id, 0.01f * static_cast<float>(doc + 1), {&doc, 1}});
   }
   auto file = storage::PageFile::CreateInMemory();
   auto built = index::BuildDilIndex(postings, std::move(file));

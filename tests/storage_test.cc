@@ -53,6 +53,29 @@ TEST(PageFileTest, InMemoryBackend) {
   ExercisePageFile(file.get());
 }
 
+TEST(PageFileTest, InMemoryPagesKeepTheirContentsAsTheFileGrows) {
+  // Enough pages to span several of the memory backend's 256-page chunks.
+  constexpr uint32_t kPages = 600;
+  auto file = PageFile::CreateInMemory();
+  for (uint32_t p = 0; p < kPages; ++p) {
+    auto id = file->Allocate();
+    ASSERT_TRUE(id.ok()) << id.status();
+    ASSERT_EQ(*id, p);
+    Page page{};
+    page.WriteU32(0, p);
+    page.WriteU32(kPageSize - 4, ~p);
+    ASSERT_TRUE(file->Write(p, page).ok());
+  }
+  Page read{};
+  for (uint32_t p = 0; p < kPages; ++p) {
+    ASSERT_TRUE(file->Read(p, &read).ok());
+    EXPECT_EQ(read.ReadU32(0), p);
+    EXPECT_EQ(read.ReadU32(kPageSize - 4), ~p);
+  }
+  EXPECT_EQ(file->page_count(), kPages);
+  EXPECT_FALSE(file->Read(kPages, &read).ok());
+}
+
 TEST(PageFileTest, OnDiskBackend) {
   std::string path = TempPath("pagefile_test.db");
   auto file = PageFile::CreateOnDisk(path);

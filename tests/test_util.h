@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -110,6 +111,34 @@ inline std::unique_ptr<IndexedCorpus> BuildIndexedCorpus(
                                      storage::PageFile::CreateInMemory(),
                                      build));
   return corpus;
+}
+
+// Appends the posting (id, rank, positions) to *block: how tests spell
+// postings out by hand.
+inline void AppendPosting(index::DecodedBlock* block,
+                          const std::vector<uint32_t>& id, float rank,
+                          const std::vector<uint32_t>& positions) {
+  block->Append(index::PostingView{id, rank, positions});
+}
+
+// Succeeds when both postings hold the same Dewey ID, rank and positions.
+inline ::testing::AssertionResult SamePosting(
+    const index::PostingView& actual, const index::PostingView& expected) {
+  auto describe = [](const index::PostingView& posting) {
+    std::string text = dewey::DeweyId(posting.id).ToString() + " rank " +
+                       std::to_string(posting.elem_rank) + " positions";
+    for (uint32_t position : posting.positions) {
+      text += " " + std::to_string(position);
+    }
+    return text;
+  };
+  if (std::ranges::equal(actual.id, expected.id) &&
+      actual.elem_rank == expected.elem_rank &&
+      std::ranges::equal(actual.positions, expected.positions)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << describe(actual) << " != " << describe(expected);
 }
 
 // The Figure 1 document used throughout the paper's examples.

@@ -31,7 +31,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
 
 cmake -B "$DIR" -S . -DXRANK_SANITIZE="$SAN" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$DIR" -j "$(nproc)" --target xrank_tests
+# alloc_budget_test is its own executable (it replaces operator new).
+cmake --build "$DIR" -j "$(nproc)" --target xrank_tests alloc_budget_test
 
 # second_deadlock_stack aids TSan lock-order reports; halt_on_error keeps
 # CI signal crisp for ASan/UBSan.
